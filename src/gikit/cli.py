@@ -26,19 +26,9 @@ from .fileio import (
     write_manifest,
 )
 from .metrics import cnr, mask_from_scene
-from .reconstruct import (
-    SgiAccumulator,
-    recon_ci,
-    recon_delta_gi,
-    recon_dgi,
-    recon_g2,
-    recon_sgi,
-    sr_diagnostics,
-)
+from .reconstruct import METHODS, SGI_METHODS, SgiAccumulator, reconstruct, sr_diagnostics
 from .simulate import DRIFT_KINDS, DriftProfile, NoiseModel, PatternModel, simulate
 
-METHODS = ("g2", "dgi-delta", "dgi", "ci", "sgi1", "sgi2", "sgi3")
-SGI_METHODS = ("sgi1", "sgi2", "sgi3")
 PATTERN_ALIASES = {"iid": "iid-uniform", "speckle": "correlated-speckle"}
 SWEEP_AXES = ("n", "noise-mean", "drift-kind")
 
@@ -129,18 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     dia.add_argument("--out", required=True, help="output CSV path")
 
     return parser
-
-
-def _run_method(dataset, method: str, shift: int, close_loop: bool):
-    if method == "g2":
-        return recon_g2(dataset)
-    if method == "dgi-delta":
-        return recon_delta_gi(dataset)
-    if method == "dgi":
-        return recon_dgi(dataset)
-    if method == "ci":
-        return recon_ci(dataset)
-    return recon_sgi(dataset, mode=int(method[-1]), shift=shift, close_loop=close_loop)
 
 
 def _export_result(result, prefix: str, raw: bool) -> list[Path]:
@@ -247,7 +225,7 @@ def cmd_reconstruct(args, parser) -> int:
             dataset, args.method, args.shift, args.close_loop, args.progressive, args.out, args.raw
         )
     else:
-        result = _run_method(dataset, args.method, args.shift, args.close_loop)
+        result = reconstruct(dataset, args.method, shift=args.shift, close_loop=args.close_loop)
         _export_result(result, args.out, args.raw)
     wall_ms = (time.perf_counter() - start) * 1000.0
 
@@ -324,7 +302,7 @@ def cmd_sweep(args, parser) -> int:
                                drift=drift, noise=base_noise)
         for method in methods:
             start = time.perf_counter()
-            result = _run_method(dataset, method, args.shift, close_loop=False)
+            result = reconstruct(dataset, method, shift=args.shift)
             wall_ms = (time.perf_counter() - start) * 1000.0
             settings = {
                 "axis": args.axis,

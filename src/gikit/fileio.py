@@ -81,6 +81,14 @@ def encode_dataset(dataset: Dataset) -> bytes:
     )
 
 
+def _header_int(doc: dict, key: str) -> int:
+    value = doc.get(key)
+    # Exact type: bool is a subclass of int, and a float such as 2.7 must not truncate.
+    if type(value) is not int:
+        raise FileFormatError(f"header {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def decode_dataset(data: bytes) -> Dataset:
     """Parse container bytes back into a dataset, validating the format."""
     if len(data) < 8 or data[:4] != MAGIC:
@@ -92,18 +100,17 @@ def decode_dataset(data: bytes) -> Dataset:
         doc = json.loads(data[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"header is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"header JSON must be an object, got {type(doc).__name__}")
     version = doc.get("version")
     if version != CONTAINER_VERSION:
         raise FileFormatError(f"unsupported container version {version!r}, expected {CONTAINER_VERSION}")
-    try:
-        width = int(doc["width"])
-        height = int(doc["height"])
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"header is missing valid dimensions: {exc}") from exc
+    width, height, n = (_header_int(doc, key) for key in ("width", "height", "n"))
     if width < 1 or height < 1 or n < 1:
         raise FileFormatError(f"non-positive dimensions in header: {width}x{height}, n={n}")
     seed = doc.get("seed")
+    if seed is not None and type(seed) is not int:
+        raise FileFormatError(f"header seed must be an integer or null, got {seed!r}")
     provenance = doc.get("provenance", "")
 
     pixels = width * height
@@ -126,7 +133,7 @@ def decode_dataset(data: bytes) -> Dataset:
     return Dataset.from_arrays(
         frames,
         buckets,
-        seed=None if seed is None else int(seed),
+        seed=seed,
         provenance=str(provenance),
         validate=False,
     )

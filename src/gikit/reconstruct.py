@@ -1,32 +1,44 @@
-"""Correlation estimators: batch G2 / background-subtracted / differential /
-conditional averaging, and the streaming successive-deviation family.
+"""Correlation estimators, each written once as weight rows over the frames.
 
-With bucket values S_i and reference frames I_i(x), i = 0..N-1:
+Stack the reference frames I_i(x), i = 0..N-1, as the rows of the
+(N, pixels) frame matrix M, with bucket values S_i and frame totals
+R_i = sum_x I_i(x). Every estimator is a weighted sum of frame rows,
+G = W @ M, where W holds one or two weight rows of length N (one row per
+output image). The classic four take their rows from one table:
 
-    g2         G(x) = <S I(x)>
-    dgi-delta  G(x) = <S I(x)> - <S> <I(x)>
-    dgi        G(x) = <S I(x)> - (<S>/<R>) <R I(x)>,   R_i = sum_x I_i(x)
-    ci         G+(x) = mean of I_i with S_i >= <S>;  G-(x) = mean of the rest
+    g2         W = S / N                        G = <S I(x)>
+    dgi-delta  W = (S - <S>) / N                G = <S I(x)> - <S> <I(x)>
+    dgi        W = (S - (<S>/<R>) R) / N        G = <S I(x)> - (<S>/<R>) <R I(x)>
+    ci         W = [pos / N+, neg / N-]         means of I_i with S_i >= <S> / the rest
+
+where pos and neg are the 0/1 indicators of S_i >= <S> (ties go to the
+positive subset) and S_i < <S>, with subset sizes N+ and N-. Written as
+weights, the differential cancellation S - (<S>/<R>) R of dgi (Ferri et al.,
+PRL 104, 253603, 2010) runs on N scalars rather than on whole images.
 
 The successive-deviation estimators replace the ensemble means with the
-record a fixed shift k earlier, over pairs (i+k, i), i = 0..N-k-1:
+record a fixed shift k earlier, over pairs (i+k, i), i = 0..N-k-1. One pair
+rule gives the coefficients (c_new, c_old) that a pair puts on I_{i+k} and
+I_i, with dS = S_{i+k} - S_i:
 
-    sgi1   G    = <(S_{i+k} - S_i) (I_{i+k} - I_i)>
-    sgi2   G_B+ = <(S_{i+k} - S_i) I_{i+k}>,   G_B- = <(S_{i+k} - S_i) I_i>
-    sgi3   G_R+ = <S_{i+k} (I_{i+k} - I_i)>,   G_R- = <S_i (I_{i+k} - I_i)>
+    sgi1   c_new = dS               c_old = -dS                 G = <dS (I_{i+k} - I_i)>
+    sgi2   c_new = [dS, 0]          c_old = [0, dS]             G_B+ = <dS I_{i+k}>, G_B- = <dS I_i>
+    sgi3   c_new = [S_{i+k}, S_i]   c_old = [-S_{i+k}, -S_i]    G_R+ = <S_{i+k} dI>, G_R- = <S_i dI>
 
 Algebraically sgi1 = G_B+ - G_B- = G_R+ - G_R- pair by pair. All means
 divide by the realized pair count m = N - k, so they stay honest means for
 any k. With ``close_loop`` (defined for k = 1 only, meant for stable
-sources) one extra pair is formed from the last record minus the first,
+sources) one extra pair is formed from the last record and the first,
 giving m = N.
 
-Needing no ensemble mean, the pair estimators run online:
-:class:`SgiAccumulator` ingests one record at a time with O(pixels) work and
-O(k * pixels) state, and ``snapshot()`` reproduces the batch result on the
-records seen so far. Image-sized accumulation uses Neumaier-compensated
-summation so streaming and batch agree far below the 1e-12 contract even
-after tens of thousands of pushes.
+The pair rule has three callers: the batch path scatters it into W for one
+W @ M; :class:`SgiAccumulator` applies it to each new record and the one k
+places earlier, with O(pixels) work and O(k * pixels) state; and both apply
+it to the (last, first) pair for ``close_loop``. Because the formula exists
+once, streaming ``snapshot()`` reproduces the batch result on the records
+seen so far up to summation order, and the paths cannot drift apart.
+Streaming sums are Neumaier-compensated so the two agree far below the
+1e-12 contract even after tens of thousands of pushes.
 """
 
 from __future__ import annotations
@@ -44,8 +56,10 @@ from .errors import (
 from .types import Dataset, MeasurementRecord, ReconImage, validate_dataset
 
 __all__ = [
+    "METHODS",
     "ReconResult",
     "SgiAccumulator",
+    "reconstruct",
     "recon_g2",
     "recon_delta_gi",
     "recon_dgi",
@@ -55,10 +69,8 @@ __all__ = [
 ]
 
 SGI_MODES = (1, 2, 3)
-
-# Row-chunk size for pairwise-difference matvecs; bounds the temporary to
-# chunk * pixels floats so 300x300 / 50k-shot runs stay within memory.
-_CHUNK_ROWS = 1024
+SGI_METHODS = tuple(f"sgi{mode}" for mode in SGI_MODES)
+METHODS = ("g2", "dgi-delta", "dgi", "ci") + SGI_METHODS
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,74 +109,64 @@ def _diagnostics(matrix: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray
     return s_r, s_r[shift:] - s_r[: len(s_r) - shift]
 
 
-def _image(vector: np.ndarray, dataset: Dataset) -> ReconImage:
-    return ReconImage(vector.reshape(dataset.header.height, dataset.header.width))
-
-
-def recon_g2(dataset: Dataset) -> ReconResult:
-    """Plain second-order correlation <S I(x)>."""
-    matrix, buckets = _matrix_views(dataset)
+def _classic_weights(method: str, buckets: np.ndarray, s_r: np.ndarray) -> np.ndarray:
+    """Weight rows W, shape (images, n), of g2, dgi-delta, dgi or ci."""
     n = len(buckets)
-    g = (buckets @ matrix) / n
-    s_r, dev = _diagnostics(matrix, 1) if n > 1 else (matrix.sum(axis=1), np.empty(0))
-    return ReconResult("g2", (_image(g, dataset),), n, s_r, dev)
-
-
-def recon_delta_gi(dataset: Dataset) -> ReconResult:
-    """Background-subtracted correlation <S I(x)> - <S><I(x)>."""
-    matrix, buckets = _matrix_views(dataset)
-    n = len(buckets)
+    if method == "g2":
+        return buckets[np.newaxis] / n
     if n < 2:
-        raise InsufficientRecordsError("mean subtraction needs at least 2 records")
-    g = (buckets @ matrix) / n - buckets.mean() * matrix.mean(axis=0)
-    s_r, dev = _diagnostics(matrix, 1)
-    return ReconResult("dgi-delta", (_image(g, dataset),), n, s_r, dev)
-
-
-def recon_dgi(dataset: Dataset) -> ReconResult:
-    """Differential correlation: the bucket mean is replaced by the
-    frame-total-scaled term (<S>/<R>) R, which tracks per-shot source power."""
-    matrix, buckets = _matrix_views(dataset)
-    n = len(buckets)
-    if n < 2:
-        raise InsufficientRecordsError("differential correlation needs at least 2 records")
-    s_r = matrix.sum(axis=1)
-    r_mean = s_r.mean()
-    if r_mean == 0.0:
-        raise DegenerateDivisorError("mean frame total is zero (all-dark reference frames)")
-    g = (buckets @ matrix) / n - (buckets.mean() / r_mean) * ((s_r @ matrix) / n)
-    return ReconResult("dgi", (_image(g, dataset),), n, s_r, s_r[1:] - s_r[:-1])
-
-
-def recon_ci(dataset: Dataset) -> ReconResult:
-    """Conditional averaging: frames are split on the bucket mean (ties go to
-    the positive subset) and each subset is averaged without weights."""
-    matrix, buckets = _matrix_views(dataset)
-    n = len(buckets)
-    if n < 2:
-        raise InsufficientRecordsError("conditional averaging needs at least 2 records")
-    positive = buckets >= buckets.mean()
+        raise InsufficientRecordsError(f"{method} needs at least 2 records, got {n}")
+    s_mean = buckets.mean()
+    if method == "dgi-delta":
+        return (buckets - s_mean)[np.newaxis] / n
+    if method == "dgi":
+        r_mean = s_r.mean()
+        if r_mean == 0.0:
+            raise DegenerateDivisorError("mean frame total is zero (all-dark reference frames)")
+        return (buckets - (s_mean / r_mean) * s_r)[np.newaxis] / n
+    positive = buckets >= s_mean
     n_pos = int(np.count_nonzero(positive))
     if n_pos == 0 or n_pos == n:
         raise DegeneratePartitionError(
             "bucket values do not straddle their mean; positive/negative subsets degenerate"
         )
-    # Subset means as weighted matvecs: no row copies for large datasets.
-    w_pos = positive.astype(np.float64) / n_pos
-    w_neg = (~positive).astype(np.float64) / (n - n_pos)
-    g_pos = w_pos @ matrix
-    g_neg = w_neg @ matrix
-    s_r, dev = _diagnostics(matrix, 1)
-    return ReconResult("ci", (_image(g_pos, dataset), _image(g_neg, dataset)), n, s_r, dev)
+    return np.stack((positive / n_pos, ~positive / (n - n_pos)))
 
 
-def _weighted_rowdiff_sum(weights: np.ndarray, matrix: np.ndarray, shift: int) -> np.ndarray:
-    """sum_i weights[i] * (matrix[i + shift] - matrix[i]) in row chunks."""
-    out = np.zeros(matrix.shape[1])
-    for start in range(0, len(weights), _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, len(weights))
-        out += weights[start:stop] @ (matrix[start + shift : stop + shift] - matrix[start:stop])
-    return out
+def _pair_coefficients(mode: int, s_new, s_old) -> tuple[np.ndarray, np.ndarray]:
+    """The pair rule: coefficient rows (c_new, c_old) that pairs (new, old)
+    put on the newer and the older frame, one row per output image.
+
+    Bucket scalars give rows of shape (images,); bucket arrays of shape (m,)
+    give (images, m), one column per pair.
+    """
+    ds = s_new - s_old
+    if mode == 1:
+        return np.array([ds]), np.array([-ds])
+    if mode == 2:
+        zero = np.zeros_like(ds)
+        return np.array([ds, zero]), np.array([zero, ds])
+    return np.array([s_new, s_old]), np.array([-s_new, -s_old])
+
+
+def _sgi_weights(mode: int, buckets: np.ndarray, shift: int, close_loop: bool) -> tuple[np.ndarray, int]:
+    """Weight rows of a successive-deviation estimator and its pair count."""
+    n = len(buckets)
+    if n <= shift:
+        raise InsufficientRecordsError(
+            f"successive-deviation pairs need more than shift={shift} records, got {n}"
+        )
+    c_new, c_old = _pair_coefficients(mode, buckets[shift:], buckets[: n - shift])
+    weights = np.zeros((len(c_new), n))
+    weights[:, shift:] += c_new
+    weights[:, : n - shift] += c_old
+    pairs = n - shift
+    if close_loop:
+        c_new, c_old = _pair_coefficients(mode, buckets[-1], buckets[0])
+        weights[:, -1] += c_new
+        weights[:, 0] += c_old
+        pairs += 1
+    return weights / pairs, pairs
 
 
 def _check_sgi_args(mode: int, shift: int, close_loop: bool) -> None:
@@ -178,56 +180,61 @@ def _check_sgi_args(mode: int, shift: int, close_loop: bool) -> None:
         raise ValueError("close_loop is only defined for shift=1")
 
 
-def _sgi_batch(dataset: Dataset, mode: int, shift: int, close_loop: bool) -> ReconResult:
+def reconstruct(dataset: Dataset, method: str, *, shift: int = 1, close_loop: bool = False) -> ReconResult:
+    """Batch reconstruction G = W @ M with any method in :data:`METHODS`.
+
+    ``shift`` and ``close_loop`` choose the pairs of the sgi methods; the
+    classic methods ignore them and report frame-total deviations at shift 1.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    mode = int(method[-1]) if method in SGI_METHODS else None
+    if mode is not None:
+        _check_sgi_args(mode, shift, close_loop)
     matrix, buckets = _matrix_views(dataset)
-    n = len(buckets)
-    if n <= shift:
-        raise InsufficientRecordsError(
-            f"successive-deviation pairs need more than shift={shift} records, got {n}"
-        )
-    pairs = n - shift
-    db = buckets[shift:] - buckets[: n - shift]
-
-    if mode == 1:
-        total = _weighted_rowdiff_sum(db, matrix, shift)
-        if close_loop:
-            total = total + (buckets[-1] - buckets[0]) * (matrix[-1] - matrix[0])
-            pairs += 1
-        vectors = [total / pairs]
-    elif mode == 2:
-        plus = db @ matrix[shift:]
-        minus = db @ matrix[: n - shift]
-        if close_loop:
-            db_loop = buckets[-1] - buckets[0]
-            plus = plus + db_loop * matrix[-1]
-            minus = minus + db_loop * matrix[0]
-            pairs += 1
-        vectors = [plus / pairs, minus / pairs]
+    if mode is None:
+        s_r, dev = _diagnostics(matrix, 1)
+        weights, count = _classic_weights(method, buckets, s_r), len(buckets)
     else:
-        plus = _weighted_rowdiff_sum(buckets[shift:], matrix, shift)
-        minus = _weighted_rowdiff_sum(buckets[: n - shift], matrix, shift)
-        if close_loop:
-            df_loop = matrix[-1] - matrix[0]
-            plus = plus + buckets[-1] * df_loop
-            minus = minus + buckets[0] * df_loop
-            pairs += 1
-        vectors = [plus / pairs, minus / pairs]
+        weights, count = _sgi_weights(mode, buckets, shift, close_loop)
+        s_r, dev = _diagnostics(matrix, shift)
+    shape = (dataset.header.height, dataset.header.width)
+    images = tuple(ReconImage(row.reshape(shape)) for row in weights @ matrix)
+    return ReconResult(method, images, count, s_r, dev)
 
-    s_r, dev = _diagnostics(matrix, shift)
-    images = tuple(_image(v, dataset) for v in vectors)
-    return ReconResult(f"sgi{mode}", images, pairs, s_r, dev)
+
+def recon_g2(dataset: Dataset) -> ReconResult:
+    """Plain second-order correlation <S I(x)>."""
+    return reconstruct(dataset, "g2")
+
+
+def recon_delta_gi(dataset: Dataset) -> ReconResult:
+    """Background-subtracted correlation <S I(x)> - <S><I(x)>."""
+    return reconstruct(dataset, "dgi-delta")
+
+
+def recon_dgi(dataset: Dataset) -> ReconResult:
+    """Differential correlation: the bucket mean is replaced by the
+    frame-total-scaled term (<S>/<R>) R, which tracks per-shot source power."""
+    return reconstruct(dataset, "dgi")
+
+
+def recon_ci(dataset: Dataset) -> ReconResult:
+    """Conditional averaging: frames are split on the bucket mean (ties go to
+    the positive subset) and each subset is averaged without weights."""
+    return reconstruct(dataset, "ci")
 
 
 def recon_sgi(source, mode: int = 1, shift: int = 1, close_loop: bool = False) -> ReconResult:
     """Successive-deviation reconstruction from a dataset or a record stream.
 
-    A :class:`~gikit.types.Dataset` takes the vectorized batch path; any
-    other iterable of records is fed through an :class:`SgiAccumulator`.
-    Both routes produce identical results within the streaming contract.
+    A :class:`~gikit.types.Dataset` takes the batch path; any other iterable
+    of records is fed through an :class:`SgiAccumulator`. Both routes apply
+    the same pair rule and agree within the streaming contract.
     """
     _check_sgi_args(mode, shift, close_loop)
     if isinstance(source, Dataset):
-        return _sgi_batch(source, mode, shift, close_loop)
+        return reconstruct(source, f"sgi{mode}", shift=shift, close_loop=close_loop)
     acc = SgiAccumulator(mode=mode, shift=shift, close_loop=close_loop)
     for record in source:
         acc.push(record)
@@ -247,7 +254,12 @@ def sr_diagnostics(dataset: Dataset, shift: int = 1) -> tuple[np.ndarray, np.nda
 
 
 class _CompensatedSum:
-    """Elementwise Neumaier-compensated accumulator."""
+    """Elementwise Neumaier-compensated accumulator.
+
+    The rounding error of each addition comes from Knuth's branch-free
+    TwoSum. It is exact, so it equals Neumaier's branch on magnitudes bit
+    for bit, and it takes fewer passes over the array.
+    """
 
     __slots__ = ("total", "comp")
 
@@ -257,8 +269,8 @@ class _CompensatedSum:
 
     def add(self, values: np.ndarray) -> None:
         t = self.total + values
-        big = np.abs(self.total) >= np.abs(values)
-        self.comp += np.where(big, (self.total - t) + values, (values - t) + self.total)
+        from_values = t - self.total
+        self.comp += (self.total - (t - from_values)) + (values - from_values)
         self.total = t
 
     def value(self) -> np.ndarray:
@@ -268,8 +280,8 @@ class _CompensatedSum:
 class SgiAccumulator:
     """Streaming state for the successive-deviation estimators.
 
-    Holds a ring buffer of the last ``shift`` records, the image-sized
-    compensated sums for the requested mode, and the first record when the
+    Holds a ring buffer of the last ``shift`` records, one compensated
+    (images, pixels) sum of the pair terms, and the first record when the
     loop-closing pair may be needed. ``push`` is O(pixels); ``snapshot`` may
     be called after any push once at least one pair exists and never mutates
     the accumulator, so periodic snapshots give real-time reconstruction.
@@ -285,7 +297,7 @@ class SgiAccumulator:
         self._ring: deque[tuple[float, np.ndarray]] = deque(maxlen=shift)
         self._first: tuple[float, np.ndarray] | None = None
         self._last: tuple[float, np.ndarray] | None = None
-        self._sums: list[_CompensatedSum] | None = None
+        self._sum: _CompensatedSum | None = None
         self._shape: tuple[int, int] | None = None
         self._pairs = 0
         self._seen = 0
@@ -299,6 +311,11 @@ class SgiAccumulator:
     def records_seen(self) -> int:
         return self._seen
 
+    def _pair_term(self, new: tuple[float, np.ndarray], old: tuple[float, np.ndarray]) -> np.ndarray:
+        """One pair's contribution to every output image, (images, pixels)."""
+        c_new, c_old = _pair_coefficients(self.mode, new[0], old[0])
+        return c_new[:, np.newaxis] * new[1] + c_old[:, np.newaxis] * old[1]
+
     def push(self, record: MeasurementRecord) -> None:
         frame = record.frame.data
         bucket = float(record.bucket)
@@ -306,46 +323,23 @@ class SgiAccumulator:
             raise ValueError(f"record {record.index}: bucket is {record.bucket}")
         if self._shape is None:
             self._shape = frame.shape
-            n_sums = 1 if self.mode == 1 else 2
-            self._sums = [_CompensatedSum(frame.shape) for _ in range(n_sums)]
         elif frame.shape != self._shape:
             raise ValueError(
                 f"record {record.index}: frame shape {frame.shape} does not match {self._shape}"
             )
+        entry = (bucket, frame.reshape(-1))
         if self._first is None:
-            self._first = (bucket, frame)
+            self._first = entry
         self._s_r.append(float(frame.sum()))
         if len(self._ring) == self.shift:
-            old_bucket, old_frame = self._ring[0]
-            self._pair_update(bucket, frame, old_bucket, old_frame, self._sums)
+            term = self._pair_term(entry, self._ring[0])
+            if self._sum is None:
+                self._sum = _CompensatedSum(term.shape)
+            self._sum.add(term)
             self._pairs += 1
-        self._ring.append((bucket, frame))
-        self._last = (bucket, frame)
+        self._ring.append(entry)
+        self._last = entry
         self._seen += 1
-
-    def _pair_update(self, new_b, new_f, old_b, old_f, sums) -> None:
-        if self.mode == 1:
-            sums[0].add((new_b - old_b) * (new_f - old_f))
-        elif self.mode == 2:
-            db = new_b - old_b
-            sums[0].add(db * new_f)
-            sums[1].add(db * old_f)
-        else:
-            df = new_f - old_f
-            sums[0].add(new_b * df)
-            sums[1].add(old_b * df)
-
-    def _loop_terms(self) -> list[np.ndarray]:
-        # Wrap-around pair: the last record minus the first one.
-        last_b, last_f = self._last
-        first_b, first_f = self._first
-        if self.mode == 1:
-            return [(last_b - first_b) * (last_f - first_f)]
-        if self.mode == 2:
-            db = last_b - first_b
-            return [db * last_f, db * first_f]
-        df = last_f - first_f
-        return [last_b * df, first_b * df]
 
     def snapshot(self) -> ReconResult:
         """Reconstruction over the pairs seen so far; equals the batch result."""
@@ -357,10 +351,10 @@ class SgiAccumulator:
             raise InsufficientRecordsError(
                 f"no pairs yet: {self._seen} records pushed with shift={self.shift}"
             )
-        vectors = [acc.value() for acc in self._sums]
+        total = self._sum.value()
         if use_loop:
-            vectors = [v + extra for v, extra in zip(vectors, self._loop_terms())]
-        images = tuple(ReconImage(v / pairs) for v in vectors)
+            total += self._pair_term(self._last, self._first)
+        images = tuple(ReconImage(row.reshape(self._shape) / pairs) for row in total)
         s_r = np.array(self._s_r)
         dev = s_r[self.shift :] - s_r[: len(s_r) - self.shift]
         return ReconResult(f"sgi{self.mode}", images, pairs, s_r, dev)

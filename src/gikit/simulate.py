@@ -141,8 +141,13 @@ class DriftProfile:
             raise ValueError("drift amplitude must be >= 0")
         if self.kind in ("linear", "sinusoidal", "step") and self.amplitude >= 1.0:
             raise ValueError("drift amplitude must be < 1 so gains stay positive")
-        if self.period_or_knots is not None and self.period_or_knots <= 0:
-            raise ValueError("period_or_knots must be positive")
+        if self.period_or_knots is not None:
+            if not np.isfinite(self.period_or_knots) or self.period_or_knots <= 0:
+                raise ValueError("period_or_knots must be positive and finite")
+            if self.kind == "step" and int(self.period_or_knots) < 1:
+                raise ValueError(
+                    f"step drift needs at least one segment, got period_or_knots={self.period_or_knots}"
+                )
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,24 @@ def test_reconstruct_unknown_method_exits_2(tmp_path, scene_pgm):
     assert err.value.code == 2
 
 
+def test_reconstruct_hostile_header_is_runtime_error(tmp_path, scene_pgm, capsys):
+    gid = _simulate(tmp_path, scene_pgm)
+    blob = gid.read_bytes()
+    header_len = int.from_bytes(blob[4:8], "little")
+    hostile = tmp_path / "hostile.gid"
+    hostile.write_bytes(blob[:4] + (2).to_bytes(4, "little") + b"[]" + blob[8 + header_len :])
+    code = main(["reconstruct", "--in", str(hostile), "--method", "g2", "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert "object" in capsys.readouterr().err
+
+
+def test_simulate_step_drift_below_one_segment_exits_2(tmp_path, scene_pgm):
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--scene", str(scene_pgm), "--n", "4", "--drift", "step:0.3:0.5",
+              "--out", str(tmp_path / "x.gid")])
+    assert err.value.code == 2
+
+
 def test_reconstruct_ci_constant_buckets_runtime_error(tmp_path, scene_pgm, capsys):
     gid = _simulate(
         tmp_path, scene_pgm, "flat.gid",

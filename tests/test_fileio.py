@@ -73,6 +73,54 @@ def test_version_mismatch(rng):
         decode_dataset(patched)
 
 
+def _with_header(blob: bytes, header: bytes) -> bytes:
+    header_len = struct.unpack("<I", blob[4:8])[0]
+    return MAGIC + struct.pack("<I", len(header)) + header + blob[8 + header_len :]
+
+
+def _header_doc(blob: bytes) -> dict:
+    header_len = struct.unpack("<I", blob[4:8])[0]
+    return json.loads(blob[8 : 8 + header_len])
+
+
+@pytest.mark.parametrize("header", [b"[]", b"3", b'"GID1"', b"null"])
+def test_header_json_must_be_an_object(rng, header):
+    blob = encode_dataset(random_dataset(rng, 2, 2, 2))
+    with pytest.raises(FileFormatError, match="object"):
+        decode_dataset(_with_header(blob, header))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("width", 2.7), ("width", 2.0), ("height", True), ("n", "2"), ("n", None), ("width", [2])],
+)
+def test_header_dimensions_must_be_json_integers(rng, key, value):
+    blob = encode_dataset(random_dataset(rng, 2, 2, 2))
+    doc = _header_doc(blob)
+    doc[key] = value
+    with pytest.raises(FileFormatError, match=key):
+        decode_dataset(_with_header(blob, json.dumps(doc).encode()))
+
+
+def test_header_missing_dimension_rejected(rng):
+    blob = encode_dataset(random_dataset(rng, 2, 2, 2))
+    doc = _header_doc(blob)
+    del doc["height"]
+    with pytest.raises(FileFormatError, match="height"):
+        decode_dataset(_with_header(blob, json.dumps(doc).encode()))
+
+
+@pytest.mark.parametrize("seed", ["abc", "7", 1.5, True, [1]])
+def test_header_seed_must_be_integer_or_null(rng, seed):
+    blob = encode_dataset(random_dataset(rng, 2, 2, 2))
+    doc = _header_doc(blob)
+    doc["seed"] = seed
+    with pytest.raises(FileFormatError, match="seed"):
+        decode_dataset(_with_header(blob, json.dumps(doc).encode()))
+    doc["seed"] = None
+    assert decode_dataset(_with_header(blob, json.dumps(doc).encode())).header.seed is None
+
+
 def test_truncation_names_expected_and_actual(rng):
     ds = random_dataset(rng, 3, 4, 4)
     blob = encode_dataset(ds)

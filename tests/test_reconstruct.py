@@ -203,3 +203,76 @@ def test_result_diagnostics_attached(rng):
     assert len(result.s_r_deviation) == 7
     with pytest.raises(ValueError):
         recon_g2(ds).negative  # single-image method has no negative half
+
+
+def _pair_loop(ds, mode, shift, close_loop):
+    """Independent oracle: an explicit loop over the defining sgi formulas."""
+    frames = [r.frame.data for r in ds.records]
+    buckets = [r.bucket for r in ds.records]
+    n = len(frames)
+    pairs = [(i + shift, i) for i in range(n - shift)]
+    if close_loop:
+        pairs.append((n - 1, 0))
+    plus = np.zeros(frames[0].shape)
+    minus = np.zeros(frames[0].shape)
+    for hi, lo in pairs:
+        d_s = buckets[hi] - buckets[lo]
+        if mode == 1:
+            plus = plus + d_s * (frames[hi] - frames[lo])
+        elif mode == 2:
+            plus = plus + d_s * frames[hi]
+            minus = minus + d_s * frames[lo]
+        else:
+            plus = plus + buckets[hi] * (frames[hi] - frames[lo])
+            minus = minus + buckets[lo] * (frames[hi] - frames[lo])
+    images = [plus] if mode == 1 else [plus, minus]
+    return [image / len(pairs) for image in images], len(pairs)
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+@pytest.mark.parametrize("shift, close_loop", [(1, False), (1, True), (2, False), (5, False)])
+def test_batch_sgi_matches_explicit_pair_loop(mode, shift, close_loop, rng):
+    ds = random_dataset(rng, 40)
+    batch = recon_sgi(ds, mode=mode, shift=shift, close_loop=close_loop)
+    expected, pairs = _pair_loop(ds, mode, shift, close_loop)
+    assert batch.count == pairs
+    assert len(batch.images) == len(expected)
+    for image, ref in zip(batch.images, expected):
+        assert_images_close(image.data, ref, 1e-12)
+
+
+def _classic_loop(ds, method):
+    """Independent oracle: per-record loops over the README formulas."""
+    frames = [r.frame.data for r in ds.records]
+    buckets = [r.bucket for r in ds.records]
+    n = len(frames)
+    s_mean = sum(buckets) / n
+    i_mean = sum(frames) / n
+    si_mean = sum(s * f for s, f in zip(buckets, frames)) / n
+    if method == "g2":
+        return [si_mean]
+    if method == "dgi-delta":
+        return [si_mean - s_mean * i_mean]
+    if method == "dgi":
+        totals = [float(f.sum()) for f in frames]
+        r_mean = sum(totals) / n
+        ri_mean = sum(r * f for r, f in zip(totals, frames)) / n
+        return [si_mean - (s_mean / r_mean) * ri_mean]
+    positive = [f for s, f in zip(buckets, frames) if s >= s_mean]
+    negative = [f for s, f in zip(buckets, frames) if s < s_mean]
+    return [sum(positive) / len(positive), sum(negative) / len(negative)]
+
+
+@pytest.mark.parametrize(
+    "method, recon",
+    [("g2", recon_g2), ("dgi-delta", recon_delta_gi), ("dgi", recon_dgi), ("ci", recon_ci)],
+)
+def test_classic_estimators_match_per_record_loops(method, recon, rng):
+    for n in (2, 3, 17, 64):
+        ds = random_dataset(rng, n, 8, 8)
+        result = recon(ds)
+        expected = _classic_loop(ds, method)
+        assert result.method == method and result.count == n
+        assert len(result.images) == len(expected)
+        for image, ref in zip(result.images, expected):
+            assert_images_close(image.data, ref, 1e-12)

@@ -139,6 +139,16 @@ def test_drift_amplitude_validation():
     DriftProfile("random-walk", 2.0)  # clamped family tolerates large amplitude
 
 
+def test_step_drift_needs_at_least_one_segment():
+    with pytest.raises(ValueError, match="segment"):
+        DriftProfile("step", 0.3, 0.5)
+    for period in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            DriftProfile("step", 0.3, period)
+    np.testing.assert_allclose(drift_gains(DriftProfile("step", 0.3, 1.0), 3), 1.3)
+    DriftProfile("sinusoidal", 0.3, 0.5)  # a sub-unit period is still a period
+
+
 def test_noise_degenerate_cases():
     scene = ObjectScene(np.ones((4, 4)))
     ds = simulate(scene, n=3, seed=2)
