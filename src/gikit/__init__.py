@@ -46,6 +46,7 @@ from .reconstruct import (
 )
 from .metrics import CnrReport, cnr, mask_from_scene, normalize_minmax, pearson
 from .fileio import (
+    Container,
     ManifestRow,
     append_manifest_row,
     decode_dataset,
@@ -53,6 +54,7 @@ from .fileio import (
     export_image,
     export_raw,
     import_scene,
+    open_container,
     read_dataset,
     write_dataset,
     write_manifest,

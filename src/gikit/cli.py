@@ -17,11 +17,12 @@ from pathlib import Path
 from .errors import GikitError
 from .fileio import (
     ManifestRow,
+    _atomic_open,
     append_manifest_row,
     export_image,
     export_raw,
     import_scene,
-    read_dataset,
+    open_container,
     write_dataset,
     write_manifest,
 )
@@ -139,22 +140,22 @@ def _export_result(result, prefix: str, raw: bool) -> list[Path]:
     return paths
 
 
-def _provenance_fields(dataset) -> tuple[str, float | None]:
+def _provenance_fields(source) -> tuple[str, float | None]:
     try:
-        settings = json.loads(dataset.header.provenance)
+        settings = json.loads(source.header.provenance)
         return settings["drift"]["kind"], float(settings["noise"]["mean"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
         return "", None
 
 
-def _manifest_row(result, dataset, shift, scene, wall_ms, settings) -> ManifestRow:
-    drift_kind, noise_mean = _provenance_fields(dataset)
+def _manifest_row(result, source, shift, scene, wall_ms, settings) -> ManifestRow:
+    drift_kind, noise_mean = _provenance_fields(source)
     cnr_value = None
     if scene is not None:
         cnr_value = cnr(result.images[0], mask_from_scene(scene)).cnr
     return ManifestRow(
         method=result.method,
-        n=dataset.n,
+        n=source.n,
         k=shift if result.method in SGI_METHODS else None,
         drift_kind=drift_kind,
         noise_mean=noise_mean,
@@ -180,10 +181,12 @@ def cmd_simulate(args, parser) -> int:
     return 0
 
 
-def _progressive_reconstruct(dataset, method, shift, close_loop, every, prefix, raw):
+def _progressive_reconstruct(source, method, shift, close_loop, every, prefix, raw):
+    for _ in source.blocks():  # check every record before the first snapshot is written
+        pass
     mode = int(method[-1])
     acc = SgiAccumulator(mode=mode, shift=shift, close_loop=close_loop)
-    for rec in dataset.records:
+    for rec in source.iter_records():
         acc.push(rec)
         if acc.records_seen % every == 0 and acc.pairs >= 1:
             snap = acc.snapshot()
@@ -209,23 +212,23 @@ def cmd_reconstruct(args, parser) -> int:
         if args.method not in SGI_METHODS:
             parser.error("--progressive requires a streaming method (sgi1/sgi2/sgi3)")
 
-    dataset = read_dataset(args.input)
+    source = open_container(args.input)
     if args.limit is not None:
-        if args.limit > dataset.n:
-            parser.error(f"--limit {args.limit} exceeds dataset size {dataset.n}")
-        dataset = dataset.first(args.limit)
-    if args.method in SGI_METHODS and dataset.n <= args.shift:
-        parser.error(f"--shift {args.shift} needs more than {args.shift} records, dataset has {dataset.n}")
+        if args.limit > source.n:
+            parser.error(f"--limit {args.limit} exceeds dataset size {source.n}")
+        source = source.first(args.limit)
+    if args.method in SGI_METHODS and source.n <= args.shift:
+        parser.error(f"--shift {args.shift} needs more than {args.shift} records, dataset has {source.n}")
 
     scene = import_scene(args.scene) if args.scene else None
 
     start = time.perf_counter()
     if args.progressive is not None:
         result = _progressive_reconstruct(
-            dataset, args.method, args.shift, args.close_loop, args.progressive, args.out, args.raw
+            source, args.method, args.shift, args.close_loop, args.progressive, args.out, args.raw
         )
     else:
-        result = reconstruct(dataset, args.method, shift=args.shift, close_loop=args.close_loop)
+        result = reconstruct(source, args.method, shift=args.shift, close_loop=args.close_loop)
         _export_result(result, args.out, args.raw)
     wall_ms = (time.perf_counter() - start) * 1000.0
 
@@ -236,12 +239,12 @@ def cmd_reconstruct(args, parser) -> int:
         "close_loop": args.close_loop,
         "limit": args.limit,
         "progressive": args.progressive,
-        "seed": dataset.header.seed,
+        "seed": source.header.seed,
     }
-    row = _manifest_row(result, dataset, args.shift, scene, wall_ms, settings)
+    row = _manifest_row(result, source, args.shift, scene, wall_ms, settings)
     if args.manifest:
         append_manifest_row(row, args.manifest)
-    print(f"{result.method}: n={dataset.n}, pairs={result.count}" +
+    print(f"{result.method}: n={source.n}, pairs={result.count}" +
           (f", cnr={row.cnr:.4f}" if row.cnr is not None else ""))
     return 0
 
@@ -321,12 +324,12 @@ def cmd_sweep(args, parser) -> int:
 def cmd_diagnose(args, parser) -> int:
     if args.shift < 1:
         parser.error(f"--shift must be >= 1, got {args.shift}")
-    dataset = read_dataset(args.input)
-    if dataset.n <= args.shift:
-        parser.error(f"--shift {args.shift} needs more than {args.shift} records, dataset has {dataset.n}")
-    s_r, dev = sr_diagnostics(dataset, args.shift)
+    source = open_container(args.input)
+    if source.n <= args.shift:
+        parser.error(f"--shift {args.shift} needs more than {args.shift} records, dataset has {source.n}")
+    s_r, dev = sr_diagnostics(source, args.shift)
     out = Path(args.out)
-    with open(out, "w", newline="") as fh:
+    with _atomic_open(out, "w", newline="") as fh:
         fh.write("index,s_r,dev_index,s_r_deviation\n")
         for i in range(len(s_r)):
             dev_part = f"{i},{float(dev[i])!r}" if i < len(dev) else ","

@@ -13,25 +13,55 @@ Buckets round-trip bit-exactly; frames are quantized to float32 on disk
 (they are raw detector intensities, while buckets are accumulated sums and
 keep full precision). Payload length must equal n * (8 + 4 * width * height)
 exactly.
+
+Every read goes through one block reader. It checks the header and the
+payload length once, then reads the fixed-stride records about 16 MB at a
+time and yields them as fresh float64 blocks, checking each block for
+non-finite values and negative pixels. :func:`read_dataset` and
+:func:`decode_dataset` stack the blocks into a :class:`Dataset`;
+:func:`open_container` hands them out one at a time, which is how the CLI
+reads: ``reconstruct``, ``--progressive`` and ``diagnose`` hold the 16 MB
+record buffer, at most two float64 blocks (the one in use and the one being
+read, about 32 MB each), O(n) bucket and frame-total vectors and the
+estimator state, never the whole frame matrix.
+
+Every file this module writes whole goes to a temporary file in the
+destination directory first and is then renamed over the destination, so a
+reader never sees a partly written output. Only the manifest CSV is
+appended to in place, one row at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
-from dataclasses import dataclass, field
+import os
+import secrets
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .errors import FileFormatError
 from .simulate import ObjectScene
-from .types import Dataset, ReconImage, validate_dataset
+from .types import (
+    Dataset,
+    DatasetHeader,
+    MeasurementRecord,
+    ReconImage,
+    _frame_unchecked,
+    validate_dataset,
+)
 from .metrics import normalize_minmax
 
 __all__ = [
     "MAGIC",
     "CONTAINER_VERSION",
+    "Container",
+    "open_container",
     "encode_dataset",
     "decode_dataset",
     "write_dataset",
@@ -50,17 +80,31 @@ CONTAINER_VERSION = 1
 
 _BUCKET_BYTES = 8
 _PIXEL_BYTES = 4
+_BLOCK_BYTES = 16 * 2**20  # bytes of records read per block; a block holds at least one record
 
 
 def _record_dtype(pixels: int) -> np.dtype:
     return np.dtype([("bucket", "<f8"), ("frame", "<f4", (pixels,))])
 
 
-def encode_dataset(dataset: Dataset) -> bytes:
-    """Serialize a dataset to container bytes (deterministic)."""
+@contextmanager
+def _atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a new file beside ``path``; on a clean exit rename it over
+    ``path``, on an exception delete it and leave ``path`` untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_container(dataset: Dataset, fh) -> None:
     validate_dataset(dataset).raise_if_failed()
     header = dataset.header
-    pixels = header.width * header.height
     doc = {
         "version": CONTAINER_VERSION,
         "width": header.width,
@@ -70,15 +114,24 @@ def encode_dataset(dataset: Dataset) -> bytes:
         "provenance": header.provenance,
     }
     header_bytes = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    records = np.empty(header.n, dtype=_record_dtype(pixels))
+    records = np.empty(header.n, dtype=_record_dtype(header.width * header.height))
     records["bucket"] = dataset.buckets
-    records["frame"] = dataset.frame_matrix.astype("<f4")
-    return (
-        MAGIC
-        + np.uint32(len(header_bytes)).tobytes()
-        + header_bytes
-        + records.tobytes()
-    )
+    np.copyto(records["frame"], dataset.frame_matrix, casting="same_kind")
+    fh.write(MAGIC + np.uint32(len(header_bytes)).tobytes() + header_bytes)
+    fh.write(memoryview(records))
+
+
+def encode_dataset(dataset: Dataset) -> bytes:
+    """Serialize a dataset to container bytes (deterministic)."""
+    buffer = io.BytesIO()
+    _write_container(dataset, buffer)
+    return buffer.getvalue()
+
+
+def write_dataset(dataset: Dataset, destination) -> None:
+    """Write a dataset as a container file, atomically; same bytes as :func:`encode_dataset`."""
+    with _atomic_open(destination) as fh:
+        _write_container(dataset, fh)
 
 
 def _header_int(doc: dict, key: str) -> int:
@@ -89,16 +142,21 @@ def _header_int(doc: dict, key: str) -> int:
     return value
 
 
-def decode_dataset(data: bytes) -> Dataset:
-    """Parse container bytes back into a dataset, validating the format."""
-    if len(data) < 8 or data[:4] != MAGIC:
-        raise FileFormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-    header_len = int(np.frombuffer(data[4:8], dtype="<u4")[0])
-    if 8 + header_len > len(data):
+def _read_header(fh) -> tuple[DatasetHeader, int]:
+    """Parse and check the header of the container open as ``fh``, and check
+    the payload length against the file size. Returns the header and the
+    payload offset."""
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    prefix = fh.read(8)
+    if len(prefix) < 8 or prefix[:4] != MAGIC:
+        raise FileFormatError(f"bad magic {prefix[:4]!r}, expected {MAGIC!r}")
+    header_len = int.from_bytes(prefix[4:8], "little")
+    if 8 + header_len > size:
         raise FileFormatError("header length exceeds file size")
     try:
-        doc = json.loads(data[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        doc = json.loads(fh.read(header_len).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits, deep nesting
         raise FileFormatError(f"header is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"header JSON must be an object, got {type(doc).__name__}")
@@ -113,38 +171,113 @@ def decode_dataset(data: bytes) -> Dataset:
         raise FileFormatError(f"header seed must be an integer or null, got {seed!r}")
     provenance = doc.get("provenance", "")
 
-    pixels = width * height
-    payload = data[8 + header_len :]
-    expected = n * (_BUCKET_BYTES + _PIXEL_BYTES * pixels)
-    if len(payload) != expected:
+    payload = size - 8 - header_len
+    expected = n * (_BUCKET_BYTES + _PIXEL_BYTES * width * height)
+    if payload != expected:
         raise FileFormatError(
-            f"payload is {len(payload)} bytes, expected {expected} "
+            f"payload is {payload} bytes, expected {expected} "
             f"for n={n} frames of {width}x{height}"
         )
-    records = np.frombuffer(payload, dtype=_record_dtype(pixels))
-    buckets = records["bucket"].astype(np.float64)
-    frames = records["frame"].astype(np.float64).reshape(n, height, width)
-    if not np.isfinite(buckets).all() or not np.isfinite(frames).all():
-        raise FileFormatError("payload contains non-finite values")
-    if (frames < 0.0).any():
-        raise FileFormatError("payload contains negative frame intensities")
+    header = DatasetHeader(width=width, height=height, n=n, seed=seed, provenance=str(provenance))
+    return header, 8 + header_len
+
+
+def _read_blocks(fh, offset: int, n: int, pixels: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(start, buckets, frames)`` for the first ``n`` records of the
+    payload at ``offset``: fresh read-only float64 arrays of shapes (rows,)
+    and (rows, pixels), each block checked before it is yielded."""
+    dtype = _record_dtype(pixels)
+    records = np.empty(min(n, max(1, _BLOCK_BYTES // dtype.itemsize)), dtype=dtype)
+    fh.seek(offset)
+    for start in range(0, n, len(records)):
+        chunk = records[: n - start]
+        if fh.readinto(chunk) != chunk.nbytes:
+            raise FileFormatError(f"payload ended inside records {start}..{start + len(chunk) - 1}")
+        buckets = chunk["bucket"].astype(np.float64)
+        frames = chunk["frame"].astype(np.float64)
+        if not np.isfinite(buckets).all() or not np.isfinite(frames).all():
+            raise FileFormatError("payload contains non-finite values")
+        if (frames < 0.0).any():
+            raise FileFormatError("payload contains negative frame intensities")
+        buckets.flags.writeable = False
+        frames.flags.writeable = False
+        yield start, buckets, frames
+
+
+@dataclass(frozen=True)
+class Container:
+    """A container file whose header and payload length have been checked;
+    the records are read from disk block by block on each pass.
+
+    ``header.n`` is the number of records a pass reads: the file's count, or
+    fewer after :meth:`first`.
+    """
+
+    path: Path
+    header: DatasetHeader
+    offset: int
+
+    @property
+    def n(self) -> int:
+        return self.header.n
+
+    def first(self, count: int) -> "Container":
+        """The same file, read only up to its first ``count`` records."""
+        if count < 1 or count > self.n:
+            raise ValueError(f"count must be in [1, {self.n}], got {count}")
+        return replace(self, header=replace(self.header, n=count))
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """One pass over the records as ``(start, buckets, frames)`` blocks:
+        fresh read-only float64 arrays, frames of shape (rows, pixels). A
+        block with a non-finite value or a negative pixel raises
+        :class:`FileFormatError` before it is yielded."""
+        with open(self.path, "rb") as fh:
+            yield from _read_blocks(fh, self.offset, self.n, self.header.width * self.header.height)
+
+    def iter_records(self) -> Iterator[MeasurementRecord]:
+        """One pass over the records, one :class:`MeasurementRecord` at a time."""
+        shape = (self.header.height, self.header.width)
+        for start, buckets, frames in self.blocks():
+            for i, bucket in enumerate(buckets.tolist()):
+                yield MeasurementRecord(start + i, _frame_unchecked(frames[i].reshape(shape)), bucket)
+
+
+def open_container(path) -> Container:
+    """Check a container's header and payload length; read no records yet."""
+    with open(path, "rb") as fh:
+        header, offset = _read_header(fh)
+    return Container(Path(path), header, offset)
+
+
+def _stack_blocks(fh) -> Dataset:
+    header, offset = _read_header(fh)
+    n, pixels = header.n, header.width * header.height
+    frames = np.empty((n, pixels))
+    buckets = np.empty(n)
+    for start, block_buckets, block_frames in _read_blocks(fh, offset, n, pixels):
+        buckets[start : start + len(block_buckets)] = block_buckets
+        frames[start : start + len(block_buckets)] = block_frames
     frames.flags.writeable = False
     buckets.flags.writeable = False
     return Dataset.from_arrays(
-        frames,
+        frames.reshape(n, header.height, header.width),
         buckets,
-        seed=seed,
-        provenance=str(provenance),
+        seed=header.seed,
+        provenance=header.provenance,
         validate=False,
     )
 
 
-def write_dataset(dataset: Dataset, destination) -> None:
-    Path(destination).write_bytes(encode_dataset(dataset))
+def decode_dataset(data: bytes) -> Dataset:
+    """Parse container bytes back into a dataset, validating the format."""
+    return _stack_blocks(io.BytesIO(data))
 
 
 def read_dataset(source) -> Dataset:
-    return decode_dataset(Path(source).read_bytes())
+    """Read a whole container file into memory as a dataset."""
+    with open(source, "rb") as fh:
+        return _stack_blocks(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +351,14 @@ def export_image(image: ReconImage, path) -> None:
     norm = normalize_minmax(image)
     samples = np.rint(norm.data * 65535.0).astype(">u2")
     header = f"P5\n{image.width} {image.height}\n65535\n".encode("ascii")
-    Path(path).write_bytes(header + samples.tobytes())
+    with _atomic_open(path) as fh:
+        fh.write(header + samples.tobytes())
 
 
 def export_raw(image: ReconImage, path) -> None:
     """Dump the unnormalized image values as little-endian float64."""
-    Path(path).write_bytes(image.data.astype("<f8").tobytes())
+    with _atomic_open(path) as fh:
+        fh.write(image.data.astype("<f8").tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +408,15 @@ def _manifest_paths(path) -> tuple[Path, Path]:
     return csv_path, csv_path.with_suffix(".json")
 
 
+def _sidecar_entry(row: ManifestRow) -> dict:
+    return {"row": dict(zip(MANIFEST_COLUMNS, row.csv_values())), "settings": row.settings}
+
+
+def _write_sidecar(json_path: Path, sidecar: list) -> None:
+    with _atomic_open(json_path, "w") as fh:
+        fh.write(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+
+
 def write_manifest(rows, path) -> tuple[Path, Path]:
     """Write manifest rows to ``<path>.csv`` with a JSON settings sidecar.
 
@@ -280,16 +424,12 @@ def write_manifest(rows, path) -> tuple[Path, Path]:
     """
     csv_path, json_path = _manifest_paths(path)
     rows = list(rows)
-    with open(csv_path, "w", newline="") as fh:
+    with _atomic_open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_COLUMNS)
         for row in rows:
             writer.writerow(row.csv_values())
-    sidecar = [
-        {"row": dict(zip(MANIFEST_COLUMNS, row.csv_values())), "settings": row.settings}
-        for row in rows
-    ]
-    json_path.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    _write_sidecar(json_path, [_sidecar_entry(row) for row in rows])
     return csv_path, json_path
 
 
@@ -303,6 +443,6 @@ def append_manifest_row(row: ManifestRow, path) -> tuple[Path, Path]:
             writer.writerow(MANIFEST_COLUMNS)
         writer.writerow(row.csv_values())
     sidecar = json.loads(json_path.read_text()) if json_path.exists() else []
-    sidecar.append({"row": dict(zip(MANIFEST_COLUMNS, row.csv_values())), "settings": row.settings})
-    json_path.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    sidecar.append(_sidecar_entry(row))
+    _write_sidecar(json_path, sidecar)
     return csv_path, json_path

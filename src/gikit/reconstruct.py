@@ -99,14 +99,36 @@ class ReconResult:
         return self.images[1]
 
 
-def _matrix_views(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    validate_dataset(dataset).raise_if_failed()
-    return dataset.frame_matrix, dataset.buckets
+def _checked_totals(source) -> tuple[np.ndarray, np.ndarray]:
+    """The first, validating pass over a source: buckets S and frame totals R.
+
+    A container checks each block as it is read, so the pass ends in an
+    error before any image exists if any record is bad.
+    """
+    if isinstance(source, Dataset):
+        validate_dataset(source).raise_if_failed()
+    buckets, s_r = np.empty(source.n), np.empty(source.n)
+    for start, block_buckets, frames in source.blocks():
+        rows = slice(start, start + len(block_buckets))
+        buckets[rows] = block_buckets
+        s_r[rows] = frames.sum(axis=1)
+    return buckets, s_r
 
 
-def _diagnostics(matrix: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    s_r = matrix.sum(axis=1)
-    return s_r, s_r[shift:] - s_r[: len(s_r) - shift]
+def _weighted_sum(source, weights: np.ndarray) -> np.ndarray:
+    """The second pass: G = W @ M, one row block of M at a time."""
+    total = None
+    for start, _, frames in source.blocks():
+        part = weights[:, start : start + len(frames)] @ frames
+        if total is None:
+            total = part
+        else:
+            total += part
+    return total
+
+
+def _deviations(s_r: np.ndarray, shift: int) -> np.ndarray:
+    return s_r[shift:] - s_r[: len(s_r) - shift]
 
 
 def _classic_weights(method: str, buckets: np.ndarray, s_r: np.ndarray) -> np.ndarray:
@@ -180,26 +202,30 @@ def _check_sgi_args(mode: int, shift: int, close_loop: bool) -> None:
         raise ValueError("close_loop is only defined for shift=1")
 
 
-def reconstruct(dataset: Dataset, method: str, *, shift: int = 1, close_loop: bool = False) -> ReconResult:
+def reconstruct(source, method: str, *, shift: int = 1, close_loop: bool = False) -> ReconResult:
     """Batch reconstruction G = W @ M with any method in :data:`METHODS`.
 
-    ``shift`` and ``close_loop`` choose the pairs of the sgi methods; the
-    classic methods ignore them and report frame-total deviations at shift 1.
+    ``source`` is a :class:`~gikit.types.Dataset`, read as one block, or an
+    opened :class:`~gikit.fileio.Container`, read in row blocks: a first
+    pass collects the buckets and frame totals the weights need, a second
+    sums ``W[:, rows] @ block``. ``shift`` and ``close_loop`` choose the
+    pairs of the sgi methods; the classic methods ignore them and report
+    frame-total deviations at shift 1.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     mode = int(method[-1]) if method in SGI_METHODS else None
     if mode is not None:
         _check_sgi_args(mode, shift, close_loop)
-    matrix, buckets = _matrix_views(dataset)
+    buckets, s_r = _checked_totals(source)
     if mode is None:
-        s_r, dev = _diagnostics(matrix, 1)
         weights, count = _classic_weights(method, buckets, s_r), len(buckets)
+        dev = _deviations(s_r, 1)
     else:
         weights, count = _sgi_weights(mode, buckets, shift, close_loop)
-        s_r, dev = _diagnostics(matrix, shift)
-    shape = (dataset.header.height, dataset.header.width)
-    images = tuple(ReconImage(row.reshape(shape)) for row in weights @ matrix)
+        dev = _deviations(s_r, shift)
+    shape = (source.header.height, source.header.width)
+    images = tuple(ReconImage(row.reshape(shape)) for row in _weighted_sum(source, weights))
     return ReconResult(method, images, count, s_r, dev)
 
 
@@ -241,16 +267,17 @@ def recon_sgi(source, mode: int = 1, shift: int = 1, close_loop: bool = False) -
     return acc.snapshot()
 
 
-def sr_diagnostics(dataset: Dataset, shift: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame totals R_i and their successive deviations R_{i+k} - R_i."""
+def sr_diagnostics(source, shift: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame totals R_i and their successive deviations R_{i+k} - R_i,
+    from a dataset or, block by block, from an opened container."""
     if shift < 1:
         raise ValueError(f"shift must be >= 1, got {shift}")
-    matrix, _ = _matrix_views(dataset)
-    if len(matrix) <= shift:
+    if source.n <= shift:
         raise InsufficientRecordsError(
-            f"diagnostics need more than shift={shift} records, got {len(matrix)}"
+            f"diagnostics need more than shift={shift} records, got {source.n}"
         )
-    return _diagnostics(matrix, shift)
+    _, s_r = _checked_totals(source)
+    return s_r, _deviations(s_r, shift)
 
 
 class _CompensatedSum:

@@ -25,7 +25,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .types import Dataset, Frame, MeasurementRecord, _frame_unchecked, _frozen_array
 
@@ -190,6 +189,8 @@ def _pattern_stack(width: int, height: int, n: int, model: PatternModel, seed: i
     base_rng = _child_rng(seed, _PATTERN_KEY, 0)
     base = base_rng.random((height, width))
     if model.grain_radius > 0:
+        from scipy.ndimage import gaussian_filter  # imported here: it is most of gikit's import time
+
         base = gaussian_filter(base, sigma=model.grain_radius, mode="wrap")
     span = base.max() - base.min()
     if span > 0:

@@ -214,6 +214,11 @@ class Dataset:
         vec.flags.writeable = False
         return vec
 
+    def blocks(self):
+        """The records as one ``(start, buckets, frames)`` block, frames of
+        shape (n, pixels): the form in which a container file is read."""
+        yield 0, self.buckets, self.frame_matrix
+
     def first(self, count: int) -> "Dataset":
         """Dataset restricted to the first ``count`` records (cheap, shares buffers)."""
         if count < 1 or count > self.n:

@@ -1,10 +1,15 @@
 """Black-box checks of the command-line surface: flags, exit codes, outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gikit
 from gikit import ReconImage, binary_demo_scene, export_image, read_dataset
 from gikit.cli import main
 
@@ -235,3 +240,11 @@ def test_sweep_rows_deterministic_except_wall_time(tmp_path, scene_pgm):
         rows = (tmp_path / f"{tag}.csv").read_text().strip().splitlines()
         outs.append([",".join(r.split(",")[:-1]) for r in rows])  # drop wall_time_ms
     assert outs[0] == outs[1]
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    src = str(Path(gikit.__file__).resolve().parents[1])
+    probe = "import sys, gikit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -3,11 +3,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dataset
 
 from gikit import (
     Dataset,
+    DatasetValidationError,
     FileFormatError,
     ManifestRow,
     ObjectScene,
@@ -245,3 +248,54 @@ def test_manifest_append(tmp_path):
     assert lines[2].split(",")[2] == ""  # k column empty for non-sgi methods
     sidecar = json.loads((tmp_path / "log.json").read_text())
     assert [e["row"]["method"] for e in sidecar] == ["sgi1", "dgi"]
+
+
+def test_write_dataset_bytes_equal_encode(rng, tmp_path):
+    ds = random_dataset(rng, 5, 3, 4)
+    path = tmp_path / "run.gid"
+    write_dataset(ds, path)
+    assert path.read_bytes() == encode_dataset(ds)
+    assert [p.name for p in tmp_path.iterdir()] == ["run.gid"]
+
+
+def test_failed_write_leaves_the_old_file_and_no_temporary(rng, tmp_path):
+    path = tmp_path / "run.gid"
+    write_dataset(random_dataset(rng, 3), path)
+    old = path.read_bytes()
+    bad = Dataset.from_arrays(rng.random((2, 8, 8)), [1.0, float("nan")])
+    with pytest.raises(DatasetValidationError):
+        write_dataset(bad, path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["run.gid"]
+
+
+def test_manifest_sidecar_rewrite_leaves_no_temporary(tmp_path):
+    for method in ("sgi1", "dgi", "ci"):
+        append_manifest_row(_row(method=method), tmp_path / "log")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "log.json"]
+    assert len(json.loads((tmp_path / "log.json").read_text())) == 3
+
+
+def _decodes_or_format_error(blob: bytes) -> None:
+    try:
+        dataset = decode_dataset(blob)
+    except FileFormatError:
+        return
+    assert isinstance(dataset, Dataset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=256))
+def test_decode_arbitrary_bytes_is_dataset_or_format_error(blob):
+    _decodes_or_format_error(blob)
+    _decodes_or_format_error(MAGIC + blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_decode_damaged_container_is_dataset_or_format_error(data):
+    blob = bytearray(encode_dataset(random_dataset(np.random.default_rng(5), 3, 2, 2)))
+    for _ in range(data.draw(st.integers(0, 4))):
+        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    cut = data.draw(st.integers(0, len(blob)))
+    _decodes_or_format_error(bytes(blob[:cut]) + data.draw(st.binary(max_size=16)))
