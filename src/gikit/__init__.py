@@ -15,6 +15,7 @@ from .types import (
     Frame,
     MeasurementRecord,
     ObjectMask,
+    ObjectScene,
     ReconImage,
     ValidationIssue,
     ValidationReport,
@@ -24,8 +25,8 @@ from .types import (
 from .simulate import (
     DriftProfile,
     NoiseModel,
-    ObjectScene,
     PatternModel,
+    Simulation,
     apply_drift,
     apply_noise,
     binary_demo_scene,
@@ -56,6 +57,7 @@ from .fileio import (
     import_scene,
     open_container,
     read_dataset,
+    write_container,
     write_dataset,
     write_manifest,
 )

@@ -23,12 +23,12 @@ from .fileio import (
     export_raw,
     import_scene,
     open_container,
-    write_dataset,
+    write_container,
     write_manifest,
 )
 from .metrics import cnr, mask_from_scene
 from .reconstruct import METHODS, SGI_METHODS, SgiAccumulator, reconstruct, sr_diagnostics
-from .simulate import DRIFT_KINDS, DriftProfile, NoiseModel, PatternModel, simulate
+from .simulate import DRIFT_KINDS, DriftProfile, NoiseModel, PatternModel, Simulation, simulate
 
 PATTERN_ALIASES = {"iid": "iid-uniform", "speckle": "correlated-speckle"}
 SWEEP_AXES = ("n", "noise-mean", "drift-kind")
@@ -173,9 +173,9 @@ def cmd_simulate(args, parser) -> int:
     drift = _parse_drift(args.drift, parser)
     noise = _noise_from_args(args, parser)
     scene = import_scene(args.scene)
-    dataset = simulate(scene, n=args.n, seed=args.seed, pattern=pattern, drift=drift, noise=noise)
-    write_dataset(dataset, args.out)
-    header = dataset.header
+    run = Simulation(scene, n=args.n, seed=args.seed, pattern=pattern, drift=drift, noise=noise)
+    write_container(run.header, run.blocks(), args.out)
+    header = run.header
     print(f"wrote {args.out}: {header.width}x{header.height}, n={header.n}, seed={header.seed}")
     print(f"provenance: {header.provenance}")
     return 0
@@ -260,7 +260,10 @@ def _parse_values(args, parser) -> list:
                 parser.error("axis=n values must be >= 2")
             return values
         if args.axis == "noise-mean":
-            return [float(v) for v in raw]
+            values = [float(v) for v in raw]
+            for v in values:
+                NoiseModel(mean=v)  # rejects a non-finite mean before the first run
+            return values
     except ValueError as exc:
         parser.error(f"bad sweep value: {exc}")
     for v in raw:

@@ -18,12 +18,20 @@ Every read goes through one block reader. It checks the header and the
 payload length once, then reads the fixed-stride records about 16 MB at a
 time and yields them as fresh float64 blocks, checking each block for
 non-finite values and negative pixels. :func:`read_dataset` and
-:func:`decode_dataset` stack the blocks into a :class:`Dataset`;
-:func:`open_container` hands them out one at a time, which is how the CLI
-reads: ``reconstruct``, ``--progressive`` and ``diagnose`` hold the 16 MB
-record buffer, at most two float64 blocks (the one in use and the one being
-read, about 32 MB each), O(n) bucket and frame-total vectors and the
-estimator state, never the whole frame matrix.
+:func:`decode_dataset` convert each stored chunk straight into its slice of
+one (n, pixels) stack and check that slice; :func:`open_container` hands
+the blocks out one at a time, which is how the CLI reads: ``reconstruct``,
+``--progressive`` and ``diagnose`` hold the 16 MB record buffer, at most two
+float64 blocks (the one in use and the one being read, about 32 MB each),
+O(n) bucket and frame-total vectors and the estimator state, never the whole
+frame matrix.
+
+Every write goes through one block writer, :func:`write_container`, which
+takes a header and the same ``(start, buckets, frames)`` blocks and stores
+them through one record buffer of at most 16 MB, rejecting a block with a
+non-finite bucket. :func:`write_dataset` and :func:`encode_dataset` feed it a
+dataset's single block; ``gikit simulate`` feeds it the blocks of a
+:class:`~gikit.simulate.Simulation` as they are produced.
 
 Every file this module writes whole goes to a temporary file in the
 destination directory first and is then renamed over the destination, so a
@@ -45,14 +53,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import FileFormatError
-from .simulate import ObjectScene
+from .errors import DatasetValidationError, FileFormatError
 from .types import (
     Dataset,
     DatasetHeader,
     MeasurementRecord,
+    ObjectScene,
     ReconImage,
+    ValidationReport,
     _frame_unchecked,
+    _non_finite_bucket,
     validate_dataset,
 )
 from .metrics import normalize_minmax
@@ -65,6 +75,7 @@ __all__ = [
     "encode_dataset",
     "decode_dataset",
     "write_dataset",
+    "write_container",
     "read_dataset",
     "import_scene",
     "export_image",
@@ -80,11 +91,18 @@ CONTAINER_VERSION = 1
 
 _BUCKET_BYTES = 8
 _PIXEL_BYTES = 4
-_BLOCK_BYTES = 16 * 2**20  # bytes of records read per block; a block holds at least one record
+_BLOCK_BYTES = 16 * 2**20  # bytes of stored records per block
 
 
 def _record_dtype(pixels: int) -> np.dtype:
     return np.dtype([("bucket", "<f8"), ("frame", "<f4", (pixels,))])
+
+
+def _block_rows(pixels: int, multiple: int = 1) -> int:
+    """Records per block: as many as fit in ``_BLOCK_BYTES``, rounded down
+    to a multiple of ``multiple`` and at least ``multiple``."""
+    rows = _BLOCK_BYTES // _record_dtype(pixels).itemsize
+    return max(multiple, rows - rows % multiple)
 
 
 @contextmanager
@@ -102,9 +120,15 @@ def _atomic_open(path, mode: str = "wb", **kwargs):
         raise
 
 
-def _write_container(dataset: Dataset, fh) -> None:
-    validate_dataset(dataset).raise_if_failed()
-    header = dataset.header
+def _write_container(fh, header: DatasetHeader, blocks) -> None:
+    """Write the container of ``header`` from ``(start, buckets, frames)``
+    blocks that cover records 0..n-1 in order, frames of shape (rows, pixels).
+
+    Each block is converted and written through one record buffer of at most
+    ``_BLOCK_BYTES`` before the next is asked for, so a producer may reuse
+    its arrays. A block with a non-finite bucket raises
+    :class:`DatasetValidationError`.
+    """
     doc = {
         "version": CONTAINER_VERSION,
         "width": header.width,
@@ -114,24 +138,47 @@ def _write_container(dataset: Dataset, fh) -> None:
         "provenance": header.provenance,
     }
     header_bytes = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    records = np.empty(header.n, dtype=_record_dtype(header.width * header.height))
-    records["bucket"] = dataset.buckets
-    np.copyto(records["frame"], dataset.frame_matrix, casting="same_kind")
     fh.write(MAGIC + np.uint32(len(header_bytes)).tobytes() + header_bytes)
-    fh.write(memoryview(records))
+    pixels = header.width * header.height
+    records = np.empty(min(header.n, _block_rows(pixels)), dtype=_record_dtype(pixels))
+    written = 0
+    for start, buckets, frames in blocks:
+        if start != written:
+            raise ValueError(f"block starts at record {start}, expected {written}")
+        bad = np.flatnonzero(~np.isfinite(buckets))
+        if bad.size:
+            raise DatasetValidationError(
+                ValidationReport(tuple(_non_finite_bucket(start + i, buckets[i]) for i in bad))
+            )
+        for row in range(0, len(buckets), len(records)):
+            chunk = records[: len(buckets) - row]
+            chunk["bucket"] = buckets[row : row + len(chunk)]
+            np.copyto(chunk["frame"], frames[row : row + len(chunk)], casting="same_kind")
+            fh.write(memoryview(chunk))
+        written += len(buckets)
+    if written != header.n:
+        raise ValueError(f"blocks hold {written} records, header says {header.n}")
+
+
+def write_container(header: DatasetHeader, blocks, destination) -> None:
+    """Write a container file atomically from ``(start, buckets, frames)``
+    blocks (see :meth:`Container.blocks`), holding one block at a time."""
+    with _atomic_open(destination) as fh:
+        _write_container(fh, header, blocks)
 
 
 def encode_dataset(dataset: Dataset) -> bytes:
     """Serialize a dataset to container bytes (deterministic)."""
+    validate_dataset(dataset).raise_if_failed()
     buffer = io.BytesIO()
-    _write_container(dataset, buffer)
+    _write_container(buffer, dataset.header, dataset.blocks())
     return buffer.getvalue()
 
 
 def write_dataset(dataset: Dataset, destination) -> None:
     """Write a dataset as a container file, atomically; same bytes as :func:`encode_dataset`."""
-    with _atomic_open(destination) as fh:
-        _write_container(dataset, fh)
+    validate_dataset(dataset).raise_if_failed()
+    write_container(dataset.header, dataset.blocks(), destination)
 
 
 def _header_int(doc: dict, key: str) -> int:
@@ -182,23 +229,36 @@ def _read_header(fh) -> tuple[DatasetHeader, int]:
     return header, 8 + header_len
 
 
-def _read_blocks(fh, offset: int, n: int, pixels: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield ``(start, buckets, frames)`` for the first ``n`` records of the
-    payload at ``offset``: fresh read-only float64 arrays of shapes (rows,)
-    and (rows, pixels), each block checked before it is yielded."""
-    dtype = _record_dtype(pixels)
-    records = np.empty(min(n, max(1, _BLOCK_BYTES // dtype.itemsize)), dtype=dtype)
+def _read_chunks(fh, offset: int, n: int, pixels: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, records)`` for the first ``n`` records of the payload
+    at ``offset``, as stored; every chunk reuses one record buffer."""
+    records = np.empty(min(n, _block_rows(pixels)), dtype=_record_dtype(pixels))
     fh.seek(offset)
     for start in range(0, n, len(records)):
         chunk = records[: n - start]
         if fh.readinto(chunk) != chunk.nbytes:
             raise FileFormatError(f"payload ended inside records {start}..{start + len(chunk) - 1}")
-        buckets = chunk["bucket"].astype(np.float64)
-        frames = chunk["frame"].astype(np.float64)
-        if not np.isfinite(buckets).all() or not np.isfinite(frames).all():
-            raise FileFormatError("payload contains non-finite values")
-        if (frames < 0.0).any():
-            raise FileFormatError("payload contains negative frame intensities")
+        yield start, chunk
+
+
+def _convert_checked(chunk: np.ndarray, buckets: np.ndarray, frames: np.ndarray) -> None:
+    """Convert stored records into float64 ``buckets`` (rows,) and ``frames``
+    (rows, pixels), then check them for non-finite values and negative pixels."""
+    np.copyto(buckets, chunk["bucket"])
+    np.copyto(frames, chunk["frame"])
+    if not np.isfinite(buckets).all() or not np.isfinite(frames).all():
+        raise FileFormatError("payload contains non-finite values")
+    if (frames < 0.0).any():
+        raise FileFormatError("payload contains negative frame intensities")
+
+
+def _read_blocks(fh, offset: int, n: int, pixels: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(start, buckets, frames)`` for the first ``n`` records of the
+    payload at ``offset``: fresh read-only float64 arrays of shapes (rows,)
+    and (rows, pixels), each block checked before it is yielded."""
+    for start, chunk in _read_chunks(fh, offset, n, pixels):
+        buckets, frames = np.empty(len(chunk)), np.empty((len(chunk), pixels))
+        _convert_checked(chunk, buckets, frames)
         buckets.flags.writeable = False
         frames.flags.writeable = False
         yield start, buckets, frames
@@ -255,9 +315,9 @@ def _stack_blocks(fh) -> Dataset:
     n, pixels = header.n, header.width * header.height
     frames = np.empty((n, pixels))
     buckets = np.empty(n)
-    for start, block_buckets, block_frames in _read_blocks(fh, offset, n, pixels):
-        buckets[start : start + len(block_buckets)] = block_buckets
-        frames[start : start + len(block_buckets)] = block_frames
+    for start, chunk in _read_chunks(fh, offset, n, pixels):
+        rows = slice(start, start + len(chunk))
+        _convert_checked(chunk, buckets[rows], frames[rows])
     frames.flags.writeable = False
     buckets.flags.writeable = False
     return Dataset.from_arrays(

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError
-from .simulate import ObjectScene
-from .types import ObjectMask, ReconImage
+from .types import ObjectMask, ObjectScene, ReconImage
 
 __all__ = ["CnrReport", "cnr", "mask_from_scene", "pearson", "normalize_minmax"]
 

@@ -17,16 +17,33 @@ counter-based SeedSequence splitting, namespaced as (0, i) for pattern i,
 not overlap, per-frame generation is order-independent (parallel and serial
 agree bit for bit), and the first n frames of a longer run equal an n-frame
 run exactly.
+
+A run is produced a block of consecutive records at a time by
+:class:`Simulation`, which fills each block's frames in place, scales them
+by the drift gains, integrates the buckets and adds the noise. ``gikit
+simulate`` writes each block straight into the container, so it holds one
+block (about 32 MB of float64 frames) and never the whole run;
+:func:`simulate` fills one in-memory stack with the same blocks, so both
+give the same bytes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .types import Dataset, Frame, MeasurementRecord, _frame_unchecked, _frozen_array
+from .fileio import _block_rows
+from .types import (
+    Dataset,
+    DatasetHeader,
+    Frame,
+    MeasurementRecord,
+    ObjectScene,
+    _frame_unchecked,
+)
 
 __all__ = [
     "ObjectScene",
@@ -39,6 +56,7 @@ __all__ = [
     "drift_gains",
     "apply_noise",
     "simulate",
+    "Simulation",
     "binary_demo_scene",
 ]
 
@@ -59,34 +77,11 @@ def _child_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-@dataclass(frozen=True, eq=False)
-class ObjectScene:
-    """Transmission function of the object, values in [0, 1]."""
-
-    transmission: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.transmission, np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"transmission must be a non-empty 2-D array, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("transmission contains non-finite values")
-        if (arr < 0.0).any() or (arr > 1.0).any():
-            raise ValueError("transmission values must lie in [0, 1]")
-        object.__setattr__(self, "transmission", arr)
-
-    @property
-    def width(self) -> int:
-        return self.transmission.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.transmission.shape[0]
-
-    @property
-    def binary(self) -> bool:
-        t = self.transmission
-        return bool(((t == 0.0) | (t == 1.0)).all())
+def _require_finite(model, *names: str) -> None:
+    for name in names:
+        value = getattr(model, name)
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +108,7 @@ class PatternModel:
     def __post_init__(self):
         if self.kind not in PATTERN_KINDS:
             raise ValueError(f"unknown pattern kind {self.kind!r}, expected one of {PATTERN_KINDS}")
+        _require_finite(self, "grain_radius", "step_shift", "jitter")
         if self.grain_radius < 0 or self.step_shift < 0 or self.jitter < 0:
             raise ValueError("grain_radius, step_shift, and jitter must be >= 0")
 
@@ -136,6 +132,7 @@ class DriftProfile:
     def __post_init__(self):
         if self.kind not in DRIFT_KINDS:
             raise ValueError(f"unknown drift kind {self.kind!r}, expected one of {DRIFT_KINDS}")
+        _require_finite(self, "amplitude")
         if self.amplitude < 0:
             raise ValueError("drift amplitude must be >= 0")
         if self.kind in ("linear", "sinusoidal", "step") and self.amplitude >= 1.0:
@@ -164,6 +161,7 @@ class NoiseModel:
     target: str = "bucket"
 
     def __post_init__(self):
+        _require_finite(self, "mean", "std")
         if self.std < 0:
             raise ValueError("noise std must be >= 0")
         if self.target not in NOISE_TARGETS:
@@ -174,18 +172,26 @@ class NoiseModel:
         return self.mean != 0.0 or self.std != 0.0
 
 
-def _pattern_stack(width: int, height: int, n: int, model: PatternModel, seed: int) -> np.ndarray:
+def _pattern_filler(width: int, height: int, n: int, model: PatternModel, seed: int):
+    """Return ``fill(start, out)``, which writes frames ``start`` to
+    ``start + len(out) - 1`` of an ``n``-frame run into ``out``, a C-contiguous
+    (rows, height, width) float64 array."""
     if width < 1 or height < 1:
         raise ValueError(f"pattern dimensions must be positive, got {width}x{height}")
     if n < 1:
         raise ValueError(f"measurement count must be >= 1, got {n}")
 
     if model.kind == "iid-uniform":
-        out = np.empty((n, height, width))
-        for i in range(n):
-            _child_rng(seed, _PATTERN_KEY, i).random(out=out[i])
-        return out
+        def fill_iid(start: int, out: np.ndarray) -> None:
+            for i, frame in enumerate(out, start):
+                _child_rng(seed, _PATTERN_KEY, i).random(out=frame)
 
+        return fill_iid
+
+    if model.grain_radius > max(width, height):
+        # Less than one grain would fit in the frame, and the blur kernel
+        # grows with the radius.
+        raise ValueError(f"speckle grain radius {model.grain_radius} exceeds the {width}x{height} frame")
     base_rng = _child_rng(seed, _PATTERN_KEY, 0)
     base = base_rng.random((height, width))
     if model.grain_radius > 0:
@@ -204,17 +210,20 @@ def _pattern_stack(width: int, height: int, n: int, model: PatternModel, seed: i
         jitter_rng = _child_rng(seed, _PATTERN_KEY, 1)
         shifts = shifts + jitter_rng.normal(0.0, model.jitter, size=n)
     offsets = np.rint(shifts).astype(np.int64)
-
     flat = base.ravel()
-    out = np.empty((n, height, width))
-    for i in range(n):
-        out[i] = np.roll(flat, offsets[i]).reshape(height, width)
-    return out
+
+    def fill_speckle(start: int, out: np.ndarray) -> None:
+        for i, frame in enumerate(out, start):
+            frame[...] = np.roll(flat, offsets[i]).reshape(height, width)
+
+    return fill_speckle
 
 
 def generate_patterns(width: int, height: int, n: int, model: PatternModel, seed: int) -> list[Frame]:
     """Generate ``n`` illumination frames, deterministic in ``seed``."""
-    stack = _pattern_stack(width, height, n, model, seed)
+    fill = _pattern_filler(width, height, n, model, seed)
+    stack = np.empty((n, height, width))
+    fill(0, stack)
     stack.flags.writeable = False
     return [_frame_unchecked(stack[i]) for i in range(n)]
 
@@ -299,6 +308,88 @@ def _provenance(scene: ObjectScene, pattern: PatternModel, drift: DriftProfile,
     return json.dumps(settings, sort_keys=True, separators=(",", ":"))
 
 
+class Simulation:
+    """One simulated run, produced a block of consecutive records at a time.
+
+    A record needs only its own random streams and the O(n) drift gains and
+    speckle offsets worked out here once, so a block needs no other records.
+    :meth:`blocks` and :meth:`dataset` split the run the same way, into
+    blocks of a multiple of 8 rows that fit the container writer's record
+    buffer. A streamed run and an in-memory one therefore agree bit for bit:
+    BLAS matrix-vector kernels sum rows in small groups, and a block boundary
+    inside a group could change the last bit of a bucket.
+    """
+
+    def __init__(
+        self,
+        scene: ObjectScene,
+        n: int,
+        seed: int = 0,
+        pattern: PatternModel = PatternModel(),
+        drift: DriftProfile = DriftProfile(),
+        noise: NoiseModel = NoiseModel(),
+    ):
+        self._fill = _pattern_filler(scene.width, scene.height, n, pattern, seed)
+        self._gains = drift_gains(drift, n, seed)
+        self._transmission = scene.transmission.ravel()
+        self._noise = noise
+        self._seed = seed
+        self.header = DatasetHeader(
+            width=scene.width,
+            height=scene.height,
+            n=n,
+            seed=seed,
+            provenance=_provenance(scene, pattern, drift, noise, n, seed),
+        )
+
+    def _forward(self, start: int, frames: np.ndarray) -> np.ndarray:
+        """The forward model for records ``start`` to ``start + len(frames) - 1``:
+        fill ``frames``, of shape (rows, height, width), with the drifted
+        patterns in place and return the noised buckets."""
+        stop = start + len(frames)
+        self._fill(start, frames)
+        frames *= self._gains[start:stop, None, None]
+        buckets = frames.reshape(len(frames), -1) @ self._transmission
+        if self._noise.enabled:
+            pixels = self._transmission.size
+            buckets += np.array(
+                [_bucket_noise(i, pixels, self._noise, self._seed) for i in range(start, stop)]
+            )
+        return buckets
+
+    def _partition(self) -> tuple[int, range]:
+        rows = min(self.header.n, _block_rows(self._transmission.size, multiple=8))
+        return rows, range(0, self.header.n, rows)
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Yield the run as ``(start, buckets, frames)`` blocks, frames of
+        shape (rows, pixels): the form in which a container is read. All
+        blocks share one frame buffer, so use each before asking for the next."""
+        header = self.header
+        rows, starts = self._partition()
+        buffer = np.empty((rows, header.height, header.width))
+        for start in starts:
+            frames = buffer[: min(rows, header.n - start)]
+            buckets = self._forward(start, frames)
+            yield start, buckets, frames.reshape(len(frames), -1)
+
+    def dataset(self) -> Dataset:
+        """The whole run in memory, as one frame stack filled a block at a time."""
+        header = self.header
+        stack = np.empty((header.n, header.height, header.width))
+        buckets = np.empty(header.n)
+        rows, starts = self._partition()
+        for start in starts:
+            buckets[start : start + rows] = self._forward(start, stack[start : start + rows])
+        # Patterns are in [0, 1) and gains are positive, so the stack is valid by
+        # construction; freeze it so the dataset shares this buffer.
+        stack.flags.writeable = False
+        buckets.flags.writeable = False
+        return Dataset.from_arrays(
+            stack, buckets, seed=header.seed, provenance=header.provenance, validate=False
+        )
+
+
 def simulate(
     scene: ObjectScene,
     n: int,
@@ -312,28 +403,10 @@ def simulate(
     Reference frames carry the drift gain (the source is common to both
     arms); buckets are integrated from the drifted patterns and then noised.
     The header provenance records every setting as compact JSON, so a run is
-    reproducible from its container alone.
+    reproducible from its container alone. :class:`Simulation` produces the
+    same run block by block without holding it whole.
     """
-    stack = _pattern_stack(scene.width, scene.height, n, pattern, seed)
-    gains = drift_gains(drift, n, seed)
-    stack *= gains[:, None, None]
-    buckets = stack.reshape(n, -1) @ scene.transmission.ravel()
-    if noise.enabled:
-        pixels = scene.width * scene.height
-        buckets = buckets + np.array(
-            [_bucket_noise(i, pixels, noise, seed) for i in range(n)]
-        )
-    # Patterns are in [0, 1) and gains are positive, so the stack is valid by
-    # construction; freeze it so the dataset shares this buffer.
-    stack.flags.writeable = False
-    buckets.flags.writeable = False
-    return Dataset.from_arrays(
-        stack,
-        buckets,
-        seed=seed,
-        provenance=_provenance(scene, pattern, drift, noise, n, seed),
-        validate=False,
-    )
+    return Simulation(scene, n, seed, pattern, drift, noise).dataset()
 
 
 # Blocky "GI" glyphs; upsampled with nearest-neighbor so any target size

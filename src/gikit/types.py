@@ -25,6 +25,7 @@ __all__ = [
     "DatasetHeader",
     "Dataset",
     "ReconImage",
+    "ObjectScene",
     "ObjectMask",
     "ValidationIssue",
     "ValidationReport",
@@ -241,6 +242,36 @@ class Dataset:
 
 
 @dataclass(frozen=True, eq=False)
+class ObjectScene:
+    """Transmission function of the object, values in [0, 1]."""
+
+    transmission: np.ndarray
+
+    def __post_init__(self):
+        arr = _frozen_array(self.transmission, np.float64)
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError(f"transmission must be a non-empty 2-D array, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("transmission contains non-finite values")
+        if (arr < 0.0).any() or (arr > 1.0).any():
+            raise ValueError("transmission values must lie in [0, 1]")
+        object.__setattr__(self, "transmission", arr)
+
+    @property
+    def width(self) -> int:
+        return self.transmission.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.transmission.shape[0]
+
+    @property
+    def binary(self) -> bool:
+        t = self.transmission
+        return bool(((t == 0.0) | (t == 1.0)).all())
+
+
+@dataclass(frozen=True, eq=False)
 class ReconImage:
     """Real-valued 2-D reconstruction; negative pixels are expected and kept."""
 
@@ -321,6 +352,10 @@ class ValidationReport:
             raise DatasetValidationError(self)
 
 
+def _non_finite_bucket(index: int, bucket: float) -> ValidationIssue:
+    return ValidationIssue(index, "non-finite-bucket", f"record {index}: bucket is {bucket}")
+
+
 def validate_dataset(dataset: Dataset) -> ValidationReport:
     """Check every dataset-level invariant and report all violations.
 
@@ -357,7 +392,5 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
                 )
             )
         if not np.isfinite(rec.bucket):
-            issues.append(
-                ValidationIssue(i, "non-finite-bucket", f"record {i}: bucket is {rec.bucket}")
-            )
+            issues.append(_non_finite_bucket(i, rec.bucket))
     return ValidationReport(tuple(issues))

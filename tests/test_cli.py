@@ -248,3 +248,42 @@ def test_import_cli_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+NON_FINITE_SETTINGS = [
+    ["--pattern", "speckle", "--grain", "inf"],
+    ["--grain", "nan"],
+    ["--step-shift", "inf"],
+    ["--step-shift", "nan"],
+    ["--jitter", "inf"],
+    ["--drift", "random-walk:inf"],
+    ["--noise-mean", "nan"],
+    ["--noise-std", "inf"],
+]
+
+
+@pytest.mark.parametrize("flags", NON_FINITE_SETTINGS, ids=" ".join)
+def test_simulate_non_finite_setting_exits_2_before_work(tmp_path, scene_pgm, capsys, flags):
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--scene", str(scene_pgm), "--n", "4", "--out", str(tmp_path / "x.gid")] + flags)
+    assert err.value.code == 2
+    assert "finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_sweep_non_finite_noise_mean_exits_2(tmp_path, scene_pgm):
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--scene", str(scene_pgm), "--axis", "noise-mean", "--values", "0.01,nan",
+              "--methods", "g2", "--n", "8", "--out", str(tmp_path / "sweep")])
+    assert err.value.code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.pgm"]
+
+
+@pytest.mark.parametrize("grain", ["12.5", "1e308"])
+def test_simulate_speckle_grain_wider_than_scene_exits_1(tmp_path, scene_pgm, capsys, grain):
+    code = main(["simulate", "--scene", str(scene_pgm), "--n", "4", "--pattern", "speckle",
+                 "--grain", grain, "--out", str(tmp_path / "x.gid")])
+    assert code == 1
+    assert "grain radius" in capsys.readouterr().err
+    assert not (tmp_path / "x.gid").exists()

@@ -198,3 +198,34 @@ def test_simulate_single_record_and_provenance():
     assert '"seed":0' in ds.header.provenance
     noisy = simulate(scene, n=2, seed=0, noise=NoiseModel(mean=0.012, std=0.05))
     assert '"mean":0.012' in noisy.header.provenance
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["grain_radius", "step_shift", "jitter"])
+def test_pattern_model_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        PatternModel("correlated-speckle", **{field: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["mean", "std"])
+def test_noise_model_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        NoiseModel(**{field: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("kind", ["linear", "random-walk"])
+def test_drift_amplitude_must_be_finite(kind, value):
+    with pytest.raises(ValueError, match="amplitude"):
+        DriftProfile(kind, value)
+
+
+def test_speckle_grain_wider_than_frame_rejected():
+    with pytest.raises(ValueError, match="grain radius"):
+        generate_patterns(8, 6, 2, PatternModel("correlated-speckle", grain_radius=8.5), seed=0)
+    frames = generate_patterns(8, 6, 2, PatternModel("correlated-speckle", grain_radius=8.0), seed=0)
+    assert len(frames) == 2
