@@ -68,6 +68,14 @@ def _noise_from_args(args, parser) -> NoiseModel:
         parser.error(str(exc))
 
 
+def _simulation_models(args, parser) -> tuple[PatternModel, DriftProfile, NoiseModel]:
+    """Check the flags of :func:`_add_simulation_flags` and build their models."""
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
+    pattern = _pattern_from_args(args, parser)
+    return pattern, _parse_drift(args.drift, parser), _noise_from_args(args, parser)
+
+
 def _add_simulation_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scene", required=True, help="transmission map (P5/P2 graymap)")
     sub.add_argument("--pattern", choices=sorted(PATTERN_ALIASES), default="iid")
@@ -169,9 +177,7 @@ def _manifest_row(result, source, shift, scene, wall_ms, settings) -> ManifestRo
 def cmd_simulate(args, parser) -> int:
     if args.n < 1:
         parser.error(f"--n must be >= 1, got {args.n}")
-    pattern = _pattern_from_args(args, parser)
-    drift = _parse_drift(args.drift, parser)
-    noise = _noise_from_args(args, parser)
+    pattern, drift, noise = _simulation_models(args, parser)
     scene = import_scene(args.scene)
     run = Simulation(scene, n=args.n, seed=args.seed, pattern=pattern, drift=drift, noise=noise)
     write_container(run.header, run.blocks(), args.out)
@@ -282,9 +288,14 @@ def cmd_sweep(args, parser) -> int:
         if m not in METHODS:
             parser.error(f"unknown method {m!r}, expected one of {METHODS}")
     values = _parse_values(args, parser)
-    pattern = _pattern_from_args(args, parser)
-    base_drift = _parse_drift(args.drift, parser)
-    base_noise = _noise_from_args(args, parser)
+    pattern, base_drift, base_noise = _simulation_models(args, parser)
+    drifts = {}  # every drift-kind point's profile, checked before the first run
+    for value in values if args.axis == "drift-kind" else ():
+        amplitude = base_drift.amplitude if value != "none" else 0.0
+        try:
+            drifts[value] = DriftProfile(value, amplitude, base_drift.period_or_knots)
+        except ValueError as exc:
+            parser.error(f"--drift {args.drift} does not suit sweep value {value!r}: {exc}")
     scene = import_scene(args.scene)
 
     base = None
@@ -302,10 +313,8 @@ def cmd_sweep(args, parser) -> int:
             dataset = simulate(scene, n=args.n, seed=args.seed, pattern=pattern,
                                drift=base_drift, noise=noise)
         else:
-            drift = DriftProfile(kind=value, amplitude=base_drift.amplitude if value != "none" else 0.0,
-                                 period_or_knots=base_drift.period_or_knots)
             dataset = simulate(scene, n=args.n, seed=args.seed, pattern=pattern,
-                               drift=drift, noise=base_noise)
+                               drift=drifts[value], noise=base_noise)
         for method in methods:
             start = time.perf_counter()
             result = reconstruct(dataset, method, shift=args.shift)

@@ -53,17 +53,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DatasetValidationError, FileFormatError
+from .errors import FileFormatError
 from .types import (
     Dataset,
     DatasetHeader,
     MeasurementRecord,
     ObjectScene,
     ReconImage,
-    ValidationReport,
-    _frame_unchecked,
-    _non_finite_bucket,
-    validate_dataset,
+    _bucket_report,
+    _records_of,
 )
 from .metrics import normalize_minmax
 
@@ -145,11 +143,7 @@ def _write_container(fh, header: DatasetHeader, blocks) -> None:
     for start, buckets, frames in blocks:
         if start != written:
             raise ValueError(f"block starts at record {start}, expected {written}")
-        bad = np.flatnonzero(~np.isfinite(buckets))
-        if bad.size:
-            raise DatasetValidationError(
-                ValidationReport(tuple(_non_finite_bucket(start + i, buckets[i]) for i in bad))
-            )
+        _bucket_report(start, buckets).raise_if_failed()
         for row in range(0, len(buckets), len(records)):
             chunk = records[: len(buckets) - row]
             chunk["bucket"] = buckets[row : row + len(chunk)]
@@ -169,7 +163,6 @@ def write_container(header: DatasetHeader, blocks, destination) -> None:
 
 def encode_dataset(dataset: Dataset) -> bytes:
     """Serialize a dataset to container bytes (deterministic)."""
-    validate_dataset(dataset).raise_if_failed()
     buffer = io.BytesIO()
     _write_container(buffer, dataset.header, dataset.blocks())
     return buffer.getvalue()
@@ -177,7 +170,6 @@ def encode_dataset(dataset: Dataset) -> bytes:
 
 def write_dataset(dataset: Dataset, destination) -> None:
     """Write a dataset as a container file, atomically; same bytes as :func:`encode_dataset`."""
-    validate_dataset(dataset).raise_if_failed()
     write_container(dataset.header, dataset.blocks(), destination)
 
 
@@ -297,10 +289,7 @@ class Container:
 
     def iter_records(self) -> Iterator[MeasurementRecord]:
         """One pass over the records, one :class:`MeasurementRecord` at a time."""
-        shape = (self.header.height, self.header.width)
-        for start, buckets, frames in self.blocks():
-            for i, bucket in enumerate(buckets.tolist()):
-                yield MeasurementRecord(start + i, _frame_unchecked(frames[i].reshape(shape)), bucket)
+        return _records_of(self.header, self.blocks())
 
 
 def open_container(path) -> Container:

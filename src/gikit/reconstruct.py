@@ -53,7 +53,7 @@ from .errors import (
     DegeneratePartitionError,
     InsufficientRecordsError,
 )
-from .types import Dataset, MeasurementRecord, ReconImage, validate_dataset
+from .types import Dataset, MeasurementRecord, ReconImage, _bucket_report
 
 __all__ = [
     "METHODS",
@@ -102,13 +102,12 @@ class ReconResult:
 def _checked_totals(source) -> tuple[np.ndarray, np.ndarray]:
     """The first, validating pass over a source: buckets S and frame totals R.
 
-    A container checks each block as it is read, so the pass ends in an
-    error before any image exists if any record is bad.
+    Every block gets the writer's bucket check, and a container checks each
+    block as it is read, so a bad record fails the pass before any image.
     """
-    if isinstance(source, Dataset):
-        validate_dataset(source).raise_if_failed()
     buckets, s_r = np.empty(source.n), np.empty(source.n)
     for start, block_buckets, frames in source.blocks():
+        _bucket_report(start, block_buckets).raise_if_failed()
         rows = slice(start, start + len(block_buckets))
         buckets[rows] = block_buckets
         s_r[rows] = frames.sum(axis=1)

@@ -205,11 +205,16 @@ def _pattern_filler(width: int, height: int, n: int, model: PatternModel, seed: 
         base = np.zeros_like(base)
     base *= np.nextafter(1.0, 0.0)  # keep strictly inside [0, 1)
 
-    shifts = np.arange(n, dtype=np.float64) * model.step_shift
-    if model.jitter > 0:
-        jitter_rng = _child_rng(seed, _PATTERN_KEY, 1)
-        shifts = shifts + jitter_rng.normal(0.0, model.jitter, size=n)
-    offsets = np.rint(shifts).astype(np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        shifts = np.arange(n, dtype=np.float64) * model.step_shift
+        if model.jitter > 0:
+            jitter_rng = _child_rng(seed, _PATTERN_KEY, 1)
+            shifts = shifts + jitter_rng.normal(0.0, model.jitter, size=n)
+        shifts = np.rint(shifts)
+    if not ((shifts >= -(2.0**63)) & (shifts < 2.0**63)).all():  # false for NaN, too
+        raise ValueError(f"speckle offsets of step_shift={model.step_shift} and "
+                         f"jitter={model.jitter} over {n} frames do not fit in int64")
+    offsets = shifts.astype(np.int64)
     flat = base.ravel()
 
     def fill_speckle(start: int, out: np.ndarray) -> None:

@@ -2,18 +2,20 @@
 
 A measurement run is an ordered sequence of (reference frame, bucket value)
 pairs: the reference arm records a 2-D intensity pattern while the bucket
-arm reports a single scalar per shot. Simulation output, container files,
-and the reconstructors all speak these types.
+arm reports a single scalar per shot. A :class:`Dataset` holds a run as the
+arrays every estimator works on, the buckets and the frame matrix; its
+:class:`MeasurementRecord` objects are a view on them.
 
 Arrays are float64 internally regardless of on-disk precision (correlation
 sums over tens of thousands of records need the headroom) and are frozen
-after construction, so records are safe to share read-only across workers.
+after construction, so they are safe to share read-only across workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -49,6 +51,14 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+def _check_pixels(values: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless every intensity is finite and non-negative."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} contains non-finite values")
+    if (values < 0.0).any():
+        raise ValueError(f"{what} contains negative intensities")
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """One reference-arm intensity pattern.
@@ -64,10 +74,7 @@ class Frame:
         arr = _frozen_array(self.data, np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"frame data must be a non-empty 2-D array, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("frame contains non-finite values")
-        if (arr < 0.0).any():
-            raise ValueError("frame contains negative intensities")
+        _check_pixels(arr, "frame")
         object.__setattr__(self, "data", arr)
 
     @property
@@ -101,8 +108,8 @@ class MeasurementRecord:
     """One synchronized (frame, bucket) pair with its sequence position.
 
     The bucket may be negative or non-finite at construction time (noise
-    injection and corrupt inputs are real); :func:`validate_dataset` is the
-    gate that reports non-finite buckets.
+    injection and corrupt inputs are real); :func:`validate_dataset` reports
+    non-finite buckets, and reconstruction and writing reject them.
     """
 
     index: int
@@ -129,24 +136,34 @@ class DatasetHeader:
             raise ValueError(f"header measurement count must be >= 1, got {self.n}")
 
 
+def _records_of(header: DatasetHeader, blocks) -> Iterator[MeasurementRecord]:
+    """The records of ``(start, buckets, frames)`` blocks of checked, read-only
+    float64 frames, each frame a view of its row."""
+    shape = (header.height, header.width)
+    for start, buckets, frames in blocks:
+        for i, bucket in enumerate(buckets.tolist()):
+            yield MeasurementRecord(start + i, _frame_unchecked(frames[i].reshape(shape)), bucket)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Ordered measurement sequence plus header metadata.
+    """A measurement run: the header, the (n,) bucket vector and the
+    (n, width*height) frame matrix whose row i is frame i, row-major.
 
-    ``frame_matrix`` and ``buckets`` expose the stacked (n, width*height)
-    and (n,) views used by the vectorized reconstructors; datasets built via
-    :meth:`from_arrays` share one backing buffer with their records, so the
-    stack costs no extra memory.
+    The constructor freezes both float64 arrays and raises ``ValueError``
+    unless they match the header and every pixel is finite and non-negative.
+    A non-finite bucket is reported by :func:`validate_dataset` and rejected
+    by reconstruction and writing. :attr:`records` is a view built on first
+    use; :meth:`from_records` stacks separate records.
     """
 
     header: DatasetHeader
-    records: tuple[MeasurementRecord, ...]
+    buckets: np.ndarray
+    frame_matrix: np.ndarray
 
     def __post_init__(self):
-        records = tuple(self.records)
-        if not records:
-            raise ValueError("dataset must contain at least one record")
-        object.__setattr__(self, "records", records)
+        _set_arrays(self, self.buckets, self.frame_matrix)
+        _check_pixels(self.frame_matrix, "frame matrix")
 
     @classmethod
     def from_arrays(
@@ -162,34 +179,44 @@ class Dataset:
 
         Pass a read-only stack to transfer ownership without a copy.
         ``validate=False`` skips the full-stack finite/non-negative scan for
-        callers that already guarantee it (the simulator, the container
-        reader); frame invariants still hold because those producers only
-        emit values satisfying them.
+        callers that have already checked every pixel (the simulator, the
+        container reader); array shapes are checked either way.
         """
         stack = _frozen_array(frames, np.float64)
         if stack.ndim != 3:
             raise ValueError(f"frame stack must be 3-D (n, h, w), got shape {stack.shape}")
         n, h, w = stack.shape
         if validate:
-            if not np.isfinite(stack).all():
-                raise ValueError("frame stack contains non-finite values")
-            if (stack < 0.0).any():
-                raise ValueError("frame stack contains negative intensities")
-        bucket_vec = _frozen_array(buckets, np.float64)
-        if bucket_vec.shape != (n,):
-            raise ValueError(f"bucket vector shape {bucket_vec.shape} does not match {n} frames")
+            _check_pixels(stack, "frame stack")
         header = DatasetHeader(width=w, height=h, n=n, seed=seed, provenance=provenance)
-        records = tuple(
-            MeasurementRecord(i, _frame_unchecked(stack[i]), float(bucket_vec[i])) for i in range(n)
-        )
-        dataset = cls(header=header, records=records)
-        dataset.__dict__["frame_matrix"] = stack.reshape(n, h * w)
-        dataset.__dict__["buckets"] = bucket_vec
-        return dataset
+        return _prechecked_dataset(header, buckets, stack.reshape(n, h * w))
+
+    @classmethod
+    def from_records(cls, records, header: DatasetHeader) -> "Dataset":
+        """Stack records into a dataset, or raise :class:`DatasetValidationError`
+        with every ``count-mismatch`` against ``header.n``, frame size
+        ``dimension-mismatch`` and ``index-order`` issue found."""
+        records = tuple(records)
+        issues: list[ValidationIssue] = []
+        if header.n != len(records):
+            message = f"header n={header.n} but dataset holds {len(records)} records"
+            issues.append(ValidationIssue(None, "count-mismatch", message))
+        for i, rec in enumerate(records):
+            if rec.frame.data.shape != (header.height, header.width):
+                message = (f"record {i}: frame is {rec.frame.height}x{rec.frame.width}, "
+                           f"expected {header.height}x{header.width}")
+                issues.append(ValidationIssue(i, "dimension-mismatch", message))
+            if rec.index != i:
+                message = f"record at position {i} carries index {rec.index}"
+                issues.append(ValidationIssue(i, "index-order", message))
+        ValidationReport(tuple(issues)).raise_if_failed()
+        frames = np.stack([rec.frame.data.ravel() for rec in records])
+        frames.flags.writeable = False  # hand the fresh stack over without a copy
+        return cls(header, [rec.bucket for rec in records], frames)
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return self.header.n
 
     @property
     def width(self) -> int:
@@ -200,20 +227,9 @@ class Dataset:
         return self.header.height
 
     @cached_property
-    def frame_matrix(self) -> np.ndarray:
-        shape = self.records[0].frame.data.shape
-        if any(rec.frame.data.shape != shape for rec in self.records):
-            raise DatasetValidationError(validate_dataset(self))
-        stack = np.stack([rec.frame.data for rec in self.records])
-        matrix = stack.reshape(len(self.records), -1)
-        matrix.flags.writeable = False
-        return matrix
-
-    @cached_property
-    def buckets(self) -> np.ndarray:
-        vec = np.array([rec.bucket for rec in self.records], dtype=np.float64)
-        vec.flags.writeable = False
-        return vec
+    def records(self) -> tuple[MeasurementRecord, ...]:
+        """The run as :class:`MeasurementRecord` objects, built on first use."""
+        return tuple(_records_of(self.header, self.blocks()))
 
     def blocks(self):
         """The records as one ``(start, buckets, frames)`` block, frames of
@@ -226,19 +242,29 @@ class Dataset:
             raise ValueError(f"count must be in [1, {self.n}], got {count}")
         if count == self.n:
             return self
-        header = DatasetHeader(
-            width=self.header.width,
-            height=self.header.height,
-            n=count,
-            seed=self.header.seed,
-            provenance=self.header.provenance,
-        )
-        subset = Dataset(header=header, records=self.records[:count])
-        if "frame_matrix" in self.__dict__:
-            subset.__dict__["frame_matrix"] = self.frame_matrix[:count]
-        if "buckets" in self.__dict__:
-            subset.__dict__["buckets"] = self.buckets[:count]
-        return subset
+        header = replace(self.header, n=count)
+        return _prechecked_dataset(header, self.buckets[:count], self.frame_matrix[:count])
+
+
+def _set_arrays(dataset: Dataset, buckets, frame_matrix) -> None:
+    """Freeze a dataset's arrays into place once their shapes match its header."""
+    header = dataset.header
+    buckets = _frozen_array(buckets, np.float64)
+    frame_matrix = _frozen_array(frame_matrix, np.float64)
+    n, pixels = header.n, header.width * header.height
+    if buckets.shape != (n,) or frame_matrix.shape != (n, pixels):
+        raise ValueError(f"buckets {buckets.shape} and frame matrix {frame_matrix.shape} "
+                         f"do not match n={n} frames of {header.width}x{header.height}")
+    object.__setattr__(dataset, "buckets", buckets)
+    object.__setattr__(dataset, "frame_matrix", frame_matrix)
+
+
+def _prechecked_dataset(header: DatasetHeader, buckets, frame_matrix) -> Dataset:
+    """The constructor without its pixel scan, for frames already checked."""
+    dataset = object.__new__(Dataset)
+    object.__setattr__(dataset, "header", header)
+    _set_arrays(dataset, buckets, frame_matrix)
+    return dataset
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,45 +378,16 @@ class ValidationReport:
             raise DatasetValidationError(self)
 
 
-def _non_finite_bucket(index: int, bucket: float) -> ValidationIssue:
-    return ValidationIssue(index, "non-finite-bucket", f"record {index}: bucket is {bucket}")
+def _bucket_report(start: int, buckets: np.ndarray) -> ValidationReport:
+    """The one bucket check, run on every block that is written or
+    reconstructed: each non-finite bucket of the block at record ``start``."""
+    return ValidationReport(tuple(
+        ValidationIssue(start + i, "non-finite-bucket", f"record {start + i}: bucket is {buckets[i]}")
+        for i in np.flatnonzero(~np.isfinite(buckets)).tolist()
+    ))
 
 
 def validate_dataset(dataset: Dataset) -> ValidationReport:
-    """Check every dataset-level invariant and report all violations.
-
-    Pixel-level invariants (finite, non-negative) are enforced when frames
-    are constructed, so this pass only needs the cheap cross-record checks:
-    shared dimensions, contiguous 0-based indices, finite buckets, and a
-    header that matches the records.
-    """
-    issues: list[ValidationIssue] = []
-    header = dataset.header
-    if header.n != len(dataset.records):
-        issues.append(
-            ValidationIssue(
-                None,
-                "count-mismatch",
-                f"header n={header.n} but dataset holds {len(dataset.records)} records",
-            )
-        )
-    expected_shape = (header.height, header.width)
-    for i, rec in enumerate(dataset.records):
-        if rec.frame.data.shape != expected_shape:
-            issues.append(
-                ValidationIssue(
-                    i,
-                    "dimension-mismatch",
-                    f"record {i}: frame is {rec.frame.height}x{rec.frame.width}, "
-                    f"expected {header.height}x{header.width}",
-                )
-            )
-        if rec.index != i:
-            issues.append(
-                ValidationIssue(
-                    i, "index-order", f"record at position {i} carries index {rec.index}"
-                )
-            )
-        if not np.isfinite(rec.bucket):
-            issues.append(_non_finite_bucket(i, rec.bucket))
-    return ValidationReport(tuple(issues))
+    """Report every non-finite bucket: the one dataset invariant that the
+    constructors do not enforce."""
+    return _bucket_report(0, dataset.buckets)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -287,3 +288,41 @@ def test_simulate_speckle_grain_wider_than_scene_exits_1(tmp_path, scene_pgm, ca
     assert code == 1
     assert "grain radius" in capsys.readouterr().err
     assert not (tmp_path / "x.gid").exists()
+
+
+def test_sweep_drift_kind_point_checked_before_any_run(tmp_path, scene_pgm, monkeypatch):
+    # random-walk accepts amplitude 2, but a linear point with it is invalid.
+    def no_run(*args, **kwargs):
+        raise AssertionError("sweep simulated a point before checking every point")
+
+    monkeypatch.setattr("gikit.cli.simulate", no_run)
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--scene", str(scene_pgm), "--drift", "random-walk:2", "--axis", "drift-kind",
+              "--values", "none,linear", "--methods", "g2", "--n", "16", "--out", str(tmp_path / "sweep")])
+    assert err.value.code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.pgm"]
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n", "16"],
+    ["sweep", "--axis", "n", "--values", "8", "--methods", "g2", "--n", "16"],
+])
+def test_negative_seed_exits_2_before_work(tmp_path, scene_pgm, capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main(command + ["--scene", str(scene_pgm), "--seed", "-1", "--out", str(tmp_path / "x")])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.pgm"]
+
+
+@pytest.mark.parametrize("flag", ["--step-shift", "--jitter"])
+def test_simulate_speckle_offsets_out_of_int64_range_exit_1(tmp_path, capsys, flag):
+    scene = tmp_path / "scene.pgm"
+    export_image(ReconImage(binary_demo_scene(8, 8).transmission), scene)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow must be caught, not warned about
+        code = main(["simulate", "--scene", str(scene), "--n", "16", "--pattern", "speckle",
+                     flag, "1e308", "--out", str(tmp_path / "x.gid")])
+    assert code == 1
+    assert "speckle offsets" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.pgm"]

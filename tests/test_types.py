@@ -5,14 +5,23 @@ from hypothesis import strategies as st
 
 from gikit import (
     Dataset,
+    DatasetValidationError,
     DatasetHeader,
     Frame,
     MeasurementRecord,
+    NoiseModel,
     ObjectMask,
     ReconImage,
+    binary_demo_scene,
+    decode_dataset,
+    encode_dataset,
     frame_sum,
+    read_dataset,
+    simulate,
     validate_dataset,
+    write_dataset,
 )
+from gikit.reconstruct import METHODS, reconstruct
 
 
 def test_frame_sum_hand_cases():
@@ -65,7 +74,7 @@ def _dataset_from_frames(frames, buckets):
         MeasurementRecord(i, Frame(f), b) for i, (f, b) in enumerate(zip(frames, buckets))
     )
     header = DatasetHeader(width=frames[0].shape[1], height=frames[0].shape[0], n=len(records))
-    return Dataset(header=header, records=records)
+    return Dataset.from_records(records, header)
 
 
 def test_validate_dataset_ok():
@@ -78,8 +87,9 @@ def test_validate_dataset_ok():
 
 def test_validate_dataset_dimension_mismatch_at_index():
     frames = [np.ones((4, 4)), np.ones((3, 4)), np.ones((4, 4))]
-    ds = _dataset_from_frames(frames, [1.0, 2.0, 3.0])
-    report = validate_dataset(ds)
+    with pytest.raises(DatasetValidationError) as err:
+        _dataset_from_frames(frames, [1.0, 2.0, 3.0])
+    report = err.value.report
     assert not report.ok
     assert [(i.index, i.code) for i in report.issues] == [(1, "dimension-mismatch")]
 
@@ -96,8 +106,9 @@ def test_validate_dataset_nan_bucket_at_index():
 def test_validate_dataset_header_count_and_index_order():
     frames = [np.ones((2, 2))] * 2
     records = tuple(MeasurementRecord(i + 1, Frame(f), 0.5) for i, f in enumerate(frames))
-    ds = Dataset(header=DatasetHeader(width=2, height=2, n=3), records=records)
-    codes = {i.code for i in validate_dataset(ds).issues}
+    with pytest.raises(DatasetValidationError) as err:
+        Dataset.from_records(records, DatasetHeader(width=2, height=2, n=3))
+    codes = {i.code for i in err.value.report.issues}
     assert codes == {"count-mismatch", "index-order"}
 
 
@@ -123,8 +134,8 @@ def test_dataset_from_arrays_views_and_first():
 
 
 def test_dataset_requires_records():
-    with pytest.raises(ValueError):
-        Dataset(header=DatasetHeader(width=1, height=1, n=1), records=())
+    with pytest.raises(DatasetValidationError):
+        Dataset.from_records((), DatasetHeader(width=1, height=1, n=1))
     with pytest.raises(ValueError):
         DatasetHeader(width=0, height=1, n=1)
     with pytest.raises(ValueError):
@@ -145,3 +156,62 @@ def test_object_mask_needs_both_classes():
         ObjectMask(np.ones((2, 2), dtype=bool))
     with pytest.raises(ValueError):
         ObjectMask(np.zeros((2, 2), dtype=bool))
+
+
+@pytest.mark.parametrize("n", [1, 17])
+def test_from_records_restacks_the_records_view(n):
+    ds = simulate(binary_demo_scene(6, 5), n=n, seed=3, noise=NoiseModel(mean=0.1, std=0.2))
+    back = Dataset.from_records(ds.records, ds.header)
+    assert back.header == ds.header
+    np.testing.assert_array_equal(back.buckets, ds.buckets)
+    np.testing.assert_array_equal(back.frame_matrix, ds.frame_matrix)
+    assert encode_dataset(back) == encode_dataset(ds)
+
+
+def test_dataset_constructor_checks_shapes_and_pixels():
+    header = DatasetHeader(width=3, height=2, n=4)
+    frames = np.ones((4, 6))
+    ds = Dataset(header, [1.0, np.nan, -2.0, 3.0], frames)  # any bucket value is representable
+    assert ds.n == 4 and not ds.frame_matrix.flags.writeable and not ds.buckets.flags.writeable
+    frames[0, 0] = 5.0  # the caller's buffer was copied, not taken
+    assert ds.frame_matrix[0, 0] == 1.0
+    for buckets, matrix in [
+        (np.zeros(3), frames),
+        (np.zeros((4, 1)), frames),
+        (np.zeros(4), np.ones((4, 5))),
+        (np.zeros(4), np.ones((5, 6))),
+        (np.zeros(4), np.ones((4, 2, 3))),
+    ]:
+        with pytest.raises(ValueError, match="do not match"):
+            Dataset(header, buckets, matrix)
+    for bad in (np.nan, np.inf, -0.5):
+        matrix = np.ones((4, 6))
+        matrix[2, 1] = bad
+        with pytest.raises(ValueError, match="frame matrix"):
+            Dataset(header, np.zeros(4), matrix)
+
+
+def test_array_routes_build_no_records(monkeypatch, tmp_path):
+    built = []
+    post_init = MeasurementRecord.__post_init__
+
+    def counting(record):
+        built.append(record.index)
+        post_init(record)
+
+    monkeypatch.setattr(MeasurementRecord, "__post_init__", counting)
+    ds = simulate(binary_demo_scene(8, 8), n=24, seed=2, noise=NoiseModel(std=0.1))
+    write_dataset(ds, tmp_path / "run.gid")
+    sources = [
+        ds,
+        ds.first(20),
+        Dataset.from_arrays(ds.frame_matrix.reshape(24, 8, 8), ds.buckets),
+        read_dataset(tmp_path / "run.gid"),
+        decode_dataset(encode_dataset(ds)),
+    ]
+    for source in sources:
+        for method in METHODS:
+            reconstruct(source, method)
+        encode_dataset(source)
+    assert built == []
+    assert [r.index for r in ds.records] == built == list(range(24))  # the view does build them
