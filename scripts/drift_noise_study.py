@@ -52,12 +52,13 @@ def main() -> int:
         ratio = dev.std() / centered.std() if centered.std() > 0 else float("nan")
         cnrs = []
         for name, recon in METHODS.items():
-            quality = gikit.cnr(recon(ds).images[0], mask).cnr
+            result = recon(ds)
+            quality = gikit.cnr(result.images[0], mask).cnr
             cnrs.append(quality)
             rows.append(ManifestRow(
                 method=name, n=ds.n, k=1 if name == "sgi1" else None,
                 drift_kind=kind, noise_mean=0.0, cnr=quality,
-                pair_count=ds.n - 1, wall_time_ms=0.0,
+                pair_count=result.count, wall_time_ms=0.0,
                 settings={"seed": args.seed, "part": "drift-kinds"},
             ))
         with open(outdir / f"sr_{kind}.csv", "w") as fh:
@@ -76,12 +77,13 @@ def main() -> int:
                             drift=drift, noise=noise)
         cnrs = []
         for name, recon in METHODS.items():
-            quality = gikit.cnr(recon(ds).images[0], mask).cnr
+            result = recon(ds)
+            quality = gikit.cnr(result.images[0], mask).cnr
             cnrs.append(quality)
             rows.append(ManifestRow(
                 method=name, n=ds.n, k=1 if name == "sgi1" else None,
                 drift_kind="linear", noise_mean=float(mean), cnr=quality,
-                pair_count=ds.n - 1, wall_time_ms=0.0,
+                pair_count=result.count, wall_time_ms=0.0,
                 settings={"seed": args.seed, "part": "noise-sweep"},
             ))
         print(f"{mean:6.3f} " + " ".join(f"{c:10.3f}" for c in cnrs))

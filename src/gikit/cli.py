@@ -27,7 +27,7 @@ from .fileio import (
     write_manifest,
 )
 from .metrics import cnr, mask_from_scene
-from .reconstruct import METHODS, SGI_METHODS, SgiAccumulator, reconstruct, sr_diagnostics
+from .reconstruct import METHODS, SGI_METHODS, SgiAccumulator, _frame_blocks, reconstruct, sr_diagnostics
 from .simulate import DRIFT_KINDS, DriftProfile, NoiseModel, PatternModel, Simulation, simulate
 
 PATTERN_ALIASES = {"iid": "iid-uniform", "speckle": "correlated-speckle"}
@@ -190,13 +190,13 @@ def cmd_simulate(args, parser) -> int:
 def _progressive_reconstruct(source, method, shift, close_loop, every, prefix, raw):
     for _ in source.blocks():  # check every record before the first snapshot is written
         pass
-    mode = int(method[-1])
-    acc = SgiAccumulator(mode=mode, shift=shift, close_loop=close_loop)
-    for rec in source.iter_records():
-        acc.push(rec)
-        if acc.records_seen % every == 0 and acc.pairs >= 1:
-            snap = acc.snapshot()
-            _export_result(snap, f"{prefix}_snap{acc.records_seen:06d}", raw=False)
+    acc = SgiAccumulator(mode=int(method[-1]), shift=shift, close_loop=close_loop)
+    for start, buckets, frames in _frame_blocks(source):
+        cuts = range(every - start % every, len(buckets), every)  # the snapshot points in the block
+        for lo, hi in zip((0, *cuts), (*cuts, len(buckets))):
+            acc.push_block(start + lo, buckets[lo:hi], frames[lo:hi])
+            if acc.records_seen % every == 0 and acc.pairs >= 1:
+                _export_result(acc.snapshot(), f"{prefix}_snap{acc.records_seen:06d}", raw=False)
     result = acc.snapshot()
     _export_result(result, prefix, raw)
     return result

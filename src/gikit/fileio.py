@@ -23,8 +23,8 @@ one (n, pixels) stack and check that slice; :func:`open_container` hands
 the blocks out one at a time, which is how the CLI reads: ``reconstruct``,
 ``--progressive`` and ``diagnose`` hold the 16 MB record buffer, at most two
 float64 blocks (the one in use and the one being read, about 32 MB each),
-O(n) bucket and frame-total vectors and the estimator state, never the whole
-frame matrix.
+O(n) bucket and frame-total vectors and the output images or the sgi
+accumulator's 1 MB row buffer, never the whole frame matrix.
 
 Every write goes through one block writer, :func:`write_container`, which
 takes a header and the same ``(start, buckets, frames)`` blocks and stores
@@ -57,11 +57,9 @@ from .errors import FileFormatError
 from .types import (
     Dataset,
     DatasetHeader,
-    MeasurementRecord,
     ObjectScene,
     ReconImage,
     _bucket_report,
-    _records_of,
 )
 from .metrics import normalize_minmax
 
@@ -286,10 +284,6 @@ class Container:
         :class:`FileFormatError` before it is yielded."""
         with open(self.path, "rb") as fh:
             yield from _read_blocks(fh, self.offset, self.n, self.header.width * self.header.height)
-
-    def iter_records(self) -> Iterator[MeasurementRecord]:
-        """One pass over the records, one :class:`MeasurementRecord` at a time."""
-        return _records_of(self.header, self.blocks())
 
 
 def open_container(path) -> Container:

@@ -31,19 +31,18 @@ any k. With ``close_loop`` (defined for k = 1 only, meant for stable
 sources) one extra pair is formed from the last record and the first,
 giving m = N.
 
-The pair rule has three callers: the batch path scatters it into W for one
-W @ M; :class:`SgiAccumulator` applies it to each new record and the one k
-places earlier, with O(pixels) work and O(k * pixels) state; and both apply
-it to the (last, first) pair for ``close_loop``. Because the formula exists
-once, streaming ``snapshot()`` reproduces the batch result on the records
-seen so far up to summation order, and the paths cannot drift apart.
-Streaming sums are Neumaier-compensated so the two agree far below the
-1e-12 contract even after tens of thousands of pushes.
+Every sgi route runs through one :class:`SgiAccumulator`: batch
+``reconstruct`` feeds it the source's row blocks in one pass,
+``--progressive`` the same blocks cut at its snapshots, and ``push`` one
+record. It sums the pairs in fixed chunks of records aligned to record 0,
+scattering the pair rule into weights over a chunk and the ``shift`` rows
+before it, so a chunk costs one product and one Neumaier-compensated
+addition. The summation order depends only on record indices, so every route
+and block cut gives the same bits, far inside the 1e-12 contract.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,14 +115,7 @@ def _checked_totals(source) -> tuple[np.ndarray, np.ndarray]:
 
 def _weighted_sum(source, weights: np.ndarray) -> np.ndarray:
     """The second pass: G = W @ M, one row block of M at a time."""
-    total = None
-    for start, _, frames in source.blocks():
-        part = weights[:, start : start + len(frames)] @ frames
-        if total is None:
-            total = part
-        else:
-            total += part
-    return total
+    return sum(weights[:, start : start + len(frames)] @ frames for start, _, frames in source.blocks())
 
 
 def _deviations(s_r: np.ndarray, shift: int) -> np.ndarray:
@@ -170,62 +162,35 @@ def _pair_coefficients(mode: int, s_new, s_old) -> tuple[np.ndarray, np.ndarray]
     return np.array([s_new, s_old]), np.array([-s_new, -s_old])
 
 
-def _sgi_weights(mode: int, buckets: np.ndarray, shift: int, close_loop: bool) -> tuple[np.ndarray, int]:
-    """Weight rows of a successive-deviation estimator and its pair count."""
-    n = len(buckets)
-    if n <= shift:
-        raise InsufficientRecordsError(
-            f"successive-deviation pairs need more than shift={shift} records, got {n}"
-        )
-    c_new, c_old = _pair_coefficients(mode, buckets[shift:], buckets[: n - shift])
-    weights = np.zeros((len(c_new), n))
-    weights[:, shift:] += c_new
-    weights[:, : n - shift] += c_old
-    pairs = n - shift
-    if close_loop:
-        c_new, c_old = _pair_coefficients(mode, buckets[-1], buckets[0])
-        weights[:, -1] += c_new
-        weights[:, 0] += c_old
-        pairs += 1
-    return weights / pairs, pairs
-
-
-def _check_sgi_args(mode: int, shift: int, close_loop: bool) -> None:
-    if mode not in SGI_MODES:
-        raise ValueError(f"mode must be one of {SGI_MODES}, got {mode}")
-    if shift < 1:
-        raise ValueError(f"shift must be >= 1, got {shift}")
-    if close_loop and shift != 1:
-        # Open interpretation: the wrap-around pair is only defined for
-        # unit shift; how it generalizes to k > 1 is unspecified.
-        raise ValueError("close_loop is only defined for shift=1")
+def _frame_blocks(source):
+    """``source.blocks()`` with each block's frames shaped (rows, height, width)."""
+    shape = (source.header.height, source.header.width)
+    for start, buckets, frames in source.blocks():
+        yield start, buckets, frames.reshape(len(frames), *shape)
 
 
 def reconstruct(source, method: str, *, shift: int = 1, close_loop: bool = False) -> ReconResult:
-    """Batch reconstruction G = W @ M with any method in :data:`METHODS`.
+    """Batch reconstruction with any method in :data:`METHODS`.
 
     ``source`` is a :class:`~gikit.types.Dataset`, read as one block, or an
-    opened :class:`~gikit.fileio.Container`, read in row blocks: a first
-    pass collects the buckets and frame totals the weights need, a second
-    sums ``W[:, rows] @ block``. ``shift`` and ``close_loop`` choose the
-    pairs of the sgi methods; the classic methods ignore them and report
-    frame-total deviations at shift 1.
+    opened :class:`~gikit.fileio.Container`, read in row blocks. The sgi
+    methods feed one pass to an :class:`SgiAccumulator`, ``shift`` and
+    ``close_loop`` choosing the pairs. The classic methods ignore those and
+    take two passes, one for the buckets and frame totals their weights need
+    and one summing ``W[:, rows] @ block``; they report deviations at shift 1.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    mode = int(method[-1]) if method in SGI_METHODS else None
-    if mode is not None:
-        _check_sgi_args(mode, shift, close_loop)
+    if method in SGI_METHODS:
+        acc = SgiAccumulator(mode=int(method[-1]), shift=shift, close_loop=close_loop)
+        for block in _frame_blocks(source):
+            acc.push_block(*block)
+        return acc.snapshot()
     buckets, s_r = _checked_totals(source)
-    if mode is None:
-        weights, count = _classic_weights(method, buckets, s_r), len(buckets)
-        dev = _deviations(s_r, 1)
-    else:
-        weights, count = _sgi_weights(mode, buckets, shift, close_loop)
-        dev = _deviations(s_r, shift)
+    weights = _classic_weights(method, buckets, s_r)
     shape = (source.header.height, source.header.width)
     images = tuple(ReconImage(row.reshape(shape)) for row in _weighted_sum(source, weights))
-    return ReconResult(method, images, count, s_r, dev)
+    return ReconResult(method, images, len(buckets), s_r, _deviations(s_r, 1))
 
 
 def recon_g2(dataset: Dataset) -> ReconResult:
@@ -253,11 +218,10 @@ def recon_ci(dataset: Dataset) -> ReconResult:
 def recon_sgi(source, mode: int = 1, shift: int = 1, close_loop: bool = False) -> ReconResult:
     """Successive-deviation reconstruction from a dataset or a record stream.
 
-    A :class:`~gikit.types.Dataset` takes the batch path; any other iterable
-    of records is fed through an :class:`SgiAccumulator`. Both routes apply
-    the same pair rule and agree within the streaming contract.
+    A :class:`~gikit.types.Dataset` is fed to an :class:`SgiAccumulator` as
+    one block, any other iterable of records one record at a time; both
+    give the same bits.
     """
-    _check_sgi_args(mode, shift, close_loop)
     if isinstance(source, Dataset):
         return reconstruct(source, f"sgi{mode}", shift=shift, close_loop=close_loop)
     acc = SgiAccumulator(mode=mode, shift=shift, close_loop=close_loop)
@@ -279,13 +243,16 @@ def sr_diagnostics(source, shift: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return s_r, _deviations(s_r, shift)
 
 
-class _CompensatedSum:
-    """Elementwise Neumaier-compensated accumulator.
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a + b`` and its exact rounding error, by Knuth's branch-free TwoSum
+    (bit for bit Neumaier's branch on magnitudes, in fewer array passes)."""
+    t = a + b
+    from_b = t - a
+    return t, (a - (t - from_b)) + (b - from_b)
 
-    The rounding error of each addition comes from Knuth's branch-free
-    TwoSum. It is exact, so it equals Neumaier's branch on magnitudes bit
-    for bit, and it takes fewer passes over the array.
-    """
+
+class _CompensatedSum:
+    """Elementwise Neumaier-compensated accumulator."""
 
     __slots__ = ("total", "comp")
 
@@ -294,93 +261,136 @@ class _CompensatedSum:
         self.comp = np.zeros(shape)
 
     def add(self, values: np.ndarray) -> None:
-        t = self.total + values
-        from_values = t - self.total
-        self.comp += (self.total - (t - from_values)) + (values - from_values)
-        self.total = t
+        self.total, error = _two_sum(self.total, values)
+        self.comp += error
 
-    def value(self) -> np.ndarray:
-        return self.total + self.comp
+    def value(self, *pending: np.ndarray) -> np.ndarray:
+        """The compensated total plus ``pending`` terms, changing nothing."""
+        total, comp = self.total, self.comp
+        for values in pending:
+            total, error = _two_sum(total, values)
+            comp = comp + error
+        return total + comp
+
+
+_CHUNK_BYTES = 2**20  # float64 frame rows per summation chunk
 
 
 class SgiAccumulator:
     """Streaming state for the successive-deviation estimators.
 
-    Holds a ring buffer of the last ``shift`` records, one compensated
-    (images, pixels) sum of the pair terms, and the first record when the
-    loop-closing pair may be needed. ``push`` is O(pixels); ``snapshot`` may
-    be called after any push once at least one pair exists and never mutates
-    the accumulator, so periodic snapshots give real-time reconstruction.
-    Single-writer: push from one thread; snapshots are immutable values and
-    safe to hand elsewhere.
+    Records arrive in order, in blocks (:meth:`push_block`) or one at a time
+    (:meth:`push`). Pairs are summed in fixed chunks of about 1 MB of rows,
+    aligned to record 0, each in the chunk of its newer record; a full chunk
+    takes one weighted product over a buffer holding the chunk and the
+    ``shift`` rows before it, and one compensated addition. So the images
+    depend on the records only, not on the block cuts. The buffer, the first
+    record (kept only for ``close_loop``) and the frame totals are copies.
+    ``snapshot`` never mutates the accumulator, so periodic snapshots give
+    real-time reconstruction. Single-writer: push from one thread.
     """
 
     def __init__(self, mode: int = 1, shift: int = 1, close_loop: bool = False):
-        _check_sgi_args(mode, shift, close_loop)
+        if mode not in SGI_MODES:
+            raise ValueError(f"mode must be one of {SGI_MODES}, got {mode}")
+        if shift < 1:
+            raise ValueError(f"shift must be >= 1, got {shift}")
+        if close_loop and shift != 1:
+            # Open interpretation: the wrap-around pair is only defined for
+            # unit shift; how it generalizes to k > 1 is unspecified.
+            raise ValueError("close_loop is only defined for shift=1")
         self.mode = mode
         self.shift = shift
         self.close_loop = close_loop
-        self._ring: deque[tuple[float, np.ndarray]] = deque(maxlen=shift)
-        self._first: tuple[float, np.ndarray] | None = None
-        self._last: tuple[float, np.ndarray] | None = None
-        self._sum: _CompensatedSum | None = None
         self._shape: tuple[int, int] | None = None
-        self._pairs = 0
+        self._chunk = 0
+        self._rows: np.ndarray | None = None  # (shift + chunk, pixels): the ring, then the chunk
+        self._buckets: np.ndarray | None = None
+        self._sum: _CompensatedSum | None = None
+        self._first: tuple[float, np.ndarray] | None = None
+        self._s_r = np.empty(0)
         self._seen = 0
-        self._s_r: list[float] = []
 
     @property
     def pairs(self) -> int:
-        return self._pairs
+        return max(0, self._seen - self.shift)
 
     @property
     def records_seen(self) -> int:
         return self._seen
 
-    def _pair_term(self, new: tuple[float, np.ndarray], old: tuple[float, np.ndarray]) -> np.ndarray:
-        """One pair's contribution to every output image, (images, pixels)."""
-        c_new, c_old = _pair_coefficients(self.mode, new[0], old[0])
-        return c_new[:, np.newaxis] * new[1] + c_old[:, np.newaxis] * old[1]
-
     def push(self, record: MeasurementRecord) -> None:
-        frame = record.frame.data
-        bucket = float(record.bucket)
-        if not np.isfinite(bucket):
-            raise ValueError(f"record {record.index}: bucket is {record.bucket}")
+        """Add one record, as a one-row :meth:`push_block`."""
+        self.push_block(record.index, np.array([record.bucket]), record.frame.data[np.newaxis])
+
+    def push_block(self, start: int, buckets, frames) -> None:
+        """Add records ``start`` .. ``start + rows - 1`` from buckets (rows,)
+        and frames (rows, height, width); ``start`` must be :attr:`records_seen`.
+
+        A block that does not fit raises ``ValueError``, and a non-finite
+        bucket :class:`DatasetValidationError`; either way nothing is added.
+        """
+        buckets, frames = np.asarray(buckets, dtype=np.float64), np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 3 or buckets.shape != frames.shape[:1] or self._shape not in (None, frames.shape[1:]):
+            raise ValueError(f"record {start}: buckets {buckets.shape} and frames {frames.shape} "
+                             f"do not fit frames of shape {self._shape}")
+        if start != self._seen:
+            raise ValueError(f"block starts at record {start}, expected {self._seen}")
+        _bucket_report(start, buckets).raise_if_failed()
+        if not len(frames):
+            return
+        rows = frames.reshape(len(frames), -1)
         if self._shape is None:
-            self._shape = frame.shape
-        elif frame.shape != self._shape:
-            raise ValueError(
-                f"record {record.index}: frame shape {frame.shape} does not match {self._shape}"
-            )
-        entry = (bucket, frame.reshape(-1))
-        if self._first is None:
-            self._first = entry
-        self._s_r.append(float(frame.sum()))
-        if len(self._ring) == self.shift:
-            term = self._pair_term(entry, self._ring[0])
-            if self._sum is None:
-                self._sum = _CompensatedSum(term.shape)
-            self._sum.add(term)
-            self._pairs += 1
-        self._ring.append(entry)
-        self._last = entry
-        self._seen += 1
+            self._shape, self._chunk = frames.shape[1:], max(1, _CHUNK_BYTES // rows[0].nbytes)
+            # Zeros: the rows before record 0 take weight 0, and 0 * NaN would be NaN.
+            self._rows = np.zeros((self.shift + self._chunk, rows.shape[1]))
+            self._buckets = np.zeros(self.shift + self._chunk)
+            self._sum = _CompensatedSum((1 if self.mode == 1 else 2, rows.shape[1]))
+            self._first = (float(buckets[0]), rows[0].copy()) if self.close_loop else None
+        end = start + len(rows)
+        if end > len(self._s_r):
+            self._s_r = np.resize(self._s_r, max(end, 2 * len(self._s_r)))
+        self._s_r[start:end] = rows.sum(axis=1)
+        chunk = self._chunk
+        cuts = range(chunk - start % chunk, len(rows), chunk)  # where a chunk fills
+        for lo, hi in zip((0, *cuts), (*cuts, len(rows))):
+            at = self.shift + (start + lo) % chunk
+            self._rows[at : at + hi - lo] = rows[lo:hi]
+            self._buckets[at : at + hi - lo] = buckets[lo:hi]
+            self._seen = start + hi
+            if self._seen % chunk == 0:
+                self._sum.add(self._chunk_term(chunk))
+                self._rows[: self.shift] = self._rows[chunk:]
+                self._buckets[: self.shift] = self._buckets[chunk:]
+
+    def _chunk_term(self, filled: int) -> np.ndarray:
+        """The summed terms, (images, pixels), of the pairs whose newer record
+        is among the ``filled`` rows of the current chunk."""
+        shift, end = self.shift, self.shift + filled
+        # Buffer row r holds record r + chunk start - shift, and the first
+        # record with a partner is the chunk start or record ``shift``.
+        first_new = max(shift, 2 * shift - (self._seen - filled))
+        new, old = slice(first_new, end), slice(first_new - shift, end - shift)
+        c_new, c_old = _pair_coefficients(self.mode, self._buckets[new], self._buckets[old])
+        weights = np.zeros((len(c_new), end))
+        weights[:, new] += c_new
+        weights[:, old] += c_old
+        return weights @ self._rows[:end]
 
     def snapshot(self) -> ReconResult:
         """Reconstruction over the pairs seen so far; equals the batch result."""
-        pairs = self._pairs
         use_loop = self.close_loop and self._seen >= 2
-        if use_loop:
-            pairs += 1
+        pairs = self.pairs + use_loop
         if pairs < 1:
             raise InsufficientRecordsError(
                 f"no pairs yet: {self._seen} records pushed with shift={self.shift}"
             )
-        total = self._sum.value()
+        filled = self._seen % self._chunk
+        pending = [self._chunk_term(filled)]
         if use_loop:
-            total += self._pair_term(self._last, self._first)
-        images = tuple(ReconImage(row.reshape(self._shape) / pairs) for row in total)
-        s_r = np.array(self._s_r)
-        dev = s_r[self.shift :] - s_r[: len(s_r) - self.shift]
-        return ReconResult(f"sgi{self.mode}", images, pairs, s_r, dev)
+            last = self.shift + filled - 1
+            c_new, c_old = _pair_coefficients(self.mode, self._buckets[last], self._first[0])
+            pending.append(c_new[:, np.newaxis] * self._rows[last] + c_old[:, np.newaxis] * self._first[1])
+        images = tuple(ReconImage(row.reshape(self._shape) / pairs) for row in self._sum.value(*pending))
+        s_r = self._s_r[: self._seen].copy()
+        return ReconResult(f"sgi{self.mode}", images, pairs, s_r, _deviations(s_r, self.shift))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -136,15 +135,6 @@ class DatasetHeader:
             raise ValueError(f"header measurement count must be >= 1, got {self.n}")
 
 
-def _records_of(header: DatasetHeader, blocks) -> Iterator[MeasurementRecord]:
-    """The records of ``(start, buckets, frames)`` blocks of checked, read-only
-    float64 frames, each frame a view of its row."""
-    shape = (header.height, header.width)
-    for start, buckets, frames in blocks:
-        for i, bucket in enumerate(buckets.tolist()):
-            yield MeasurementRecord(start + i, _frame_unchecked(frames[i].reshape(shape)), bucket)
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A measurement run: the header, the (n,) bucket vector and the
@@ -228,8 +218,11 @@ class Dataset:
 
     @cached_property
     def records(self) -> tuple[MeasurementRecord, ...]:
-        """The run as :class:`MeasurementRecord` objects, built on first use."""
-        return tuple(_records_of(self.header, self.blocks()))
+        """The run as :class:`MeasurementRecord` objects, built on first use,
+        each frame a view of its row of the frame matrix."""
+        shape = (self.height, self.width)
+        return tuple(MeasurementRecord(i, _frame_unchecked(row.reshape(shape)), bucket)
+                     for i, (bucket, row) in enumerate(zip(self.buckets.tolist(), self.frame_matrix)))
 
     def blocks(self):
         """The records as one ``(start, buckets, frames)`` block, frames of

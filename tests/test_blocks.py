@@ -74,10 +74,6 @@ def test_blocks_cover_every_record_once(tmp_path, scene_pgm, small_blocks, n):
         assert not f.flags.writeable and not b.flags.writeable
     for (_, _, older), (_, _, newer) in zip(blocks, blocks[1:]):
         assert not np.shares_memory(older, newer)  # an accumulator may keep rows of the older
-    records = list(container.iter_records())
-    assert [r.index for r in records] == list(range(n))
-    np.testing.assert_array_equal(records[-1].frame.data, whole.records[-1].frame.data)
-    assert records[-1].bucket == whole.records[-1].bucket
 
 
 @pytest.mark.parametrize("n", [17, 64])

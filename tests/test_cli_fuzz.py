@@ -118,7 +118,6 @@ def argvs(draw, root):
     return argv
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # hostile values overflow on purpose
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_main_exits_0_1_or_2(files, data):
