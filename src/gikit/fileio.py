@@ -17,7 +17,15 @@ exactly.
 Every read goes through one block reader. It checks the header and the
 payload length once, then reads the fixed-stride records about 16 MB at a
 time and yields them as fresh float64 blocks, checking each block for
-non-finite values and negative pixels. :func:`read_dataset` and
+non-finite values and negative pixels. The check runs on the stored
+float32 pixels in two scans, ``min() >= 0`` (false for NaN, -inf and
+negative pixels) and ``max() < inf``, plus ``isfinite`` on the buckets; only
+a block that fails is scanned again to tell which error it holds.
+:attr:`Container.buckets` reads the bucket column alone, one 8-byte
+``os.pread`` per record at the record stride, and checks it the same way,
+so the classic estimators can build their weights before they read a
+frame. No read maps the file: touched file-backed pages would count
+toward the process's peak RSS. :func:`read_dataset` and
 :func:`decode_dataset` convert each stored chunk straight into its slice of
 one (n, pixels) stack and check that slice; :func:`open_container` hands
 the blocks out one at a time, which is how the CLI reads: ``reconstruct``,
@@ -231,15 +239,28 @@ def _read_chunks(fh, offset: int, n: int, pixels: int) -> Iterator[tuple[int, np
         yield start, chunk
 
 
-def _convert_checked(chunk: np.ndarray, buckets: np.ndarray, frames: np.ndarray) -> None:
-    """Convert stored records into float64 ``buckets`` (rows,) and ``frames``
-    (rows, pixels), then check them for non-finite values and negative pixels."""
-    np.copyto(buckets, chunk["bucket"])
-    np.copyto(frames, chunk["frame"])
-    if not np.isfinite(buckets).all() or not np.isfinite(frames).all():
+def _check_buckets(buckets: np.ndarray) -> None:
+    if not np.isfinite(buckets).all():
         raise FileFormatError("payload contains non-finite values")
-    if (frames < 0.0).any():
+
+
+def _convert_checked(chunk: np.ndarray, buckets: np.ndarray, frames: np.ndarray) -> None:
+    """Check stored records for non-finite values and negative pixels, then
+    convert them into float64 ``buckets`` (rows,) and ``frames`` (rows, pixels).
+
+    The stored pixels take two scans: ``min() >= 0`` fails on a NaN, -inf or
+    negative pixel and ``max() < inf`` on +inf. Only then are the buckets and
+    pixels told apart, so a block with both a non-finite value and a negative
+    pixel is reported as non-finite.
+    """
+    np.copyto(buckets, chunk["bucket"])
+    _check_buckets(buckets)
+    stored = chunk["frame"]
+    if not (stored.min() >= 0.0 and stored.max() < np.inf):
+        if not np.isfinite(stored).all():
+            raise FileFormatError("payload contains non-finite values")
         raise FileFormatError("payload contains negative frame intensities")
+    np.copyto(frames, stored)
 
 
 def _read_blocks(fh, offset: int, n: int, pixels: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -270,6 +291,22 @@ class Container:
     @property
     def n(self) -> int:
         return self.header.n
+
+    @property
+    def buckets(self) -> np.ndarray:
+        """The first ``n`` buckets alone, read-only float64 (n,): one 8-byte
+        read per record at the record stride. A non-finite bucket or a file
+        cut short since it was opened raises :class:`FileFormatError`."""
+        stride = _record_dtype(self.header.width * self.header.height).itemsize
+        with open(self.path, "rb") as fh:
+            starts = range(self.offset, self.offset + self.n * stride, stride)
+            stored = b"".join([os.pread(fh.fileno(), _BUCKET_BYTES, at) for at in starts])
+        if len(stored) != self.n * _BUCKET_BYTES:
+            raise FileFormatError(f"payload ended inside record {len(stored) // _BUCKET_BYTES}")
+        buckets = np.frombuffer(stored, dtype="<f8").astype(np.float64)
+        _check_buckets(buckets)
+        buckets.flags.writeable = False
+        return buckets
 
     def first(self, count: int) -> "Container":
         """The same file, read only up to its first ``count`` records."""

@@ -15,6 +15,9 @@ where pos and neg are the 0/1 indicators of S_i >= <S> (ties go to the
 positive subset) and S_i < <S>, with subset sizes N+ and N-. Written as
 weights, the differential cancellation S - (<S>/<R>) R of dgi (Ferri et al.,
 PRL 104, 253603, 2010) runs on N scalars rather than on whole images.
+Only dgi's weights need the frames (through <R>), so g2, dgi-delta and ci
+read a container's bucket column alone and then make one pass over the
+frames, which also gives the frame totals; dgi makes a pass for <R> first.
 
 The successive-deviation estimators replace the ensemble means with the
 record a fixed shift k earlier, over pairs (i+k, i), i = 0..N-k-1. One pair
@@ -98,24 +101,27 @@ class ReconResult:
         return self.images[1]
 
 
-def _checked_totals(source) -> tuple[np.ndarray, np.ndarray]:
-    """The first, validating pass over a source: buckets S and frame totals R.
-
-    Every block gets the writer's bucket check, and a container checks each
-    block as it is read, so a bad record fails the pass before any image.
-    """
-    buckets, s_r = np.empty(source.n), np.empty(source.n)
-    for start, block_buckets, frames in source.blocks():
-        _bucket_report(start, block_buckets).raise_if_failed()
-        rows = slice(start, start + len(block_buckets))
-        buckets[rows] = block_buckets
-        s_r[rows] = frames.sum(axis=1)
-    return buckets, s_r
+def _checked_buckets(source) -> np.ndarray:
+    """The source's buckets S, given the writer's bucket check (a container
+    reads its bucket column alone and checks it as it reads)."""
+    buckets = source.buckets
+    _bucket_report(0, buckets).raise_if_failed()
+    return buckets
 
 
-def _weighted_sum(source, weights: np.ndarray) -> np.ndarray:
-    """The second pass: G = W @ M, one row block of M at a time."""
-    return sum(weights[:, start : start + len(frames)] @ frames for start, _, frames in source.blocks())
+def _frame_pass(source, weights: np.ndarray | None = None, s_r: np.ndarray | None = None):
+    """One pass over the frames. Returns G = W @ M for weight rows W, summed
+    one row block of M at a time from 0, and fills ``s_r`` with the frame
+    totals R if it is given. A container checks each block as it is read,
+    so a bad record fails the pass before any image exists."""
+    total = 0
+    for start, _, frames in source.blocks():
+        rows = slice(start, start + len(frames))
+        if s_r is not None:
+            s_r[rows] = frames.sum(axis=1)
+        if weights is not None:
+            total = total + weights[:, rows] @ frames
+    return total
 
 
 def _deviations(s_r: np.ndarray, shift: int) -> np.ndarray:
@@ -176,8 +182,11 @@ def reconstruct(source, method: str, *, shift: int = 1, close_loop: bool = False
     opened :class:`~gikit.fileio.Container`, read in row blocks. The sgi
     methods feed one pass to an :class:`SgiAccumulator`, ``shift`` and
     ``close_loop`` choosing the pairs. The classic methods ignore those and
-    take two passes, one for the buckets and frame totals their weights need
-    and one summing ``W[:, rows] @ block``; they report deviations at shift 1.
+    build their weights from ``source.buckets`` (a container's bucket column,
+    read alone), then take one pass over the frames that sums
+    ``W[:, rows] @ block`` and the frame totals; ``dgi``, whose weights need
+    the mean frame total, takes a pass for the totals first. They report
+    deviations at shift 1.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -186,10 +195,15 @@ def reconstruct(source, method: str, *, shift: int = 1, close_loop: bool = False
         for block in _frame_blocks(source):
             acc.push_block(*block)
         return acc.snapshot()
-    buckets, s_r = _checked_totals(source)
+    buckets = _checked_buckets(source)
+    s_r = np.empty(len(buckets))
+    two_passes = method == "dgi"  # its weights need <R>, the mean frame total
+    if two_passes:
+        _frame_pass(source, s_r=s_r)
     weights = _classic_weights(method, buckets, s_r)
+    sums = _frame_pass(source, weights, None if two_passes else s_r)
     shape = (source.header.height, source.header.width)
-    images = tuple(ReconImage(row.reshape(shape)) for row in _weighted_sum(source, weights))
+    images = tuple(ReconImage(row.reshape(shape)) for row in sums)
     return ReconResult(method, images, len(buckets), s_r, _deviations(s_r, 1))
 
 
@@ -239,7 +253,9 @@ def sr_diagnostics(source, shift: int = 1) -> tuple[np.ndarray, np.ndarray]:
         raise InsufficientRecordsError(
             f"diagnostics need more than shift={shift} records, got {source.n}"
         )
-    _, s_r = _checked_totals(source)
+    _checked_buckets(source)
+    s_r = np.empty(source.n)
+    _frame_pass(source, s_r=s_r)
     return s_r, _deviations(s_r, shift)
 
 

@@ -10,9 +10,11 @@ from conftest import assert_images_close
 
 import gikit.fileio
 from gikit import (
+    FileFormatError,
     ReconImage,
     SgiAccumulator,
     binary_demo_scene,
+    decode_dataset,
     export_image,
     export_raw,
     open_container,
@@ -74,6 +76,41 @@ def test_blocks_cover_every_record_once(tmp_path, scene_pgm, small_blocks, n):
         assert not f.flags.writeable and not b.flags.writeable
     for (_, _, older), (_, _, newer) in zip(blocks, blocks[1:]):
         assert not np.shares_memory(older, newer)  # an accumulator may keep rows of the older
+
+
+@pytest.mark.parametrize("n", [17, 64])
+def test_bucket_column_equals_the_whole_read(tmp_path, scene_pgm, small_blocks, n):
+    gid = _simulate(tmp_path, scene_pgm, n)
+    container = open_container(gid)
+    for source, expected in ((container, read_dataset(gid)), (container.first(12), read_dataset(gid).first(12))):
+        buckets = source.buckets
+        assert buckets.dtype == np.float64 and not buckets.flags.writeable
+        assert buckets.tobytes() == expected.buckets.tobytes()
+
+
+class _InMemoryBlocks:
+    """A dataset's arrays served as a container at ``small_blocks`` serves
+    its file: the bucket column whole, the frames in BLOCK_ROWS-record blocks."""
+
+    def __init__(self, dataset):
+        self.header, self.n, self.buckets = dataset.header, dataset.n, dataset.buckets
+        self._frames = dataset.frame_matrix
+
+    def blocks(self):
+        for start in range(0, self.n, BLOCK_ROWS):
+            yield start, self.buckets[start : start + BLOCK_ROWS], self._frames[start : start + BLOCK_ROWS]
+
+
+@pytest.mark.parametrize("n", [17, 64])
+@pytest.mark.parametrize("method", ["g2", "dgi-delta", "dgi", "ci"])
+def test_classic_container_images_byte_equal_in_memory(tmp_path, scene_pgm, small_blocks, n, method):
+    # A whole Dataset is one block, a different summation order (about 1e-15
+    # apart); cut at the same blocks, the arrays in memory give the same bits.
+    gid = _simulate(tmp_path, scene_pgm, n)
+    got = reconstruct(open_container(gid), method)
+    expected = reconstruct(_InMemoryBlocks(read_dataset(gid)), method)
+    assert [image.data.tobytes() for image in got.images] == [image.data.tobytes() for image in expected.images]
+    assert got.s_r.tobytes() == expected.s_r.tobytes() and got.count == expected.count
 
 
 @pytest.mark.parametrize("n", [17, 64])
@@ -173,3 +210,80 @@ def test_hostile_last_record_writes_nothing(tmp_path, scene_pgm, small_blocks, c
     assert main(argv[:1] + ["--in", str(hostile)] + argv[1:]) == 1
     assert "error:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+NON_FINITE = "payload contains non-finite values"
+NEGATIVE = "payload contains negative frame intensities"
+
+
+def _poke(blob: bytes, n: int, edits) -> bytes:
+    """``blob`` with each ``(record, pixel, value)`` stored; pixel None is the bucket."""
+    out = bytearray(blob)
+    payload = len(blob) - n * RECORD_BYTES
+    for record, pixel, value in edits:
+        at = payload + record * RECORD_BYTES
+        if pixel is None:
+            out[at : at + 8] = struct.pack("<d", value)
+        else:
+            out[at + 8 + 4 * pixel : at + 12 + 4 * pixel] = struct.pack("<f", value)
+    return bytes(out)
+
+
+DEFECTS = {
+    "nan-pixel": ([(7, 3, np.nan)], NON_FINITE),
+    "inf-pixel": ([(7, 3, np.inf)], NON_FINITE),
+    "minus-inf-pixel": ([(7, 3, -np.inf)], NON_FINITE),
+    "negative-pixel": ([(7, 3, -0.5)], NEGATIVE),
+    "nan-bucket": ([(7, None, np.nan)], NON_FINITE),
+    "inf-bucket": ([(7, None, np.inf)], NON_FINITE),
+    "minus-inf-bucket": ([(7, None, -np.inf)], NON_FINITE),
+    # One block (records 5..9) with both: the non-finite value is reported.
+    "negative-then-nan-pixel": ([(6, 0, -1.0), (8, 3, np.nan)], NON_FINITE),
+    "nan-then-negative-pixel": ([(6, 0, np.nan), (8, 3, -1.0)], NON_FINITE),
+    "inf-and-negative-pixel": ([(5, 2, np.inf), (5, 7, -2.0)], NON_FINITE),
+}
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("method", ["g2", "dgi", "ci"])
+def test_infinite_last_pixel_writes_nothing_for_classic_batch(tmp_path, scene_pgm, small_blocks, capsys,
+                                                              method, value):
+    gid = _simulate(tmp_path, scene_pgm, 17)
+    hostile = tmp_path / "hostile.gid"
+    hostile.write_bytes(_poke(gid.read_bytes(), 17, [(16, SIDE * SIDE - 1, value)]))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["reconstruct", "--in", str(hostile), "--method", method, "--raw", "--manifest",
+                 str(tmp_path / "log"), "--out", str(tmp_path / "rec")]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_every_reader_names_the_defect_alike(tmp_path, scene_pgm, small_blocks, defect):
+    edits, message = DEFECTS[defect]
+    gid = _simulate(tmp_path, scene_pgm, 17)
+    clean = open_container(gid).buckets
+    blob = _poke(gid.read_bytes(), 17, edits)
+    gid.write_bytes(blob)
+    container = open_container(gid)
+    readers = [lambda: read_dataset(gid), lambda: decode_dataset(blob), lambda: list(container.blocks())]
+    if any(pixel is None for _, pixel, _ in edits):
+        readers.append(lambda: container.buckets)
+    else:  # the bucket column does not read the pixels
+        assert container.buckets.tobytes() == clean.tobytes()
+    for read in readers:
+        with pytest.raises(FileFormatError) as failure:
+            read()
+        assert str(failure.value) == message
+
+
+def test_bucket_column_of_a_file_cut_short_after_opening(tmp_path, scene_pgm, small_blocks):
+    gid = _simulate(tmp_path, scene_pgm, 17)
+    container = open_container(gid)
+    blob = gid.read_bytes()
+    for cut, record in ((RECORD_BYTES + 4, 16), (RECORD_BYTES * 3 - 4, 14)):
+        gid.write_bytes(blob[:-cut])
+        with pytest.raises(FileFormatError, match=f"payload ended inside record {record}$"):
+            container.buckets
+        with pytest.raises(FileFormatError, match="payload ended inside records"):
+            list(container.blocks())

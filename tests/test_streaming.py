@@ -134,6 +134,21 @@ def test_long_run_matches_exactly_rounded_pair_sums(rng):
         assert_images_close(result.image.data.ravel(), reference, 1e-13)
 
 
+def test_compensated_sum_keeps_the_bits_a_plain_sum_drops():
+    # Each 2**-60 is below half an ulp of 1.0, so a plain running sum stays
+    # at 1.0; the compensation carries them into the total.
+    terms = [1.0] + [2.0**-60] * 4096 + [-(2.0**-62)] * 1024
+    acc = gikit.reconstruct._CompensatedSum((2,))
+    for term in terms:
+        acc.add(np.array([term, -term]))
+    expected = math.fsum(terms)
+    assert expected == 1.0 + 2.0**-48 - 2.0**-52
+    np.testing.assert_array_equal(acc.value(), [expected, -expected])
+    late = 2.0**-60
+    with_late = math.fsum(terms + [late])
+    np.testing.assert_array_equal(acc.value(np.array([late, -late])), [with_late, -with_late])
+
+
 def _image_bytes(result):
     return [image.data.tobytes() for image in result.images]
 
@@ -177,6 +192,10 @@ class _CountingSource:
         self.source, self.header, self.n = source, source.header, source.n
         self.passes = 0
 
+    @property
+    def buckets(self):
+        return self.source.buckets
+
     def blocks(self):
         self.passes += 1
         return self.source.blocks()
@@ -190,6 +209,17 @@ def test_batch_sgi_reads_the_source_once(tmp_path, rng, mode):
         counting = _CountingSource(source)
         reconstruct(counting, f"sgi{mode}", shift=2)
         assert counting.passes == 1
+
+
+@pytest.mark.parametrize("method, passes", [("g2", 1), ("dgi-delta", 1), ("dgi", 2), ("ci", 1),
+                                            ("sgi1", 1), ("sgi2", 1), ("sgi3", 1)])
+def test_reconstruct_frame_passes(tmp_path, rng, method, passes):
+    path = tmp_path / "run.gid"
+    write_dataset(random_dataset(rng, 23), path)
+    for source in (read_dataset(path), open_container(path)):
+        counting = _CountingSource(source)
+        reconstruct(counting, method)
+        assert counting.passes == passes
 
 
 def test_routes_reject_a_non_finite_bucket_alike(rng):
