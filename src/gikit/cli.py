@@ -227,6 +227,9 @@ def cmd_reconstruct(args, parser) -> int:
         parser.error(f"--shift {args.shift} needs more than {args.shift} records, dataset has {source.n}")
 
     scene = import_scene(args.scene) if args.scene else None
+    header = source.header
+    if scene is not None and (scene.width, scene.height) != (header.width, header.height):
+        parser.error(f"--scene is {scene.width}x{scene.height} but the frames are {header.width}x{header.height}")
 
     start = time.perf_counter()
     if args.progressive is not None:
@@ -288,6 +291,11 @@ def cmd_sweep(args, parser) -> int:
         if m not in METHODS:
             parser.error(f"unknown method {m!r}, expected one of {METHODS}")
     values = _parse_values(args, parser)
+    if args.shift < 1:
+        parser.error(f"--shift must be >= 1, got {args.shift}")
+    fewest = min(values) if args.axis == "n" else args.n  # records in the smallest point
+    if any(m in SGI_METHODS for m in methods) and fewest <= args.shift:
+        parser.error(f"--shift {args.shift} needs more than {args.shift} records, a sweep point has {fewest}")
     pattern, base_drift, base_noise = _simulation_models(args, parser)
     drifts = {}  # every drift-kind point's profile, checked before the first run
     for value in values if args.axis == "drift-kind" else ():
@@ -346,7 +354,10 @@ def cmd_diagnose(args, parser) -> int:
         for i in range(len(s_r)):
             dev_part = f"{i},{float(dev[i])!r}" if i < len(dev) else ","
             fh.write(f"{i},{float(s_r[i])!r},{dev_part}\n")
-    print(f"wrote {out}: {len(s_r)} totals, {len(dev)} deviations (shift={args.shift})")
+    # std(R - <R>) is 0 only for constant totals, where the ratio has no meaning
+    ratio = repr(float(dev.std() / s_r.std())) if s_r.min() < s_r.max() else "undefined"
+    print(f"wrote {out}: {len(s_r)} totals, {len(dev)} deviations (shift={args.shift}), "
+          f"drift ratio std(dR)/std(R-<R>) = {ratio}")
     return 0
 
 

@@ -326,3 +326,68 @@ def test_simulate_speckle_offsets_out_of_int64_range_exit_1(tmp_path, capsys, fl
     assert code == 1
     assert "speckle offsets" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.pgm"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--axis", "n", "--values", "8", "--methods", "g2", "--shift", "0"],
+    ["--axis", "n", "--values", "8", "--methods", "g2,sgi1", "--shift", "-3"],
+    ["--axis", "noise-mean", "--values", "0.01", "--methods", "sgi1", "--shift", "300"],
+    ["--axis", "n", "--values", "64,4", "--methods", "g2,sgi2", "--shift", "4"],  # the 4-record point
+])
+def test_sweep_bad_shift_checked_before_any_run(tmp_path, scene_pgm, monkeypatch, flags):
+    def no_run(*args, **kwargs):
+        raise AssertionError("sweep simulated a point before checking --shift")
+
+    monkeypatch.setattr("gikit.cli.simulate", no_run)
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--scene", str(scene_pgm), "--n", "64", "--out", str(tmp_path / "sweep")] + flags)
+    assert err.value.code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.pgm"]
+
+
+def test_sweep_shift_beyond_points_is_fine_without_sgi(tmp_path, scene_pgm):
+    assert main(["sweep", "--scene", str(scene_pgm), "--axis", "n", "--values", "8", "--methods", "g2",
+                 "--n", "8", "--shift", "300", "--out", str(tmp_path / "sweep")]) == 0
+
+
+@pytest.mark.parametrize("method", [["--method", "g2"], ["--method", "sgi1", "--progressive", "4"]])
+def test_reconstruct_scene_of_other_size_exits_2_before_reading(tmp_path, scene_pgm, capsys, method):
+    gid = _simulate(tmp_path, scene_pgm, n=16)
+    big = tmp_path / "big.pgm"
+    export_image(ReconImage(binary_demo_scene(32, 32).transmission), big)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(SystemExit) as err:
+        main(["reconstruct", "--in", str(gid), "--scene", str(big), "--manifest", str(tmp_path / "log"),
+              "--out", str(tmp_path / "img")] + method)
+    assert err.value.code == 2
+    assert "32x32 but the frames are 12x12" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def _printed_drift_ratio(capsys) -> str:
+    line = capsys.readouterr().out.strip()
+    assert "drift ratio std(dR)/std(R-<R>) = " in line
+    return line.rsplit(" ", 1)[1]
+
+
+@pytest.mark.parametrize("shift", [1, 3])
+def test_diagnose_prints_drift_ratio_of_its_csv(tmp_path, scene_pgm, capsys, shift):
+    gid = _simulate(tmp_path, scene_pgm, n=40, extra=["--drift", "linear:0.3"])
+    capsys.readouterr()
+    out = tmp_path / "sr.csv"
+    assert main(["diagnose", "--in", str(gid), "--shift", str(shift), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    s_r = np.array([float(r[1]) for r in rows])
+    dev = np.array([float(r[3]) for r in rows if r[3]])
+    assert len(dev) == 40 - shift
+    assert float(_printed_drift_ratio(capsys)) == dev.std() / s_r.std()
+
+
+def test_diagnose_constant_totals_drift_ratio_undefined(tmp_path, capsys):
+    frames = np.full((8, 4, 4), 0.1)  # every total equal, so std(R - <R>) is 0
+    gid = tmp_path / "flat.gid"
+    gikit.write_dataset(gikit.Dataset.from_arrays(frames, np.arange(8.0)), gid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["diagnose", "--in", str(gid), "--out", str(tmp_path / "sr.csv")]) == 0
+    assert _printed_drift_ratio(capsys) == "undefined"
