@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -18,6 +19,7 @@ from .errors import GikitError
 from .fileio import (
     ManifestRow,
     _atomic_open,
+    _temporary_path,
     append_manifest_row,
     export_image,
     export_raw,
@@ -130,22 +132,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _export_result(result, prefix: str, raw: bool) -> list[Path]:
-    paths = []
-    if len(result.images) == 1:
-        targets = [(result.images[0], Path(f"{prefix}.pgm"), Path(f"{prefix}.f64"))]
-    else:
-        targets = [
-            (result.images[0], Path(f"{prefix}_pos.pgm"), Path(f"{prefix}_pos.f64")),
-            (result.images[1], Path(f"{prefix}_neg.pgm"), Path(f"{prefix}_neg.f64")),
-        ]
-    for image, pgm_path, raw_path in targets:
-        export_image(image, pgm_path)
-        paths.append(pgm_path)
+def _exports(result, prefix: str, raw: bool) -> list:
+    """``(export, image, path)`` for every file that ``result`` is exported to."""
+    suffixes = [""] if len(result.images) == 1 else ["_pos", "_neg"]
+    exports = []
+    for image, suffix in zip(result.images, suffixes):
+        exports.append((export_image, image, Path(f"{prefix}{suffix}.pgm")))
         if raw:
-            export_raw(image, raw_path)
-            paths.append(raw_path)
-    return paths
+            exports.append((export_raw, image, Path(f"{prefix}{suffix}.f64")))
+    return exports
+
+
+def _export_result(result, prefix: str, raw: bool) -> None:
+    for export, image, path in _exports(result, prefix, raw):
+        export(image, path)
 
 
 def _provenance_fields(source) -> tuple[str, float | None]:
@@ -188,17 +188,30 @@ def cmd_simulate(args, parser) -> int:
 
 
 def _progressive_reconstruct(source, method, shift, close_loop, every, prefix, raw):
-    for _ in source.blocks():  # check every record before the first snapshot is written
-        pass
+    """One pass over ``source`` that exports a snapshot every ``every`` records
+    and the final images. Each snapshot is written under a temporary name
+    beside its target and renamed into place only after the pass and the
+    final export succeed, so a bad record anywhere leaves no snapshot."""
     acc = SgiAccumulator(mode=int(method[-1]), shift=shift, close_loop=close_loop)
-    for start, buckets, frames in _frame_blocks(source):
-        cuts = range(every - start % every, len(buckets), every)  # the snapshot points in the block
-        for lo, hi in zip((0, *cuts), (*cuts, len(buckets))):
-            acc.push_block(start + lo, buckets[lo:hi], frames[lo:hi])
-            if acc.records_seen % every == 0 and acc.pairs >= 1:
-                _export_result(acc.snapshot(), f"{prefix}_snap{acc.records_seen:06d}", raw=False)
-    result = acc.snapshot()
-    _export_result(result, prefix, raw)
+    staged = []  # (temporary, target) path of every snapshot file
+    try:
+        for start, buckets, frames in _frame_blocks(source):
+            cuts = range(every - start % every, len(buckets), every)  # the snapshot points in the block
+            for lo, hi in zip((0, *cuts), (*cuts, len(buckets))):
+                acc.push_block(start + lo, buckets[lo:hi], frames[lo:hi])
+                if acc.records_seen % every == 0 and acc.pairs >= 1:
+                    name = f"{prefix}_snap{acc.records_seen:06d}"
+                    for export, image, path in _exports(acc.snapshot(), name, raw=False):
+                        staged.append((_temporary_path(path), path))
+                        export(image, staged[-1][0])
+        result = acc.snapshot()
+        _export_result(result, prefix, raw)
+        for temporary, path in staged:
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
+        raise
     return result
 
 

@@ -15,8 +15,9 @@ keep full precision). Payload length must equal n * (8 + 4 * width * height)
 exactly.
 
 Every read goes through one block reader. It checks the header and the
-payload length once, then reads the fixed-stride records about 16 MB at a
-time and yields them as fresh float64 blocks, checking each block for
+payload length once, then reads the fixed-stride records about 1 MB at a
+time, a size that stays in cache, and converts each chunk into one float64
+block buffer that it allocates once and reuses, checking each block for
 non-finite values and negative pixels. The check runs on the stored
 float32 pixels in two scans, ``min() >= 0`` (false for NaN, -inf and
 negative pixels) and ``max() < inf``, plus ``isfinite`` on the buckets; only
@@ -28,15 +29,17 @@ frame. No read maps the file: touched file-backed pages would count
 toward the process's peak RSS. :func:`read_dataset` and
 :func:`decode_dataset` convert each stored chunk straight into its slice of
 one (n, pixels) stack and check that slice; :func:`open_container` hands
-the blocks out one at a time, which is how the CLI reads: ``reconstruct``,
-``--progressive`` and ``diagnose`` hold the 16 MB record buffer, at most two
-float64 blocks (the one in use and the one being read, about 32 MB each),
-O(n) bucket and frame-total vectors and the output images or the sgi
-accumulator's 1 MB row buffer, never the whole frame matrix.
+the blocks out one at a time as read-only views of the reused buffer,
+valid until the next block is asked for, which is how the CLI reads:
+``reconstruct``, ``--progressive`` and ``diagnose`` hold the 1 MB record
+buffer, the 2 MB float64 block buffer, O(n) bucket and frame-total vectors
+and the output images or the sgi accumulator's 1 MB row buffer, never the
+whole frame matrix. With one reused buffer, rather than a fresh block per
+read, the peak RSS does not depend on where the allocator puts each block.
 
 Every write goes through one block writer, :func:`write_container`, which
 takes a header and the same ``(start, buckets, frames)`` blocks and stores
-them through one record buffer of at most 16 MB, rejecting a block with a
+them through one record buffer of at most 1 MB, rejecting a block with a
 non-finite bucket. :func:`write_dataset` and :func:`encode_dataset` feed it a
 dataset's single block; ``gikit simulate`` feeds it the blocks of a
 :class:`~gikit.simulate.Simulation` as they are produced.
@@ -95,7 +98,7 @@ CONTAINER_VERSION = 1
 
 _BUCKET_BYTES = 8
 _PIXEL_BYTES = 4
-_BLOCK_BYTES = 16 * 2**20  # bytes of stored records per block
+_BLOCK_BYTES = 2**20  # bytes of stored records per block: about the size of a core's cache
 
 
 def _record_dtype(pixels: int) -> np.dtype:
@@ -109,12 +112,18 @@ def _block_rows(pixels: int, multiple: int = 1) -> int:
     return max(multiple, rows - rows % multiple)
 
 
+def _temporary_path(path) -> Path:
+    """A new hidden name beside ``path``, for a file to be renamed over it."""
+    path = Path(path)
+    return path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+
+
 @contextmanager
 def _atomic_open(path, mode: str = "wb", **kwargs):
     """Open a new file beside ``path``; on a clean exit rename it over
     ``path``, on an exception delete it and leave ``path`` untouched."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    tmp = _temporary_path(path)
     try:
         with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
             yield fh
@@ -265,14 +274,18 @@ def _convert_checked(chunk: np.ndarray, buckets: np.ndarray, frames: np.ndarray)
 
 def _read_blocks(fh, offset: int, n: int, pixels: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(start, buckets, frames)`` for the first ``n`` records of the
-    payload at ``offset``: fresh read-only float64 arrays of shapes (rows,)
-    and (rows, pixels), each block checked before it is yielded."""
+    payload at ``offset``: read-only float64 views of shapes (rows,) and
+    (rows, pixels) of one buffer that every block is converted into, so a
+    block is valid until the next one is asked for. Each block is checked
+    before it is yielded."""
+    rows = min(n, _block_rows(pixels))
+    buckets, frames = np.empty(rows), np.empty((rows, pixels))
     for start, chunk in _read_chunks(fh, offset, n, pixels):
-        buckets, frames = np.empty(len(chunk)), np.empty((len(chunk), pixels))
-        _convert_checked(chunk, buckets, frames)
-        buckets.flags.writeable = False
-        frames.flags.writeable = False
-        yield start, buckets, frames
+        block_buckets, block_frames = buckets[: len(chunk)], frames[: len(chunk)]
+        _convert_checked(chunk, block_buckets, block_frames)
+        block_buckets.flags.writeable = False
+        block_frames.flags.writeable = False
+        yield start, block_buckets, block_frames
 
 
 @dataclass(frozen=True)
@@ -316,9 +329,11 @@ class Container:
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """One pass over the records as ``(start, buckets, frames)`` blocks:
-        fresh read-only float64 arrays, frames of shape (rows, pixels). A
-        block with a non-finite value or a negative pixel raises
-        :class:`FileFormatError` before it is yielded."""
+        read-only float64 views, frames of shape (rows, pixels), of one
+        buffer that the pass reuses, so each block is valid until the next
+        is asked for; copy what must outlive it. A block with a non-finite
+        value or a negative pixel raises :class:`FileFormatError` before it
+        is yielded."""
         with open(self.path, "rb") as fh:
             yield from _read_blocks(fh, self.offset, self.n, self.header.width * self.header.height)
 

@@ -111,16 +111,20 @@ def _checked_buckets(source) -> np.ndarray:
 
 def _frame_pass(source, weights: np.ndarray | None = None, s_r: np.ndarray | None = None):
     """One pass over the frames. Returns G = W @ M for weight rows W, summed
-    one row block of M at a time from 0, and fills ``s_r`` with the frame
-    totals R if it is given. A container checks each block as it is read,
-    so a bad record fails the pass before any image exists."""
-    total = 0
+    one row block of M at a time from 0 into one preallocated total, and
+    fills ``s_r`` with the frame totals R if it is given. A container checks
+    each block as it is read, so a bad record fails the pass before any
+    image exists."""
+    total = term = None
+    if weights is not None:
+        shape = (len(weights), source.header.width * source.header.height)
+        total, term = np.zeros(shape), np.empty(shape)
     for start, _, frames in source.blocks():
         rows = slice(start, start + len(frames))
         if s_r is not None:
-            s_r[rows] = frames.sum(axis=1)
+            np.sum(frames, axis=1, out=s_r[rows])
         if weights is not None:
-            total = total + weights[:, rows] @ frames
+            total += np.matmul(weights[:, rows], frames, out=term)
     return total
 
 
@@ -259,33 +263,45 @@ def sr_diagnostics(source, shift: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return s_r, _deviations(s_r, shift)
 
 
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a + b`` and its exact rounding error, by Knuth's branch-free TwoSum
-    (bit for bit Neumaier's branch on magnitudes, in fewer array passes)."""
-    t = a + b
-    from_b = t - a
-    return t, (a - (t - from_b)) + (b - from_b)
+def _two_sum(a: np.ndarray, b: np.ndarray, t: np.ndarray, error: np.ndarray) -> None:
+    """Set ``t`` to ``a + b`` and ``error`` to its exact rounding error, by
+    Knuth's branch-free TwoSum (bit for bit Neumaier's branch on magnitudes,
+    in fewer array passes), in place; ``b`` is overwritten."""
+    np.add(a, b, out=t)
+    from_b = np.subtract(t, a, out=error)
+    np.subtract(b, from_b, out=b)
+    np.subtract(t, from_b, out=error)
+    np.subtract(a, error, out=error)
+    error += b  # (a - (t - from_b)) + (b - from_b)
 
 
 class _CompensatedSum:
-    """Elementwise Neumaier-compensated accumulator."""
+    """Elementwise Neumaier-compensated accumulator. :meth:`add` works in
+    buffers allocated once, so adding a term allocates nothing."""
 
-    __slots__ = ("total", "comp")
+    __slots__ = ("total", "comp", "_spare", "_error")
 
     def __init__(self, shape):
         self.total = np.zeros(shape)
         self.comp = np.zeros(shape)
+        self._spare = np.empty(shape)
+        self._error = np.empty(shape)
 
     def add(self, values: np.ndarray) -> None:
-        self.total, error = _two_sum(self.total, values)
-        self.comp += error
+        """Add ``values``, overwriting them."""
+        _two_sum(self.total, values, self._spare, self._error)
+        self.total, self._spare = self._spare, self.total
+        self.comp += self._error
 
     def value(self, *pending: np.ndarray) -> np.ndarray:
-        """The compensated total plus ``pending`` terms, changing nothing."""
-        total, comp = self.total, self.comp
+        """The compensated total plus ``pending`` terms, overwriting those
+        terms and changing nothing else."""
+        total, comp = self.total.copy(), self.comp.copy()
+        spare, error = np.empty_like(total), np.empty_like(total)
         for values in pending:
-            total, error = _two_sum(total, values)
-            comp = comp + error
+            _two_sum(total, values, spare, error)
+            total, spare = spare, total
+            comp += error
         return total + comp
 
 
@@ -301,7 +317,10 @@ class SgiAccumulator:
     takes one weighted product over a buffer holding the chunk and the
     ``shift`` rows before it, and one compensated addition. So the images
     depend on the records only, not on the block cuts. The buffer, the first
-    record (kept only for ``close_loop``) and the frame totals are copies.
+    record (kept only for ``close_loop``) and the frame totals are copies;
+    the buffer and each chunk's weights, product and compensated sum are
+    allocated with the first block and reused, so pushing allocates no
+    (images, pixels) array.
     ``snapshot`` never mutates the accumulator, so periodic snapshots give
     real-time reconstruction. Single-writer: push from one thread.
     """
@@ -322,6 +341,8 @@ class SgiAccumulator:
         self._chunk = 0
         self._rows: np.ndarray | None = None  # (shift + chunk, pixels): the ring, then the chunk
         self._buckets: np.ndarray | None = None
+        self._weights: np.ndarray | None = None  # flat room for the (images, shift + chunk) weights
+        self._term: np.ndarray | None = None  # (images, pixels): a chunk's summed terms
         self._sum: _CompensatedSum | None = None
         self._first: tuple[float, np.ndarray] | None = None
         self._s_r = np.empty(0)
@@ -361,12 +382,15 @@ class SgiAccumulator:
             # Zeros: the rows before record 0 take weight 0, and 0 * NaN would be NaN.
             self._rows = np.zeros((self.shift + self._chunk, rows.shape[1]))
             self._buckets = np.zeros(self.shift + self._chunk)
-            self._sum = _CompensatedSum((1 if self.mode == 1 else 2, rows.shape[1]))
+            images = 1 if self.mode == 1 else 2
+            self._weights = np.empty(images * (self.shift + self._chunk))
+            self._term = np.empty((images, rows.shape[1]))
+            self._sum = _CompensatedSum(self._term.shape)
             self._first = (float(buckets[0]), rows[0].copy()) if self.close_loop else None
         end = start + len(rows)
         if end > len(self._s_r):
             self._s_r = np.resize(self._s_r, max(end, 2 * len(self._s_r)))
-        self._s_r[start:end] = rows.sum(axis=1)
+        np.sum(rows, axis=1, out=self._s_r[start:end])
         chunk = self._chunk
         cuts = range(chunk - start % chunk, len(rows), chunk)  # where a chunk fills
         for lo, hi in zip((0, *cuts), (*cuts, len(rows))):
@@ -381,17 +405,19 @@ class SgiAccumulator:
 
     def _chunk_term(self, filled: int) -> np.ndarray:
         """The summed terms, (images, pixels), of the pairs whose newer record
-        is among the ``filled`` rows of the current chunk."""
+        is among the ``filled`` rows of the current chunk, written into the
+        term buffer."""
         shift, end = self.shift, self.shift + filled
         # Buffer row r holds record r + chunk start - shift, and the first
         # record with a partner is the chunk start or record ``shift``.
         first_new = max(shift, 2 * shift - (self._seen - filled))
         new, old = slice(first_new, end), slice(first_new - shift, end - shift)
         c_new, c_old = _pair_coefficients(self.mode, self._buckets[new], self._buckets[old])
-        weights = np.zeros((len(c_new), end))
+        weights = self._weights[: len(c_new) * end].reshape(len(c_new), end)
+        weights.fill(0.0)
         weights[:, new] += c_new
         weights[:, old] += c_old
-        return weights @ self._rows[:end]
+        return np.matmul(weights, self._rows[:end], out=self._term)
 
     def snapshot(self) -> ReconResult:
         """Reconstruction over the pairs seen so far; equals the batch result."""

@@ -66,16 +66,15 @@ def test_blocks_cover_every_record_once(tmp_path, scene_pgm, small_blocks, n):
     gid = _simulate(tmp_path, scene_pgm, n)
     whole = read_dataset(gid)
     container = open_container(gid)
-    blocks = list(container.blocks())
-    assert [start for start, _, _ in blocks] == list(range(0, n, BLOCK_ROWS))
-    buckets = np.concatenate([b for _, b, _ in blocks])
-    frames = np.concatenate([f for _, _, f in blocks])
-    np.testing.assert_array_equal(buckets, whole.buckets)
-    np.testing.assert_array_equal(frames, whole.frame_matrix)
-    for _, b, f in blocks:
+    starts, buckets, frames = [], [], []
+    for start, b, f in container.blocks():  # views of one buffer, valid until the next block
         assert not f.flags.writeable and not b.flags.writeable
-    for (_, _, older), (_, _, newer) in zip(blocks, blocks[1:]):
-        assert not np.shares_memory(older, newer)  # an accumulator may keep rows of the older
+        starts.append(start)
+        buckets.append(b.copy())
+        frames.append(f.copy())
+    assert starts == list(range(0, n, BLOCK_ROWS))
+    np.testing.assert_array_equal(np.concatenate(buckets), whole.buckets)
+    np.testing.assert_array_equal(np.concatenate(frames), whole.frame_matrix)
 
 
 @pytest.mark.parametrize("n", [17, 64])
@@ -175,6 +174,26 @@ def test_progressive_bytes_independent_of_block_size(tmp_path, scene_pgm, monkey
         for suffix in ("_pos.pgm", "_neg.pgm"):
             name = f"_snap{seen:06d}{suffix}"
             assert (tmp_path / f"blocked{name}").read_bytes() == (tmp_path / f"whole{name}").read_bytes()
+
+
+def test_progressive_reads_the_container_once(tmp_path, scene_pgm, small_blocks, monkeypatch):
+    gid = _simulate(tmp_path, scene_pgm, 17)
+    passes = []
+    blocks = gikit.fileio.Container.blocks
+
+    def counted_blocks(container):
+        passes.append(container.path)
+        return blocks(container)
+
+    monkeypatch.setattr(gikit.fileio.Container, "blocks", counted_blocks)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["reconstruct", "--in", str(gid), "--method", "sgi2", "--progressive", "4", "--raw",
+                 "--out", str(tmp_path / "live")]) == 0
+    assert passes == [gid]
+    # Every staged snapshot was renamed into place: no temporary file is left.
+    snapshots = [f"live_snap{seen:06d}_{part}.pgm" for seen in range(4, 17, 4) for part in ("pos", "neg")]
+    finals = ["live_pos.pgm", "live_pos.f64", "live_neg.pgm", "live_neg.f64"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + finals + snapshots)
 
 
 def _corrupt(blob: bytes, kind: str) -> bytes:
