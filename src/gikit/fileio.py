@@ -23,19 +23,21 @@ float32 pixels in two scans, ``min() >= 0`` (false for NaN, -inf and
 negative pixels) and ``max() < inf``, plus ``isfinite`` on the buckets; only
 a block that fails is scanned again to tell which error it holds.
 :attr:`Container.buckets` reads the bucket column alone, one 8-byte
-``os.pread`` per record at the record stride, and checks it the same way,
-so the classic estimators can build their weights before they read a
-frame. No read maps the file: touched file-backed pages would count
-toward the process's peak RSS. :func:`read_dataset` and
-:func:`decode_dataset` convert each stored chunk straight into its slice of
-one (n, pixels) stack and check that slice; :func:`open_container` hands
-the blocks out one at a time as read-only views of the reused buffer,
-valid until the next block is asked for, which is how the CLI reads:
-``reconstruct``, ``--progressive`` and ``diagnose`` hold the 1 MB record
-buffer, the 2 MB float64 block buffer, O(n) bucket and frame-total vectors
-and the output images or the sgi accumulator's 1 MB row buffer, never the
-whole frame matrix. With one reused buffer, rather than a fresh block per
-read, the peak RSS does not depend on where the allocator puts each block.
+``os.pread`` per record, a few thousand records at a time into one float64
+column, and checks it the same way, so the classic estimators can build
+their weights before they read a frame. No read maps the file: touched
+file-backed pages would count toward the process's peak RSS.
+:func:`read_dataset` and :func:`decode_dataset` convert each stored chunk
+straight into its slice of one (n, pixels) stack and check that slice;
+:func:`open_container` hands the blocks out one at a time as read-only
+views of the reused buffer, valid until the next block is asked for, which
+is how the CLI reads: ``reconstruct``, ``--progressive`` and ``diagnose``
+hold the 1 MB record buffer, the 2 MB float64 block buffer, the classic
+estimators' O(n) bucket and weight vectors, the frame totals of ``dgi``
+and ``diagnose`` and the output images or the sgi accumulator's 1 MB row
+buffer, never the whole frame matrix. With one reused buffer, rather than a
+fresh block per read, the peak RSS does not depend on where the allocator
+puts each block.
 
 Every write goes through one block writer, :func:`write_container`, which
 takes a header and the same ``(start, buckets, frames)`` blocks and stores
@@ -99,6 +101,7 @@ CONTAINER_VERSION = 1
 _BUCKET_BYTES = 8
 _PIXEL_BYTES = 4
 _BLOCK_BYTES = 2**20  # bytes of stored records per block: about the size of a core's cache
+_BUCKET_GROUP = 4096  # buckets per column read: about 0.6 MB of transient 8-byte reads
 
 
 def _record_dtype(pixels: int) -> np.dtype:
@@ -308,15 +311,19 @@ class Container:
     @property
     def buckets(self) -> np.ndarray:
         """The first ``n`` buckets alone, read-only float64 (n,): one 8-byte
-        read per record at the record stride. A non-finite bucket or a file
+        read per record at the record stride, joined a group of records at
+        a time into its slice of the column. A non-finite bucket or a file
         cut short since it was opened raises :class:`FileFormatError`."""
         stride = _record_dtype(self.header.width * self.header.height).itemsize
+        starts = range(self.offset, self.offset + self.n * stride, stride)
+        buckets = np.empty(self.n)
         with open(self.path, "rb") as fh:
-            starts = range(self.offset, self.offset + self.n * stride, stride)
-            stored = b"".join([os.pread(fh.fileno(), _BUCKET_BYTES, at) for at in starts])
-        if len(stored) != self.n * _BUCKET_BYTES:
-            raise FileFormatError(f"payload ended inside record {len(stored) // _BUCKET_BYTES}")
-        buckets = np.frombuffer(stored, dtype="<f8").astype(np.float64)
+            for first in range(0, self.n, _BUCKET_GROUP):
+                group = starts[first : first + _BUCKET_GROUP]
+                stored = b"".join([os.pread(fh.fileno(), _BUCKET_BYTES, at) for at in group])
+                if len(stored) != len(group) * _BUCKET_BYTES:
+                    raise FileFormatError(f"payload ended inside record {first + len(stored) // _BUCKET_BYTES}")
+                buckets[first : first + len(group)] = np.frombuffer(stored, dtype="<f8")
         _check_buckets(buckets)
         buckets.flags.writeable = False
         return buckets
@@ -529,15 +536,21 @@ def write_manifest(rows, path) -> tuple[Path, Path]:
 
 
 def append_manifest_row(row: ManifestRow, path) -> tuple[Path, Path]:
-    """Append one row, creating the CSV/JSON pair on first use."""
+    """Append one row, creating the CSV/JSON pair on first use; a sidecar
+    that is not a JSON list raises :class:`FileFormatError`, touching neither file."""
     csv_path, json_path = _manifest_paths(path)
+    try:
+        sidecar = json.loads(json_path.read_text()) if json_path.exists() else []
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
+        raise FileFormatError(f"manifest sidecar {json_path} is not valid JSON: {exc}") from exc
+    if not isinstance(sidecar, list):
+        raise FileFormatError(f"manifest sidecar {json_path} must hold a JSON list, got {type(sidecar).__name__}")
     new_file = not csv_path.exists()
     with open(csv_path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if new_file:
             writer.writerow(MANIFEST_COLUMNS)
         writer.writerow(row.csv_values())
-    sidecar = json.loads(json_path.read_text()) if json_path.exists() else []
     sidecar.append(_sidecar_entry(row))
     _write_sidecar(json_path, sidecar)
     return csv_path, json_path

@@ -17,7 +17,9 @@ weights, the differential cancellation S - (<S>/<R>) R of dgi (Ferri et al.,
 PRL 104, 253603, 2010) runs on N scalars rather than on whole images.
 Only dgi's weights need the frames (through <R>), so g2, dgi-delta and ci
 read a container's bucket column alone and then make one pass over the
-frames, which also gives the frame totals; dgi makes a pass for <R> first.
+frames; dgi makes a pass for the frame totals R first. The estimators return
+images only: the frame totals and their deviations, the drift diagnostics,
+come from :func:`sr_diagnostics`.
 
 The successive-deviation estimators replace the ensemble means with the
 record a fixed shift k earlier, over pairs (i+k, i), i = 0..N-k-1. One pair
@@ -77,14 +79,11 @@ METHODS = ("g2", "dgi-delta", "dgi", "ci") + SGI_METHODS
 
 @dataclass(frozen=True, eq=False)
 class ReconResult:
-    """One reconstruction: method tag, image(s), pair/measurement count, and
-    the per-frame total intensity diagnostics used by the drift studies."""
+    """One reconstruction: method tag, image(s) and pair/measurement count."""
 
     method: str
     images: tuple[ReconImage, ...]
     count: int
-    s_r: np.ndarray
-    s_r_deviation: np.ndarray
 
     @property
     def image(self) -> ReconImage:
@@ -109,31 +108,30 @@ def _checked_buckets(source) -> np.ndarray:
     return buckets
 
 
-def _frame_pass(source, weights: np.ndarray | None = None, s_r: np.ndarray | None = None):
-    """One pass over the frames. Returns G = W @ M for weight rows W, summed
-    one row block of M at a time from 0 into one preallocated total, and
-    fills ``s_r`` with the frame totals R if it is given. A container checks
-    each block as it is read, so a bad record fails the pass before any
-    image exists."""
-    total = term = None
-    if weights is not None:
-        shape = (len(weights), source.header.width * source.header.height)
-        total, term = np.zeros(shape), np.empty(shape)
+def _frame_totals(source) -> np.ndarray:
+    """One pass over the frames for the frame totals R, shape (n,). A
+    container checks each block as it is read."""
+    s_r = np.empty(source.n)
     for start, _, frames in source.blocks():
-        rows = slice(start, start + len(frames))
-        if s_r is not None:
-            np.sum(frames, axis=1, out=s_r[rows])
-        if weights is not None:
-            total += np.matmul(weights[:, rows], frames, out=term)
+        np.sum(frames, axis=1, out=s_r[start : start + len(frames)])
+    return s_r
+
+
+def _weighted_sum(source, weights: np.ndarray) -> np.ndarray:
+    """One pass over the frames for G = W @ M, weight rows W, summed one row
+    block of M at a time from 0 into one preallocated total. A container
+    checks each block as it is read, so a bad record fails the pass before
+    any image exists."""
+    shape = (len(weights), source.header.width * source.header.height)
+    total, term = np.zeros(shape), np.empty(shape)
+    for start, _, frames in source.blocks():
+        total += np.matmul(weights[:, start : start + len(frames)], frames, out=term)
     return total
 
 
-def _deviations(s_r: np.ndarray, shift: int) -> np.ndarray:
-    return s_r[shift:] - s_r[: len(s_r) - shift]
-
-
-def _classic_weights(method: str, buckets: np.ndarray, s_r: np.ndarray) -> np.ndarray:
-    """Weight rows W, shape (images, n), of g2, dgi-delta, dgi or ci."""
+def _classic_weights(method: str, buckets: np.ndarray, s_r: np.ndarray | None) -> np.ndarray:
+    """Weight rows W, shape (images, n), of g2, dgi-delta, dgi or ci; only
+    dgi reads the frame totals ``s_r``."""
     n = len(buckets)
     if method == "g2":
         return buckets[np.newaxis] / n
@@ -188,9 +186,8 @@ def reconstruct(source, method: str, *, shift: int = 1, close_loop: bool = False
     ``close_loop`` choosing the pairs. The classic methods ignore those and
     build their weights from ``source.buckets`` (a container's bucket column,
     read alone), then take one pass over the frames that sums
-    ``W[:, rows] @ block`` and the frame totals; ``dgi``, whose weights need
-    the mean frame total, takes a pass for the totals first. They report
-    deviations at shift 1.
+    ``W[:, rows] @ block``; ``dgi``, whose weights need the mean frame
+    total, takes a pass for the totals first.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -200,15 +197,11 @@ def reconstruct(source, method: str, *, shift: int = 1, close_loop: bool = False
             acc.push_block(*block)
         return acc.snapshot()
     buckets = _checked_buckets(source)
-    s_r = np.empty(len(buckets))
-    two_passes = method == "dgi"  # its weights need <R>, the mean frame total
-    if two_passes:
-        _frame_pass(source, s_r=s_r)
+    s_r = _frame_totals(source) if method == "dgi" else None
     weights = _classic_weights(method, buckets, s_r)
-    sums = _frame_pass(source, weights, None if two_passes else s_r)
     shape = (source.header.height, source.header.width)
-    images = tuple(ReconImage(row.reshape(shape)) for row in sums)
-    return ReconResult(method, images, len(buckets), s_r, _deviations(s_r, 1))
+    images = tuple(ReconImage(row.reshape(shape)) for row in _weighted_sum(source, weights))
+    return ReconResult(method, images, len(buckets))
 
 
 def recon_g2(dataset: Dataset) -> ReconResult:
@@ -258,9 +251,8 @@ def sr_diagnostics(source, shift: int = 1) -> tuple[np.ndarray, np.ndarray]:
             f"diagnostics need more than shift={shift} records, got {source.n}"
         )
     _checked_buckets(source)
-    s_r = np.empty(source.n)
-    _frame_pass(source, s_r=s_r)
-    return s_r, _deviations(s_r, shift)
+    s_r = _frame_totals(source)
+    return s_r, s_r[shift:] - s_r[: len(s_r) - shift]
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray, t: np.ndarray, error: np.ndarray) -> None:
@@ -316,11 +308,11 @@ class SgiAccumulator:
     aligned to record 0, each in the chunk of its newer record; a full chunk
     takes one weighted product over a buffer holding the chunk and the
     ``shift`` rows before it, and one compensated addition. So the images
-    depend on the records only, not on the block cuts. The buffer, the first
-    record (kept only for ``close_loop``) and the frame totals are copies;
-    the buffer and each chunk's weights, product and compensated sum are
-    allocated with the first block and reused, so pushing allocates no
-    (images, pixels) array.
+    depend on the records only, not on the block cuts. The buffer and the
+    first record (kept only for ``close_loop``) are copies; the buffer and
+    each chunk's weights, product and compensated sum are allocated with the
+    first block and reused, so pushing allocates no (images, pixels) array
+    and the state does not grow with the number of records.
     ``snapshot`` never mutates the accumulator, so periodic snapshots give
     real-time reconstruction. Single-writer: push from one thread.
     """
@@ -345,7 +337,6 @@ class SgiAccumulator:
         self._term: np.ndarray | None = None  # (images, pixels): a chunk's summed terms
         self._sum: _CompensatedSum | None = None
         self._first: tuple[float, np.ndarray] | None = None
-        self._s_r = np.empty(0)
         self._seen = 0
 
     @property
@@ -387,10 +378,6 @@ class SgiAccumulator:
             self._term = np.empty((images, rows.shape[1]))
             self._sum = _CompensatedSum(self._term.shape)
             self._first = (float(buckets[0]), rows[0].copy()) if self.close_loop else None
-        end = start + len(rows)
-        if end > len(self._s_r):
-            self._s_r = np.resize(self._s_r, max(end, 2 * len(self._s_r)))
-        np.sum(rows, axis=1, out=self._s_r[start:end])
         chunk = self._chunk
         cuts = range(chunk - start % chunk, len(rows), chunk)  # where a chunk fills
         for lo, hi in zip((0, *cuts), (*cuts, len(rows))):
@@ -434,5 +421,4 @@ class SgiAccumulator:
             c_new, c_old = _pair_coefficients(self.mode, self._buckets[last], self._first[0])
             pending.append(c_new[:, np.newaxis] * self._rows[last] + c_old[:, np.newaxis] * self._first[1])
         images = tuple(ReconImage(row.reshape(self._shape) / pairs) for row in self._sum.value(*pending))
-        s_r = self._s_r[: self._seen].copy()
-        return ReconResult(f"sgi{self.mode}", images, pairs, s_r, _deviations(s_r, self.shift))
+        return ReconResult(f"sgi{self.mode}", images, pairs)

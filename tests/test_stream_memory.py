@@ -6,9 +6,11 @@ import tracemalloc
 
 import pytest
 
+from conftest import random_dataset
+
 import gikit.fileio
 import gikit.reconstruct
-from gikit import ReconImage, SgiAccumulator, binary_demo_scene, export_image
+from gikit import ReconImage, SgiAccumulator, binary_demo_scene, export_image, open_container, write_dataset
 from gikit.cli import main
 
 SIDE, N, SHIFT = 64, 1024, 4
@@ -66,8 +68,7 @@ def test_streamed_command_holds_one_block(container, tmp_path, run):
 def test_push_block_allocates_no_per_chunk_image(rng):
     # Per-chunk (images, pixels) temporaries would be allocated and freed
     # on every chunk; the accumulator reuses its buffers instead, so pushing
-    # many chunks peaks no higher than pushing a few, apart from the frame
-    # totals, an O(n) vector grown by doubling.
+    # many chunks peaks no higher than pushing a few.
     chunk = gikit.reconstruct._CHUNK_BYTES // (PIXELS * 8)
     many = 40 * chunk
     frames = rng.random((chunk + many, SIDE, SIDE))
@@ -82,3 +83,37 @@ def test_push_block_allocates_no_per_chunk_image(rng):
     image_bytes = 2 * PIXELS * 8
     assert few_peak < image_bytes / 4
     assert many_peak <= few_peak + 3 * 8 * (chunk + many)
+
+
+def test_accumulator_state_does_not_grow_with_the_stream(rng):
+    # The retained state is the (shift + chunk, pixels) row buffer and the
+    # weight, term and compensation buffers, whatever the number of records.
+    chunk = gikit.reconstruct._CHUNK_BYTES // (PIXELS * 8)
+    frames = rng.random((chunk, SIDE, SIDE))
+    buckets = rng.normal(5.0, 2.0, size=chunk)
+
+    def retained(blocks: int) -> int:
+        tracemalloc.start()
+        try:
+            acc = SgiAccumulator(mode=3, shift=SHIFT)
+            for block in range(blocks):
+                acc.push_block(block * chunk, buckets, frames)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    few, many = retained(3), retained(400)
+    assert abs(many - few) < 4096, f"retained {few} bytes after 3 chunks, {many} after 400"
+
+
+def test_bucket_column_costs_its_own_bytes(tmp_path, rng):
+    # The column is read a group of records at a time into one float64
+    # array, so its transient reads stay bounded however many records.
+    n = 65536
+    path = tmp_path / "long.gid"
+    dataset = random_dataset(rng, n, 2, 2)
+    write_dataset(dataset, path)
+    container = open_container(path)
+    buckets, peak = _traced(lambda: container.buckets)
+    assert buckets.tobytes() == dataset.buckets.tobytes()
+    assert peak < 8 * n + 2**20, f"traced peak {peak} bytes for {n} buckets"
