@@ -19,6 +19,7 @@ from .errors import GikitError
 from .fileio import (
     ManifestRow,
     _atomic_open,
+    _read_sidecar,
     _temporary_path,
     append_manifest_row,
     export_image,
@@ -243,6 +244,8 @@ def cmd_reconstruct(args, parser) -> int:
     header = source.header
     if scene is not None and (scene.width, scene.height) != (header.width, header.height):
         parser.error(f"--scene is {scene.width}x{scene.height} but the frames are {header.width}x{header.height}")
+    if args.manifest:
+        _read_sidecar(args.manifest)  # a bad sidecar fails before the pass, not after it
 
     start = time.perf_counter()
     if args.progressive is not None:

@@ -535,16 +535,24 @@ def write_manifest(rows, path) -> tuple[Path, Path]:
     return csv_path, json_path
 
 
-def append_manifest_row(row: ManifestRow, path) -> tuple[Path, Path]:
-    """Append one row, creating the CSV/JSON pair on first use; a sidecar
-    that is not a JSON list raises :class:`FileFormatError`, touching neither file."""
-    csv_path, json_path = _manifest_paths(path)
+def _read_sidecar(path) -> list:
+    """The JSON settings sidecar of manifest ``path``, ``[]`` if there is none
+    yet; one that is not a JSON list raises :class:`FileFormatError`."""
+    json_path = _manifest_paths(path)[1]
     try:
         sidecar = json.loads(json_path.read_text()) if json_path.exists() else []
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
         raise FileFormatError(f"manifest sidecar {json_path} is not valid JSON: {exc}") from exc
     if not isinstance(sidecar, list):
         raise FileFormatError(f"manifest sidecar {json_path} must hold a JSON list, got {type(sidecar).__name__}")
+    return sidecar
+
+
+def append_manifest_row(row: ManifestRow, path) -> tuple[Path, Path]:
+    """Append one row, creating the CSV/JSON pair on first use; a sidecar
+    that is not a JSON list raises :class:`FileFormatError`, touching neither file."""
+    csv_path, json_path = _manifest_paths(path)
+    sidecar = _read_sidecar(path)
     new_file = not csv_path.exists()
     with open(csv_path, "a", newline="") as fh:
         writer = csv.writer(fh)

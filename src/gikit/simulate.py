@@ -16,7 +16,11 @@ counter-based SeedSequence splitting, namespaced as (0, i) for pattern i,
 (1,) for drift, (2, i) for the noise hitting record i. Streams therefore do
 not overlap, per-frame generation is order-independent (parallel and serial
 agree bit for bit), and the first n frames of a longer run equal an n-frame
-run exactly.
+run exactly. The seed must be a non-negative integer. The per-record streams
+(0, i) and (2, i) are derived in bulk, a block of records at a time, by
+:func:`_pcg64_states`, and equal the SeedSequence splitting bit for bit;
+:func:`_child_rng`, which builds one record's generator the plain way, is
+the reference.
 
 A run is produced a block of consecutive records at a time by
 :class:`Simulation`, which fills each block's frames in place, scales them
@@ -30,6 +34,7 @@ give the same bytes.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
@@ -75,6 +80,89 @@ _NOISE_KEY = 2
 
 def _child_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+# SeedSequence's hash constants and PCG64's multiplier. The hash constants
+# advance the same way whatever the data, so the words of many records can
+# be mixed at once, in uint64 arrays of 32-bit words. Every operand is a
+# uint64 array or scalar, so NumPy 1 and 2 promote alike.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_M32, _U32, _U16 = np.uint64(_MASK32), np.uint64(32), np.uint64(16)
+
+
+def _hash_rows(words: np.ndarray, const: int, mult: int) -> np.ndarray:
+    """SeedSequence's hash of each row of ``words``, a (rows, records) array
+    of 32-bit words, where row k is hashed by the k-th of successive hash
+    calls that start from the hash constant ``const``."""
+    consts = [const]
+    for _ in words:
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, dtype=np.uint64)[:, None]
+    words = (words ^ consts[:-1]) * consts[1:] & _M32
+    return words ^ words >> _U16
+
+
+def _pcg64_states(seed: int, key: int, start: int, count: int) -> list[tuple[int, int]]:
+    """PCG64's ``(state, inc)`` when seeded with
+    ``SeedSequence(seed, spawn_key=(key, i))``, for i = start .. start + count - 1.
+
+    The pool of ``SeedSequence(seed, spawn_key=(key,))`` is the pool before
+    the index word is mixed in. The index word and ``generate_state(4,
+    uint64)`` then run across the block of indices, and PCG64's seeding runs
+    in Python ints. An index of 2**32 or more is two words long and goes
+    through :func:`_child_rng`, the reference."""
+    stop = start + count
+    bulk_stop = max(start, min(stop, 1 << 32))
+    index = np.arange(start, bulk_stop, dtype=np.uint64)
+    pool = np.random.SeedSequence(seed, spawn_key=(key,)).pool.astype(np.uint64)[:, None]
+    # Every word mixed into the pool so far (the seed's words, padded to
+    # the pool size of 4, and the key) advanced the hash constant 4 times.
+    seed_words = max(4, (seed.bit_length() + 31) // 32)
+    const = _INIT_A * pow(_MULT_A, 4 * (seed_words + 1), 1 << 32) & _MASK32
+    # Mix the index word into each pool word, then generate 8 32-bit words.
+    hashed = _hash_rows(np.broadcast_to(index, (4, len(index))), const, _MULT_A)
+    pool = (pool * np.uint64(_MIX_L) - hashed * np.uint64(_MIX_R)) & _M32
+    pool ^= pool >> _U16
+    halves = _hash_rows(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _INIT_B, _MULT_B)
+    # generate_state(4, uint64): 64-bit word k is 32-bit words 2k (low) and 2k + 1 (high).
+    words = (halves[0::2] | halves[1::2] << _U32).tolist()
+    states = []
+    for s0, s1, q0, q1 in zip(*words):
+        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+        states.append(((((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    for i in range(bulk_stop, stop):
+        state = _child_rng(seed, key, i).bit_generator.state["state"]
+        states.append((state["state"], state["inc"]))
+    return states
+
+
+def _record_rngs(seed: int, key: int, start: int, count: int) -> Iterator[np.random.Generator]:
+    """Yield, for each record i = start .. start + count - 1, a generator at
+    the start of ``_child_rng(seed, key, i)``'s stream. It is one generator,
+    reset before each yield, so draw from it before asking for the next."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for state, inc in _pcg64_states(seed, key, start, count):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def _run_seed(seed) -> int:
+    """``seed`` as a Python int. A run must be reproducible, so the seed is a
+    non-negative integer: ``SeedSequence(None)`` would draw fresh OS entropy."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or value < 0 or isinstance(seed, (bool, np.bool_)):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return value
 
 
 def _require_finite(model, *names: str) -> None:
@@ -183,8 +271,8 @@ def _pattern_filler(width: int, height: int, n: int, model: PatternModel, seed: 
 
     if model.kind == "iid-uniform":
         def fill_iid(start: int, out: np.ndarray) -> None:
-            for i, frame in enumerate(out, start):
-                _child_rng(seed, _PATTERN_KEY, i).random(out=frame)
+            for frame, rng in zip(out, _record_rngs(seed, _PATTERN_KEY, start, len(out))):
+                rng.random(out=frame)
 
         return fill_iid
 
@@ -226,7 +314,7 @@ def _pattern_filler(width: int, height: int, n: int, model: PatternModel, seed: 
 
 def generate_patterns(width: int, height: int, n: int, model: PatternModel, seed: int) -> list[Frame]:
     """Generate ``n`` illumination frames, deterministic in ``seed``."""
-    fill = _pattern_filler(width, height, n, model, seed)
+    fill = _pattern_filler(width, height, n, model, _run_seed(seed))
     stack = np.empty((n, height, width))
     fill(0, stack)
     stack.flags.writeable = False
@@ -279,8 +367,8 @@ def apply_drift(patterns, profile: DriftProfile, seed: int = 0) -> list[Frame]:
     return [Frame(frame.data * g) for frame, g in zip(patterns, gains)]
 
 
-def _bucket_noise(index: int, pixels: int, model: NoiseModel, seed: int) -> float:
-    rng = _child_rng(seed, _NOISE_KEY, index)
+def _bucket_noise(rng: np.random.Generator, pixels: int, model: NoiseModel) -> float:
+    """The noise of one record, drawn from the start of its stream ``rng``."""
     if model.target == "bucket":
         return float(rng.normal(model.mean, model.std))
     # Independent per-pixel noise on the field reaching the detector,
@@ -294,7 +382,7 @@ def apply_noise(records, model: NoiseModel, seed: int = 0):
         if not model.enabled:
             yield rec
             continue
-        eta = _bucket_noise(rec.index, rec.frame.data.size, model, seed)
+        eta = _bucket_noise(_child_rng(seed, _NOISE_KEY, rec.index), rec.frame.data.size, model)
         yield MeasurementRecord(rec.index, rec.frame, rec.bucket + eta)
 
 
@@ -334,6 +422,7 @@ class Simulation:
         drift: DriftProfile = DriftProfile(),
         noise: NoiseModel = NoiseModel(),
     ):
+        seed = _run_seed(seed)
         self._fill = _pattern_filler(scene.width, scene.height, n, pattern, seed)
         self._gains = drift_gains(drift, n, seed)
         self._transmission = scene.transmission.ravel()
@@ -357,9 +446,8 @@ class Simulation:
         buckets = frames.reshape(len(frames), -1) @ self._transmission
         if self._noise.enabled:
             pixels = self._transmission.size
-            buckets += np.array(
-                [_bucket_noise(i, pixels, self._noise, self._seed) for i in range(start, stop)]
-            )
+            rngs = _record_rngs(self._seed, _NOISE_KEY, start, len(frames))
+            buckets += np.array([_bucket_noise(rng, pixels, self._noise) for rng in rngs])
         return buckets
 
     def _partition(self) -> tuple[int, range]:

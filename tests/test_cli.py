@@ -96,6 +96,22 @@ def test_reconstruct_manifest_with_a_bad_sidecar_changes_nothing(tmp_path, scene
     assert (tmp_path / "log.json").read_bytes() == sidecar
 
 
+@pytest.mark.parametrize("sidecar", [b"{}\n", b"not json\n"], ids=["object", "not-json"])
+@pytest.mark.parametrize("flags", [["--method", "g2"], ["--method", "sgi1", "--progressive", "8"]],
+                         ids=["batch", "progressive"])
+def test_bad_sidecar_fails_before_any_record_is_read(tmp_path, scene_pgm, monkeypatch, capsys, sidecar, flags):
+    gid = _simulate(tmp_path, scene_pgm)
+    (tmp_path / "log.json").write_bytes(sidecar)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    reads = []
+    monkeypatch.setattr(gikit.fileio.Container, "blocks", lambda self: reads.append(self) or iter(()))
+    assert main(["reconstruct", "--in", str(gid), *flags, "--scene", str(scene_pgm),
+                 "--out", str(tmp_path / "r"), "--manifest", str(tmp_path / "log")]) == 1
+    assert capsys.readouterr().err.startswith("error: manifest sidecar ")
+    assert reads == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_reconstruct_limit_and_pair_count(tmp_path, scene_pgm):
     gid = _simulate(tmp_path, scene_pgm)
     manifest = tmp_path / "log"

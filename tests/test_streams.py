@@ -1,0 +1,101 @@
+"""Per-record random streams: pattern i draws from SeedSequence(seed,
+spawn_key=(0, i)) and the noise of record i from SeedSequence(seed,
+spawn_key=(2, i)). The simulator derives these streams in bulk; here they
+are built one record at a time, the plain way, and must agree bit for bit."""
+
+import sys
+
+import numpy as np
+import pytest
+
+import gikit.fileio
+from gikit import NoiseModel, binary_demo_scene, simulate
+from gikit.simulate import Simulation, _pcg64_states
+
+BLOCK_ROWS = 8
+SIDE = 12
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(gikit.fileio, "_BLOCK_BYTES", BLOCK_ROWS * (8 + 4 * SIDE * SIDE))
+
+
+def _stream(seed, key, i):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key, i)))
+
+
+def _reference_run(scene, n, seed, noise):
+    """Frames and buckets of an iid run without drift, one record at a time."""
+    frames = np.empty((n, SIDE, SIDE))
+    for i in range(n):
+        _stream(seed, 0, i).random(out=frames[i])
+    flat = frames.reshape(n, -1)
+    transmission = scene.transmission.ravel()
+    buckets = np.concatenate([flat[b : b + BLOCK_ROWS] @ transmission for b in range(0, n, BLOCK_ROWS)])
+    for i in range(n) if noise.enabled else ():
+        rng = _stream(seed, 2, i)
+        if noise.target == "bucket":
+            buckets[i] += float(rng.normal(noise.mean, noise.std))
+        else:
+            buckets[i] += float(rng.normal(noise.mean, noise.std, size=SIDE * SIDE).sum())
+    return flat, buckets
+
+
+@pytest.mark.parametrize("n", [17, 64])
+@pytest.mark.parametrize("target", [None, "bucket", "object-field"])
+@pytest.mark.parametrize("seed", [0, 9, 2**40 + 1])
+def test_simulation_equals_per_record_streams(small_blocks, n, target, seed):
+    scene = binary_demo_scene(SIDE, SIDE)
+    noise = NoiseModel() if target is None else NoiseModel(mean=0.02, std=0.1, target=target)
+    frames, buckets = _reference_run(scene, n, seed, noise)
+    run = Simulation(scene, n, seed=seed, noise=noise)
+    dataset = run.dataset()
+    assert dataset.frame_matrix.tobytes() == frames.tobytes()
+    assert dataset.buckets.tobytes() == buckets.tobytes()
+    streamed = [(b.copy(), f.copy()) for _, b, f in run.blocks()]
+    assert np.concatenate([f for _, f in streamed]).tobytes() == frames.tobytes()
+    assert np.concatenate([b for b, _ in streamed]).tobytes() == buckets.tobytes()
+
+
+def _reference_state(seed, key, i):
+    state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key, i))).state["state"]
+    return state["state"], state["inc"]
+
+
+@pytest.mark.parametrize("key", [0, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5])
+def test_pcg64_states_equal_seed_sequence(seed, key):
+    for i in (0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1):
+        assert _pcg64_states(seed, key, i, 1) == [_reference_state(seed, key, i)]
+    # One block across the seam where the index becomes two words long.
+    start = 2**32 - 2
+    assert _pcg64_states(seed, key, start, 4) == [_reference_state(seed, key, i) for i in range(start, start + 4)]
+    assert _pcg64_states(seed, key, 5, 40) == [_reference_state(seed, key, i) for i in range(5, 45)]
+    assert _pcg64_states(seed, key, 7, 0) == []
+
+
+@pytest.mark.parametrize("seed", [None, True, False, np.True_, 1.0, 2.5, "3", -1, np.int64(-4)])
+def test_simulation_rejects_a_seed_that_is_not_a_non_negative_int(monkeypatch, seed):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the seed is checked before any work")
+
+    module = sys.modules[Simulation.__module__]  # gikit.simulate is also a function's name
+    monkeypatch.setattr(module, "_pattern_filler", no_work)
+    monkeypatch.setattr(module, "drift_gains", no_work)
+    scene = binary_demo_scene(SIDE, SIDE)
+    for run in (Simulation, simulate):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            run(scene, 4, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint32(5), np.uint64(5)])
+def test_numpy_integer_seed_is_the_int_seed(seed):
+    scene = binary_demo_scene(SIDE, SIDE)
+    noise = NoiseModel(std=0.1)
+    expected = simulate(scene, 9, seed=5, noise=noise)
+    got = simulate(scene, 9, seed=seed, noise=noise)
+    assert type(got.header.seed) is int
+    assert got.header == expected.header
+    assert got.frame_matrix.tobytes() == expected.frame_matrix.tobytes()
+    assert got.buckets.tobytes() == expected.buckets.tobytes()
