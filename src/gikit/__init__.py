@@ -27,11 +27,9 @@ from .simulate import (
     NoiseModel,
     PatternModel,
     Simulation,
-    apply_drift,
     apply_noise,
     binary_demo_scene,
     drift_gains,
-    forward_bucket,
     generate_patterns,
     simulate,
 )

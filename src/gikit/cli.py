@@ -352,6 +352,7 @@ def cmd_sweep(args, parser) -> int:
                 "provenance": dataset.header.provenance,
             }
             rows.append(_manifest_row(result, dataset, args.shift, scene, wall_ms, settings))
+        del dataset  # so that one point's run is held at a time, not two
     csv_path, json_path = write_manifest(rows, args.out)
     print(f"wrote {csv_path} and {json_path}: {len(rows)} rows")
     return 0

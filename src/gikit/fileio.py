@@ -27,17 +27,17 @@ a block that fails is scanned again to tell which error it holds.
 column, and checks it the same way, so the classic estimators can build
 their weights before they read a frame. No read maps the file: touched
 file-backed pages would count toward the process's peak RSS.
-:func:`read_dataset` and :func:`decode_dataset` convert each stored chunk
-straight into its slice of one (n, pixels) stack and check that slice;
-:func:`open_container` hands the blocks out one at a time as read-only
-views of the reused buffer, valid until the next block is asked for, which
-is how the CLI reads: ``reconstruct``, ``--progressive`` and ``diagnose``
-hold the 1 MB record buffer, the 2 MB float64 block buffer, the classic
-estimators' O(n) bucket and weight vectors, the frame totals of ``dgi``
-and ``diagnose`` and the output images or the sgi accumulator's 1 MB row
-buffer, never the whole frame matrix. With one reused buffer, rather than a
-fresh block per read, the peak RSS does not depend on where the allocator
-puts each block.
+:func:`read_dataset` and :func:`decode_dataset` copy the same checked
+blocks into one (n, pixels) stack, as :func:`~gikit.simulate.simulate`
+copies the simulator's blocks; :func:`open_container` hands the blocks out
+one at a time as read-only views of the reused buffer, valid until the
+next block is asked for, which is how the CLI reads: ``reconstruct``,
+``--progressive`` and ``diagnose`` hold the 1 MB record buffer, the 2 MB
+float64 block buffer, the classic estimators' O(n) bucket and weight
+vectors, the frame totals of ``dgi`` and ``diagnose`` and the output
+images or the sgi accumulator's 1 MB row buffer, never the whole frame
+matrix. With one reused buffer, rather than a fresh block per read, the
+peak RSS does not depend on where the allocator puts each block.
 
 Every write goes through one block writer, :func:`write_container`, which
 takes a header and the same ``(start, buckets, frames)`` blocks and stores
@@ -73,6 +73,7 @@ from .types import (
     ObjectScene,
     ReconImage,
     _bucket_report,
+    _stacked_dataset,
 )
 from .metrics import normalize_minmax
 
@@ -239,18 +240,6 @@ def _read_header(fh) -> tuple[DatasetHeader, int]:
     return header, 8 + header_len
 
 
-def _read_chunks(fh, offset: int, n: int, pixels: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, records)`` for the first ``n`` records of the payload
-    at ``offset``, as stored; every chunk reuses one record buffer."""
-    records = np.empty(min(n, _block_rows(pixels)), dtype=_record_dtype(pixels))
-    fh.seek(offset)
-    for start in range(0, n, len(records)):
-        chunk = records[: n - start]
-        if fh.readinto(chunk) != chunk.nbytes:
-            raise FileFormatError(f"payload ended inside records {start}..{start + len(chunk) - 1}")
-        yield start, chunk
-
-
 def _check_buckets(buckets: np.ndarray) -> None:
     if not np.isfinite(buckets).all():
         raise FileFormatError("payload contains non-finite values")
@@ -275,15 +264,22 @@ def _convert_checked(chunk: np.ndarray, buckets: np.ndarray, frames: np.ndarray)
     np.copyto(frames, stored)
 
 
-def _read_blocks(fh, offset: int, n: int, pixels: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield ``(start, buckets, frames)`` for the first ``n`` records of the
-    payload at ``offset``: read-only float64 views of shapes (rows,) and
-    (rows, pixels) of one buffer that every block is converted into, so a
-    block is valid until the next one is asked for. Each block is checked
-    before it is yielded."""
+def _read_blocks(fh, offset: int, header: DatasetHeader) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(start, buckets, frames)`` for the first ``header.n`` records
+    of the payload at ``offset``: read-only float64 views of shapes (rows,)
+    and (rows, pixels) of one buffer that every block is converted into, so
+    a block is valid until the next one is asked for. The stored records are
+    read through one record buffer, and each block is checked before it is
+    yielded."""
+    n, pixels = header.n, header.width * header.height
     rows = min(n, _block_rows(pixels))
+    records = np.empty(rows, dtype=_record_dtype(pixels))
     buckets, frames = np.empty(rows), np.empty((rows, pixels))
-    for start, chunk in _read_chunks(fh, offset, n, pixels):
+    fh.seek(offset)
+    for start in range(0, n, rows):
+        chunk = records[: n - start]
+        if fh.readinto(chunk) != chunk.nbytes:
+            raise FileFormatError(f"payload ended inside records {start}..{start + len(chunk) - 1}")
         block_buckets, block_frames = buckets[: len(chunk)], frames[: len(chunk)]
         _convert_checked(chunk, block_buckets, block_frames)
         block_buckets.flags.writeable = False
@@ -342,7 +338,7 @@ class Container:
         value or a negative pixel raises :class:`FileFormatError` before it
         is yielded."""
         with open(self.path, "rb") as fh:
-            yield from _read_blocks(fh, self.offset, self.n, self.header.width * self.header.height)
+            yield from _read_blocks(fh, self.offset, self.header)
 
 
 def open_container(path) -> Container:
@@ -352,34 +348,18 @@ def open_container(path) -> Container:
     return Container(Path(path), header, offset)
 
 
-def _stack_blocks(fh) -> Dataset:
-    header, offset = _read_header(fh)
-    n, pixels = header.n, header.width * header.height
-    frames = np.empty((n, pixels))
-    buckets = np.empty(n)
-    for start, chunk in _read_chunks(fh, offset, n, pixels):
-        rows = slice(start, start + len(chunk))
-        _convert_checked(chunk, buckets[rows], frames[rows])
-    frames.flags.writeable = False
-    buckets.flags.writeable = False
-    return Dataset.from_arrays(
-        frames.reshape(n, header.height, header.width),
-        buckets,
-        seed=header.seed,
-        provenance=header.provenance,
-        validate=False,
-    )
-
-
 def decode_dataset(data: bytes) -> Dataset:
     """Parse container bytes back into a dataset, validating the format."""
-    return _stack_blocks(io.BytesIO(data))
+    fh = io.BytesIO(data)
+    header, offset = _read_header(fh)
+    return _stacked_dataset(header, _read_blocks(fh, offset, header))
 
 
 def read_dataset(source) -> Dataset:
     """Read a whole container file into memory as a dataset."""
     with open(source, "rb") as fh:
-        return _stack_blocks(fh)
+        header, offset = _read_header(fh)
+        return _stacked_dataset(header, _read_blocks(fh, offset, header))
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,12 @@ run exactly. The seed must be a non-negative integer. The per-record streams
 the reference.
 
 A run is produced a block of consecutive records at a time by
-:class:`Simulation`, which fills each block's frames in place, scales them
-by the drift gains, integrates the buckets and adds the noise. ``gikit
-simulate`` writes each block straight into the container, so it holds one
-block (about 32 MB of float64 frames) and never the whole run;
-:func:`simulate` fills one in-memory stack with the same blocks, so both
-give the same bytes.
+:class:`Simulation`, which fills each block's frames into one reused
+buffer, scales them by the drift gains, integrates the buckets and adds the
+noise. ``gikit simulate`` writes each block straight into the container, so
+it holds one block (about 1 MB of stored records, twice that as float64
+frames) and never the whole run; :func:`simulate` copies the same blocks
+into one in-memory stack, so both give the same bytes.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .types import (
     MeasurementRecord,
     ObjectScene,
     _frame_unchecked,
+    _stacked_dataset,
 )
 
 __all__ = [
@@ -56,8 +57,6 @@ __all__ = [
     "DriftProfile",
     "NoiseModel",
     "generate_patterns",
-    "forward_bucket",
-    "apply_drift",
     "drift_gains",
     "apply_noise",
     "simulate",
@@ -321,18 +320,10 @@ def generate_patterns(width: int, height: int, n: int, model: PatternModel, seed
     return [_frame_unchecked(stack[i]) for i in range(n)]
 
 
-def forward_bucket(pattern: Frame, scene: ObjectScene) -> float:
-    """Bucket value collected through the object for one illumination pattern."""
-    if pattern.data.shape != scene.transmission.shape:
-        raise ValueError(
-            f"pattern is {pattern.height}x{pattern.width} but scene is "
-            f"{scene.height}x{scene.width}"
-        )
-    return float(np.dot(pattern.data.ravel(), scene.transmission.ravel()))
-
-
 def drift_gains(profile: DriftProfile, n: int, seed: int = 0) -> np.ndarray:
-    """Evaluate the per-shot gain sequence d_0..d_{n-1} for a drift profile."""
+    """Evaluate the per-shot gain sequence d_0..d_{n-1} for a drift profile.
+    The seed must be a non-negative integer."""
+    seed = _run_seed(seed)
     if n < 1:
         raise ValueError(f"measurement count must be >= 1, got {n}")
     i = np.arange(n, dtype=np.float64)
@@ -360,13 +351,6 @@ def drift_gains(profile: DriftProfile, n: int, seed: int = 0) -> np.ndarray:
     return gains
 
 
-def apply_drift(patterns, profile: DriftProfile, seed: int = 0) -> list[Frame]:
-    """Scale frame i by the profile's gain d_i."""
-    patterns = list(patterns)
-    gains = drift_gains(profile, len(patterns), seed)
-    return [Frame(frame.data * g) for frame, g in zip(patterns, gains)]
-
-
 def _bucket_noise(rng: np.random.Generator, pixels: int, model: NoiseModel) -> float:
     """The noise of one record, drawn from the start of its stream ``rng``."""
     if model.target == "bucket":
@@ -376,14 +360,18 @@ def _bucket_noise(rng: np.random.Generator, pixels: int, model: NoiseModel) -> f
     return float(rng.normal(model.mean, model.std, size=pixels).sum())
 
 
-def apply_noise(records, model: NoiseModel, seed: int = 0):
-    """Yield records with noised buckets; reference frames are never altered."""
-    for rec in records:
-        if not model.enabled:
-            yield rec
-            continue
+def apply_noise(records, model: NoiseModel, seed: int = 0) -> Iterator[MeasurementRecord]:
+    """Iterate over the records with noised buckets; reference frames are
+    never altered. The seed, a non-negative integer, is checked at the call."""
+    seed = _run_seed(seed)
+    if not model.enabled:
+        return iter(records)
+
+    def noised(rec: MeasurementRecord) -> MeasurementRecord:
         eta = _bucket_noise(_child_rng(seed, _NOISE_KEY, rec.index), rec.frame.data.size, model)
-        yield MeasurementRecord(rec.index, rec.frame, rec.bucket + eta)
+        return MeasurementRecord(rec.index, rec.frame, rec.bucket + eta)
+
+    return map(noised, records)
 
 
 def _provenance(scene: ObjectScene, pattern: PatternModel, drift: DriftProfile,
@@ -406,11 +394,14 @@ class Simulation:
 
     A record needs only its own random streams and the O(n) drift gains and
     speckle offsets worked out here once, so a block needs no other records.
-    :meth:`blocks` and :meth:`dataset` split the run the same way, into
-    blocks of a multiple of 8 rows that fit the container writer's record
-    buffer. A streamed run and an in-memory one therefore agree bit for bit:
-    BLAS matrix-vector kernels sum rows in small groups, and a block boundary
-    inside a group could change the last bit of a bucket.
+    :meth:`blocks` is the only route through the forward model: a container
+    is written from it and :meth:`dataset` stacks it, so a streamed run and
+    an in-memory one agree bit for bit because they are one run. Blocks hold
+    a multiple of 8 rows that fit the container writer's record buffer. The
+    multiple of 8 keeps the buckets equal, bit for bit, to those of
+    containers written by earlier versions: BLAS matrix-vector kernels sum
+    rows in small groups, and a block boundary inside a group could change
+    the last bit of a bucket.
     """
 
     def __init__(
@@ -450,37 +441,22 @@ class Simulation:
             buckets += np.array([_bucket_noise(rng, pixels, self._noise) for rng in rngs])
         return buckets
 
-    def _partition(self) -> tuple[int, range]:
-        rows = min(self.header.n, _block_rows(self._transmission.size, multiple=8))
-        return rows, range(0, self.header.n, rows)
-
     def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Yield the run as ``(start, buckets, frames)`` blocks, frames of
         shape (rows, pixels): the form in which a container is read. All
         blocks share one frame buffer, so use each before asking for the next."""
         header = self.header
-        rows, starts = self._partition()
+        rows = min(header.n, _block_rows(self._transmission.size, multiple=8))
         buffer = np.empty((rows, header.height, header.width))
-        for start in starts:
-            frames = buffer[: min(rows, header.n - start)]
+        for start in range(0, header.n, rows):
+            frames = buffer[: header.n - start]
             buckets = self._forward(start, frames)
             yield start, buckets, frames.reshape(len(frames), -1)
 
     def dataset(self) -> Dataset:
-        """The whole run in memory, as one frame stack filled a block at a time."""
-        header = self.header
-        stack = np.empty((header.n, header.height, header.width))
-        buckets = np.empty(header.n)
-        rows, starts = self._partition()
-        for start in starts:
-            buckets[start : start + rows] = self._forward(start, stack[start : start + rows])
-        # Patterns are in [0, 1) and gains are positive, so the stack is valid by
-        # construction; freeze it so the dataset shares this buffer.
-        stack.flags.writeable = False
-        buckets.flags.writeable = False
-        return Dataset.from_arrays(
-            stack, buckets, seed=header.seed, provenance=header.provenance, validate=False
-        )
+        """The whole run in memory: the :meth:`blocks`, stacked. Patterns are in
+        [0, 1) and gains are positive, so the frames are valid by construction."""
+        return _stacked_dataset(self.header, self.blocks())
 
 
 def simulate(

@@ -169,8 +169,8 @@ class Dataset:
 
         Pass a read-only stack to transfer ownership without a copy.
         ``validate=False`` skips the full-stack finite/non-negative scan for
-        callers that have already checked every pixel (the simulator, the
-        container reader); array shapes are checked either way.
+        callers that have already checked every pixel; array shapes are
+        checked either way.
         """
         stack = _frozen_array(frames, np.float64)
         if stack.ndim != 3:
@@ -258,6 +258,21 @@ def _prechecked_dataset(header: DatasetHeader, buckets, frame_matrix) -> Dataset
     object.__setattr__(dataset, "header", header)
     _set_arrays(dataset, buckets, frame_matrix)
     return dataset
+
+
+def _stacked_dataset(header: DatasetHeader, blocks) -> Dataset:
+    """The one route from blocks into memory: copy checked ``(start, buckets,
+    frames)`` blocks that cover records 0..n-1 of ``header`` in order, frames
+    of shape (rows, pixels), into one frozen frame matrix and bucket vector.
+    Each block is copied before the next is asked for, so a producer may
+    reuse its buffers."""
+    buckets, frame_matrix = np.empty(header.n), np.empty((header.n, header.width * header.height))
+    for start, block_buckets, block_frames in blocks:
+        buckets[start : start + len(block_buckets)] = block_buckets
+        frame_matrix[start : start + len(block_buckets)] = block_frames
+    buckets.flags.writeable = False
+    frame_matrix.flags.writeable = False
+    return _prechecked_dataset(header, buckets, frame_matrix)
 
 
 @dataclass(frozen=True, eq=False)

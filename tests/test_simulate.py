@@ -3,16 +3,13 @@ import pytest
 
 from gikit import (
     DriftProfile,
-    Frame,
     NoiseModel,
     ObjectScene,
     PatternModel,
-    apply_drift,
     apply_noise,
     binary_demo_scene,
     drift_gains,
     encode_dataset,
-    forward_bucket,
     frame_sum,
     generate_patterns,
     simulate,
@@ -31,14 +28,17 @@ def test_scene_validation():
         ObjectScene([[-0.1, 0.0]])
 
 
-def test_forward_bucket_cases():
-    pattern = Frame([[1.0, 2.0], [3.0, 4.0]])
-    assert forward_bucket(pattern, ObjectScene(np.ones((2, 2)))) == frame_sum(pattern)
-    assert forward_bucket(pattern, ObjectScene(np.zeros((2, 2)))) == 0.0
-    scene = ObjectScene([[1.0, 0.0], [0.0, 1.0]])
-    assert forward_bucket(pattern, scene) == pytest.approx(5.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        forward_bucket(Frame(np.ones((3, 2))), scene)
+def test_bucket_is_frame_dot_transmission():
+    ones = simulate(ObjectScene(np.ones((2, 2))), n=6, seed=8)
+    zeros = simulate(ObjectScene(np.zeros((2, 2))), n=6, seed=8)
+    diagonal = simulate(ObjectScene([[1.0, 0.0], [0.0, 1.0]]), n=6, seed=8)
+    for rec in ones.records:
+        assert rec.bucket == pytest.approx(frame_sum(rec.frame), rel=1e-12)
+    assert (zeros.buckets == 0.0).all()
+    for rec in diagonal.records:
+        assert rec.bucket == pytest.approx(rec.frame.data[0, 0] + rec.frame.data[1, 1], rel=1e-12)
+    # The scene does not change the frames.
+    assert ones.frame_matrix.tobytes() == zeros.frame_matrix.tobytes() == diagonal.frame_matrix.tobytes()
 
 
 def test_iid_patterns_deterministic_and_in_range():
@@ -100,19 +100,31 @@ def test_speckle_adjacent_correlation_decreases_with_shift():
 
 
 def test_drift_gains_none_and_zero_amplitude():
-    frames = generate_patterns(4, 4, 3, PatternModel(), seed=1)
+    scene = binary_demo_scene(4, 4)
+    plain = simulate(scene, n=3, seed=1)
     for profile in (DriftProfile(), DriftProfile("linear", 0.0)):
-        out = apply_drift(frames, profile)
-        for fo, fi in zip(out, frames):
-            np.testing.assert_array_equal(fo.data, fi.data)
+        out = simulate(scene, n=3, seed=1, drift=profile)
+        np.testing.assert_array_equal(out.frame_matrix, plain.frame_matrix)
 
 
 def test_linear_drift_gains_match_formula():
-    frames = generate_patterns(4, 4, 3, PatternModel(), seed=1)
-    out = apply_drift(frames, DriftProfile("linear", 0.2))
-    for i, (fo, fi) in enumerate(zip(out, frames)):
+    scene = binary_demo_scene(4, 4)
+    plain = simulate(scene, n=3, seed=1)
+    out = simulate(scene, n=3, seed=1, drift=DriftProfile("linear", 0.2))
+    for i, (fo, fi) in enumerate(zip(out.records, plain.records)):
         gain = 1.0 + 0.2 * (i / 3 - 0.5)
-        assert frame_sum(fo) == pytest.approx(gain * frame_sum(fi), rel=1e-12)
+        assert frame_sum(fo.frame) == pytest.approx(gain * frame_sum(fi.frame), rel=1e-12)
+
+
+@pytest.mark.parametrize("profile", [DriftProfile("linear", 0.2), DriftProfile("sinusoidal", 0.5, 7.0),
+                                     DriftProfile("step", 0.3, 3.0), DriftProfile("random-walk", 0.1)])
+@pytest.mark.parametrize("pattern", [PatternModel(), SPECKLE])
+def test_drifted_frames_are_frames_times_gains(profile, pattern):
+    scene = binary_demo_scene(6, 6)
+    plain = simulate(scene, n=20, seed=6, pattern=pattern)
+    drifted = simulate(scene, n=20, seed=6, pattern=pattern, drift=profile)
+    gains = drift_gains(profile, 20, seed=6)
+    assert drifted.frame_matrix.tobytes() == (plain.frame_matrix * gains[:, None]).tobytes()
 
 
 def test_step_and_sinusoidal_gains():
@@ -163,6 +175,24 @@ def test_noise_degenerate_cases():
     field = list(apply_noise(ds.records, NoiseModel(mean=0.0625, std=0.0, target="object-field"), seed=9))
     for before, after in zip(ds.records, field):
         assert after.bucket == pytest.approx(before.bucket + 0.0625 * 16, rel=1e-12)
+
+
+@pytest.mark.parametrize("pattern", [PatternModel(), PatternModel("correlated-speckle", 2.5, 1.5, jitter=0.7)])
+def test_generate_patterns_are_the_simulated_frames(pattern):
+    frames = generate_patterns(9, 7, 40, pattern, seed=12)
+    run = simulate(binary_demo_scene(9, 7), n=40, seed=12, pattern=pattern)
+    assert np.stack([f.data for f in frames]).tobytes() == run.frame_matrix.tobytes()
+
+
+@pytest.mark.parametrize("target", ["bucket", "object-field"])
+def test_apply_noise_gives_the_noised_run(target):
+    scene = binary_demo_scene(8, 8)
+    drift = DriftProfile("random-walk", 0.05)
+    noise = NoiseModel(mean=0.02, std=0.1, target=target)
+    clean = simulate(scene, n=40, seed=13, drift=drift)
+    noised = simulate(scene, n=40, seed=13, drift=drift, noise=noise)
+    buckets = [rec.bucket for rec in apply_noise(clean.records, noise, seed=13)]
+    assert np.array(buckets).tobytes() == noised.buckets.tobytes()
 
 
 def test_noise_model_validation():

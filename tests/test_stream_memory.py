@@ -117,3 +117,18 @@ def test_bucket_column_costs_its_own_bytes(tmp_path, rng):
     buckets, peak = _traced(lambda: container.buckets)
     assert buckets.tobytes() == dataset.buckets.tobytes()
     assert peak < 8 * n + 2**20, f"traced peak {peak} bytes for {n} buckets"
+
+
+def test_sweep_holds_one_point_at_a_time(tmp_path, monkeypatch):
+    side, n = 32, 1024
+    monkeypatch.setattr(gikit.fileio, "_BLOCK_BYTES", 8 * (8 + 4 * side * side))
+    scene = tmp_path / "scene.pgm"
+    export_image(ReconImage(binary_demo_scene(side, side).transmission), scene)
+    argv = ["sweep", "--scene", str(scene), "--axis", "noise-mean", "--values", "0.01,0.02,0.03",
+            "--methods", "g2,dgi,sgi1", "--n", str(n), "--seed", "3", "--out", str(tmp_path / "sweep")]
+    code, peak = _traced(main, argv)
+    assert code == 0
+    # One point's frame matrix and the simulator's 8-row block buffer; two
+    # frame matrices would mean the previous point's run is still held.
+    matrix, block = n * side * side * 8, 8 * side * side * 8
+    assert peak < 1.5 * matrix + block, f"traced peak {peak / matrix:.2f} frame matrices"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gikit.fileio
-from gikit import NoiseModel, binary_demo_scene, simulate
+from gikit import DriftProfile, NoiseModel, apply_noise, binary_demo_scene, drift_gains, simulate
 from gikit.simulate import Simulation, _pcg64_states
 
 BLOCK_ROWS = 8
@@ -99,3 +99,48 @@ def test_numpy_integer_seed_is_the_int_seed(seed):
     assert got.header == expected.header
     assert got.frame_matrix.tobytes() == expected.frame_matrix.tobytes()
     assert got.buckets.tobytes() == expected.buckets.tobytes()
+
+
+BAD_SEEDS = [None, True, 2.5, "3", -1]
+WALK = DriftProfile("random-walk", 0.2)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_apply_noise_checks_its_seed_at_the_call(seed):
+    def records():
+        raise AssertionError("the seed is checked before the first record is drawn")
+        yield
+
+    for target in ("bucket", "object-field"):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            apply_noise(records(), NoiseModel(std=0.1, target=target), seed=seed)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_drift_gains_checks_its_seed(seed):
+    for profile in (WALK, DriftProfile("linear", 0.2)):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            drift_gains(profile, 6, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2**40 + 1])
+@pytest.mark.parametrize("target", ["bucket", "object-field"])
+def test_apply_noise_draws_each_record_from_its_stream(seed, target):
+    noise = NoiseModel(mean=0.02, std=0.1, target=target)
+    records = simulate(binary_demo_scene(SIDE, SIDE), 5, seed=1).records
+    got = [rec.bucket for rec in apply_noise(records, noise, seed=seed)]
+    expected = []
+    for rec in records:
+        rng = _stream(int(seed), 2, rec.index)
+        size = None if target == "bucket" else SIDE * SIDE
+        expected.append(rec.bucket + float(np.sum(rng.normal(noise.mean, noise.std, size=size))))
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2**40 + 1])
+def test_random_walk_gains_draw_from_the_drift_stream(seed):
+    eps = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(1,))).normal(0.0, WALK.amplitude, size=50)
+    expected = [1.0]
+    for step in eps[1:]:
+        expected.append(min(max(expected[-1] * np.exp(step), 0.1), 10.0))
+    assert drift_gains(WALK, 50, seed=seed).tobytes() == np.array(expected).tobytes()
