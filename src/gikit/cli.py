@@ -2,8 +2,9 @@
 parameters, and dump drift diagnostics.
 
 Exit codes: 0 success, 2 flag/validation errors (before any real work), 1
-runtime failures (I/O, degenerate data). All outputs are deterministic given
-the same flags and seed, except the wall_time_ms manifest column.
+runtime failures (I/O, degenerate data, a run too large to allocate). All
+outputs are deterministic given the same flags and seed, except the
+wall_time_ms manifest column.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import GikitError
@@ -31,52 +33,36 @@ from .fileio import (
 )
 from .metrics import cnr, mask_from_scene
 from .reconstruct import METHODS, SGI_METHODS, SgiAccumulator, _frame_blocks, reconstruct, sr_diagnostics
-from .simulate import DRIFT_KINDS, DriftProfile, NoiseModel, PatternModel, Simulation, simulate
+from .simulate import DriftProfile, NoiseModel, PatternModel, Simulation, simulate
 
 PATTERN_ALIASES = {"iid": "iid-uniform", "speckle": "correlated-speckle"}
 SWEEP_AXES = ("n", "noise-mean", "drift-kind")
 
 
-def _parse_drift(spec: str, parser: argparse.ArgumentParser) -> DriftProfile:
-    """Parse 'kind[:amplitude[:period_or_knots]]', e.g. 'linear:0.3'."""
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind not in DRIFT_KINDS:
-        parser.error(f"unknown drift kind {kind!r}, expected one of {DRIFT_KINDS}")
-    try:
-        amplitude = float(parts[1]) if len(parts) > 1 else 0.0
-        period = float(parts[2]) if len(parts) > 2 else None
-        return DriftProfile(kind=kind, amplitude=amplitude, period_or_knots=period)
-    except (ValueError, IndexError) as exc:
-        parser.error(f"bad drift spec {spec!r}: {exc}")
-
-
-def _pattern_from_args(args, parser) -> PatternModel:
-    kind = PATTERN_ALIASES.get(args.pattern, args.pattern)
-    try:
-        return PatternModel(
-            kind=kind,
-            grain_radius=args.grain,
-            step_shift=args.step_shift,
-            jitter=args.jitter,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _noise_from_args(args, parser) -> NoiseModel:
-    try:
-        return NoiseModel(mean=args.noise_mean, std=args.noise_std, target=args.noise_target)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _at_least(minimum: int):
+    """An argparse type: an integer of at least ``minimum``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
 
 
 def _simulation_models(args, parser) -> tuple[PatternModel, DriftProfile, NoiseModel]:
-    """Check the flags of :func:`_add_simulation_flags` and build their models."""
-    if args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
-    pattern = _pattern_from_args(args, parser)
-    return pattern, _parse_drift(args.drift, parser), _noise_from_args(args, parser)
+    """The models of :func:`_add_simulation_flags`'s flags; a bad value exits 2.
+    ``--drift`` is ``kind[:amplitude[:period_or_knots]]``, e.g. ``linear:0.3``."""
+    kind, *numbers = args.drift.split(":")
+    try:
+        if len(numbers) > 2:
+            raise ValueError(f"bad drift spec {args.drift!r}: expected kind[:amplitude[:period]]")
+        return (
+            PatternModel(PATTERN_ALIASES[args.pattern], args.grain, args.step_shift, args.jitter),
+            DriftProfile(kind, *map(float, numbers)),
+            NoiseModel(args.noise_mean, args.noise_std, args.noise_target),
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _add_simulation_flags(sub: argparse.ArgumentParser) -> None:
@@ -89,7 +75,7 @@ def _add_simulation_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--noise-mean", type=float, default=0.0)
     sub.add_argument("--noise-std", type=float, default=0.0)
     sub.add_argument("--noise-target", choices=("bucket", "object-field"), default="bucket")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_at_least(0), default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,17 +84,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="generate a synthetic dataset container")
     _add_simulation_flags(sim)
-    sim.add_argument("--n", type=int, required=True, help="number of measurements")
+    sim.add_argument("--n", type=_at_least(1), required=True, help="number of measurements")
     sim.add_argument("--out", required=True, help="output .gid container path")
 
     rec = subs.add_parser("reconstruct", help="reconstruct image(s) from a container")
     rec.add_argument("--in", dest="input", required=True, help="input .gid container")
     rec.add_argument("--method", choices=METHODS, required=True)
-    rec.add_argument("--shift", type=int, default=1, help="pair shift k for sgi methods")
+    rec.add_argument("--shift", type=_at_least(1), default=1, help="pair shift k for sgi methods")
     rec.add_argument("--close-loop", action="store_true", help="add the last-minus-first pair (k=1 only)")
-    rec.add_argument("--limit", type=int, default=None, help="use only the first M records")
+    rec.add_argument("--limit", type=_at_least(1), default=None, help="use only the first M records")
     rec.add_argument(
-        "--progressive", type=int, default=None, metavar="E",
+        "--progressive", type=_at_least(1), default=None, metavar="E",
         help="for sgi methods, also export a snapshot every E records",
     )
     rec.add_argument("--scene", default=None, help="ground-truth scene for the CNR manifest column")
@@ -118,16 +104,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = subs.add_parser("sweep", help="CNR across a parameter sweep, one manifest row per run")
     _add_simulation_flags(swp)
-    swp.add_argument("--n", type=int, required=True, help="measurements per point (max over points for axis=n)")
+    swp.add_argument("--n", type=_at_least(2), required=True,
+                     help="measurements per point (max over points for axis=n)")
     swp.add_argument("--axis", choices=SWEEP_AXES, required=True)
     swp.add_argument("--values", required=True, help="comma-separated sweep values")
     swp.add_argument("--methods", required=True, help="comma-separated methods")
-    swp.add_argument("--shift", type=int, default=1)
+    swp.add_argument("--shift", type=_at_least(1), default=1)
     swp.add_argument("--out", required=True, help="output prefix (writes <out>.csv and <out>.json)")
 
     dia = subs.add_parser("diagnose", help="dump frame totals and their successive deviations")
     dia.add_argument("--in", dest="input", required=True)
-    dia.add_argument("--shift", type=int, default=1)
+    dia.add_argument("--shift", type=_at_least(1), default=1)
     dia.add_argument("--out", required=True, help="output CSV path")
 
     return parser
@@ -176,8 +163,6 @@ def _manifest_row(result, source, shift, scene, wall_ms, settings) -> ManifestRo
 
 
 def cmd_simulate(args, parser) -> int:
-    if args.n < 1:
-        parser.error(f"--n must be >= 1, got {args.n}")
     pattern, drift, noise = _simulation_models(args, parser)
     scene = import_scene(args.scene)
     run = Simulation(scene, n=args.n, seed=args.seed, pattern=pattern, drift=drift, noise=noise)
@@ -217,20 +202,13 @@ def _progressive_reconstruct(source, method, shift, close_loop, every, prefix, r
 
 
 def cmd_reconstruct(args, parser) -> int:
-    if args.shift < 1:
-        parser.error(f"--shift must be >= 1, got {args.shift}")
     if args.close_loop and args.shift != 1:
         parser.error(
             "--close-loop is only defined for --shift 1 "
             "(the wrap-around pair has no agreed meaning for larger shifts)"
         )
-    if args.limit is not None and args.limit < 1:
-        parser.error(f"--limit must be >= 1, got {args.limit}")
-    if args.progressive is not None:
-        if args.progressive < 1:
-            parser.error(f"--progressive must be >= 1, got {args.progressive}")
-        if args.method not in SGI_METHODS:
-            parser.error("--progressive requires a streaming method (sgi1/sgi2/sgi3)")
+    if args.progressive is not None and args.method not in SGI_METHODS:
+        parser.error("--progressive requires a streaming method (sgi1/sgi2/sgi3)")
 
     source = open_container(args.input)
     if args.limit is not None:
@@ -274,71 +252,55 @@ def cmd_reconstruct(args, parser) -> int:
     return 0
 
 
-def _parse_values(args, parser) -> list:
-    raw = [v for v in args.values.split(",") if v.strip()]
-    if not raw:
+def _sweep_points(args, parser, drift: DriftProfile, noise: NoiseModel) -> list:
+    """``(value, n, drift, noise)`` of every point of ``--values``, each value
+    stripped; a bad value exits 2 before any run."""
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
+    if not values:
         parser.error("--values must list at least one sweep point")
-    try:
-        if args.axis == "n":
-            values = [int(v) for v in raw]
-            if any(v < 2 for v in values):
-                parser.error("axis=n values must be >= 2")
-            return values
-        if args.axis == "noise-mean":
-            values = [float(v) for v in raw]
-            for v in values:
-                NoiseModel(mean=v)  # rejects a non-finite mean before the first run
-            return values
-    except ValueError as exc:
-        parser.error(f"bad sweep value: {exc}")
-    for v in raw:
-        if v not in DRIFT_KINDS:
-            parser.error(f"unknown drift kind {v!r} in --values")
-    return raw
+    points = []
+    for value in values:
+        try:
+            if args.axis == "n":
+                value = _at_least(2)(value)
+                points.append((value, value, drift, noise))
+            elif args.axis == "noise-mean":
+                value = float(value)
+                points.append((value, args.n, drift, replace(noise, mean=value)))
+            else:  # a none point has no amplitude; every other kind takes --drift's
+                amplitude = drift.amplitude if value != "none" else 0.0
+                points.append((value, args.n, replace(drift, kind=value, amplitude=amplitude), noise))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"bad sweep value {value!r} on axis {args.axis}: {exc}")
+    return points
 
 
 def cmd_sweep(args, parser) -> int:
-    if args.n < 2:
-        parser.error(f"--n must be >= 2, got {args.n}")
     methods = [m for m in args.methods.split(",") if m.strip()]
     if not methods:
         parser.error("--methods must list at least one method")
     for m in methods:
         if m not in METHODS:
             parser.error(f"unknown method {m!r}, expected one of {METHODS}")
-    values = _parse_values(args, parser)
-    if args.shift < 1:
-        parser.error(f"--shift must be >= 1, got {args.shift}")
-    fewest = min(values) if args.axis == "n" else args.n  # records in the smallest point
+    pattern, drift, noise = _simulation_models(args, parser)
+    points = _sweep_points(args, parser, drift, noise)
+    fewest = min(n for _, n, _, _ in points)  # records in the smallest point
     if any(m in SGI_METHODS for m in methods) and fewest <= args.shift:
         parser.error(f"--shift {args.shift} needs more than {args.shift} records, a sweep point has {fewest}")
-    pattern, base_drift, base_noise = _simulation_models(args, parser)
-    drifts = {}  # every drift-kind point's profile, checked before the first run
-    for value in values if args.axis == "drift-kind" else ():
-        amplitude = base_drift.amplitude if value != "none" else 0.0
-        try:
-            drifts[value] = DriftProfile(value, amplitude, base_drift.period_or_knots)
-        except ValueError as exc:
-            parser.error(f"--drift {args.drift} does not suit sweep value {value!r}: {exc}")
     scene = import_scene(args.scene)
 
-    base = None
+    base = None  # axis n takes every point as a prefix of one run
     if args.axis == "n":
-        n_max = max(max(values), args.n)
-        base = simulate(scene, n=n_max, seed=args.seed, pattern=pattern,
-                        drift=base_drift, noise=base_noise)
+        n_max = max(args.n, *(n for _, n, _, _ in points))
+        base = simulate(scene, n=n_max, seed=args.seed, pattern=pattern, drift=drift, noise=noise)
 
     rows = []
-    for value in values:
-        if args.axis == "n":
-            dataset = base.first(int(value))
-        elif args.axis == "noise-mean":
-            noise = NoiseModel(mean=float(value), std=base_noise.std, target=base_noise.target)
-            dataset = simulate(scene, n=args.n, seed=args.seed, pattern=pattern,
-                               drift=base_drift, noise=noise)
+    for value, n, point_drift, point_noise in points:
+        if base is not None:
+            dataset = base.first(n)
         else:
-            dataset = simulate(scene, n=args.n, seed=args.seed, pattern=pattern,
-                               drift=drifts[value], noise=base_noise)
+            dataset = simulate(scene, n=n, seed=args.seed, pattern=pattern,
+                               drift=point_drift, noise=point_noise)
         for method in methods:
             start = time.perf_counter()
             result = reconstruct(dataset, method, shift=args.shift)
@@ -359,8 +321,6 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_diagnose(args, parser) -> int:
-    if args.shift < 1:
-        parser.error(f"--shift must be >= 1, got {args.shift}")
     source = open_container(args.input)
     if source.n <= args.shift:
         parser.error(f"--shift {args.shift} needs more than {args.shift} records, dataset has {source.n}")
@@ -389,7 +349,7 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](args, parser)
-    except (GikitError, ValueError, OSError) as exc:
+    except (GikitError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -60,7 +60,7 @@ import json
 import os
 import secrets
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -446,20 +446,11 @@ def export_raw(image: ReconImage, path) -> None:
 # ---------------------------------------------------------------------------
 # Run manifests: one CSV row per reconstruction plus a JSON settings sidecar.
 
-MANIFEST_COLUMNS = (
-    "method",
-    "n",
-    "k",
-    "drift_kind",
-    "noise_mean",
-    "cnr",
-    "pair_count",
-    "wall_time_ms",
-)
-
-
 @dataclass
 class ManifestRow:
+    """One manifest row: every field but ``settings``, in order, is a CSV
+    column, and ``settings`` goes to the JSON sidecar."""
+
     method: str
     n: int
     k: int | None
@@ -471,17 +462,11 @@ class ManifestRow:
     settings: dict = field(default_factory=dict)
 
     def csv_values(self) -> list:
-        raw = (
-            self.method,
-            self.n,
-            self.k,
-            self.drift_kind,
-            self.noise_mean,
-            self.cnr,
-            self.pair_count,
-            self.wall_time_ms,
-        )
-        return ["" if v is None else v for v in raw]
+        values = (getattr(self, name) for name in MANIFEST_COLUMNS)
+        return ["" if v is None else v for v in values]
+
+
+MANIFEST_COLUMNS = tuple(f.name for f in fields(ManifestRow) if f.name != "settings")
 
 
 def _manifest_paths(path) -> tuple[Path, Path]:

@@ -425,3 +425,67 @@ def test_diagnose_constant_totals_drift_ratio_undefined(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["diagnose", "--in", str(gid), "--out", str(tmp_path / "sr.csv")]) == 0
     assert _printed_drift_ratio(capsys) == "undefined"
+
+
+def _integer_flag_argv(tmp_path, scene_pgm, command):
+    """A valid argv of ``command`` that writes into ``tmp_path``."""
+    gid = str(tmp_path / "in.gid")
+    return {
+        "simulate": ["simulate", "--scene", str(scene_pgm), "--n", "16", "--out", str(tmp_path / "x.gid")],
+        "reconstruct": ["reconstruct", "--in", gid, "--method", "sgi1", "--out", str(tmp_path / "img")],
+        "sweep": ["sweep", "--scene", str(scene_pgm), "--axis", "n", "--values", "8", "--methods", "sgi1",
+                  "--n", "16", "--out", str(tmp_path / "sweep")],
+        "diagnose": ["diagnose", "--in", gid, "--out", str(tmp_path / "sr.csv")],
+    }[command]
+
+
+INTEGER_FLOORS = [
+    ("simulate", "--n", 1), ("simulate", "--seed", 0), ("sweep", "--seed", 0),
+    ("reconstruct", "--shift", 1), ("reconstruct", "--limit", 1), ("reconstruct", "--progressive", 1),
+    ("sweep", "--n", 2), ("sweep", "--shift", 1), ("diagnose", "--shift", 1),
+]
+
+
+@pytest.mark.parametrize("below", [True, False], ids=["floor-1", "non-integer"])
+@pytest.mark.parametrize("command, flag, floor", INTEGER_FLOORS, ids=str)
+def test_bad_integer_flag_exits_2_before_work(tmp_path, scene_pgm, capsys, command, flag, floor, below):
+    _simulate(tmp_path, scene_pgm, "in.gid", n=16)
+    argv = _integer_flag_argv(tmp_path, scene_pgm, command)
+    assert main(argv) == 0  # the argv is valid without the bad flag
+    for output in set(tmp_path.iterdir()) - {scene_pgm, tmp_path / "in.gid"}:
+        output.unlink()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(argv + [flag, str(floor - 1) if below else "2.5"])
+    assert err.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.gid", "scene.pgm"]
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n", "1" + "0" * 17],
+    ["sweep", "--axis", "n", "--values", "1" + "0" * 17, "--methods", "g2", "--n", "16"],
+])
+def test_run_too_large_to_allocate_exits_1(tmp_path, scene_pgm, capsys, command):
+    # 10**17 records need more memory than any address space holds
+    assert main(command + ["--scene", str(scene_pgm), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.pgm"]
+
+
+def test_drift_spec_with_extra_fields_exits_2(tmp_path, scene_pgm, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--scene", str(scene_pgm), "--n", "8", "--drift", "linear:0.3:2:9",
+              "--out", str(tmp_path / "x.gid")])
+    assert err.value.code == 2
+    assert "linear:0.3:2:9" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.pgm"]
+
+
+def test_sweep_values_are_stripped(tmp_path, scene_pgm):
+    assert main(["sweep", "--scene", str(scene_pgm), "--axis", "drift-kind", "--values", "none, linear",
+                 "--drift", "linear:0.3", "--methods", "g2", "--n", "16", "--out", str(tmp_path / "s")]) == 0
+    sidecar = json.loads((tmp_path / "s.json").read_text())
+    assert [entry["settings"]["value"] for entry in sidecar] == ["none", "linear"]
+    assert [entry["row"]["drift_kind"] for entry in sidecar] == ["none", "linear"]

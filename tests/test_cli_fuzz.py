@@ -22,7 +22,7 @@ def _values(valid, hostile=HOSTILE):
 
 
 FLOATS = _values(["0", "0.05", "1", "2.5", "8"], HOSTILE + ["9", "1e300"])
-COUNTS = _values(["1", "2", "3", "17", "64"], ["-1", "0", "nan", "", "1e3", "x" * 5000])  # --n <= 64
+COUNTS = _values(["1", "2", "3", "17", "64"], ["-1", "0", "nan", "", "1e3", "x" * 5000, "1" + "0" * 17])  # valid --n <= 64
 SHIFTS = _values(["1", "2", "5", "16"], HOSTILE + ["17", "64"])
 SEEDS = _values(["0", "7", "9" * 40], ["-1", "nan", "", "1e3"])
 DRIFTS = _values(
