@@ -33,7 +33,9 @@ from .fileio import (
 )
 from .metrics import cnr, mask_from_scene
 from .reconstruct import METHODS, SGI_METHODS, SgiAccumulator, _frame_blocks, reconstruct, sr_diagnostics
-from .simulate import DriftProfile, NoiseModel, PatternModel, Simulation, simulate
+from .simulate import DriftProfile, NoiseModel, PatternModel, Simulation, _provenance
+from .sweep import _sweep_run
+from .types import DatasetHeader
 
 PATTERN_ALIASES = {"iid": "iid-uniform", "speckle": "correlated-speckle"}
 SWEEP_AXES = ("n", "noise-mean", "drift-kind")
@@ -86,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_simulation_flags(sim)
     sim.add_argument("--n", type=_at_least(1), required=True, help="number of measurements")
     sim.add_argument("--out", required=True, help="output .gid container path")
+    sim.set_defaults(run=cmd_simulate, parser=sim)
 
     rec = subs.add_parser("reconstruct", help="reconstruct image(s) from a container")
     rec.add_argument("--in", dest="input", required=True, help="input .gid container")
@@ -101,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--manifest", default=None, help="manifest CSV to append to")
     rec.add_argument("--raw", action="store_true", help="also dump raw float64 image values")
     rec.add_argument("--out", required=True, help="output prefix (writes <out>.pgm or <out>_pos/_neg.pgm)")
+    rec.set_defaults(run=cmd_reconstruct, parser=rec)
 
     swp = subs.add_parser("sweep", help="CNR across a parameter sweep, one manifest row per run")
     _add_simulation_flags(swp)
@@ -111,11 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--methods", required=True, help="comma-separated methods")
     swp.add_argument("--shift", type=_at_least(1), default=1)
     swp.add_argument("--out", required=True, help="output prefix (writes <out>.csv and <out>.json)")
+    swp.set_defaults(run=cmd_sweep, parser=swp)
 
     dia = subs.add_parser("diagnose", help="dump frame totals and their successive deviations")
     dia.add_argument("--in", dest="input", required=True)
     dia.add_argument("--shift", type=_at_least(1), default=1)
     dia.add_argument("--out", required=True, help="output CSV path")
+    dia.set_defaults(run=cmd_diagnose, parser=dia)
 
     return parser
 
@@ -136,22 +142,22 @@ def _export_result(result, prefix: str, raw: bool) -> None:
         export(image, path)
 
 
-def _provenance_fields(source) -> tuple[str, float | None]:
+def _provenance_fields(header) -> tuple[str, float | None]:
     try:
-        settings = json.loads(source.header.provenance)
+        settings = json.loads(header.provenance)
         return settings["drift"]["kind"], float(settings["noise"]["mean"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
         return "", None
 
 
-def _manifest_row(result, source, shift, scene, wall_ms, settings) -> ManifestRow:
-    drift_kind, noise_mean = _provenance_fields(source)
+def _manifest_row(result, header, shift, scene, wall_ms, settings) -> ManifestRow:
+    drift_kind, noise_mean = _provenance_fields(header)
     cnr_value = None
     if scene is not None:
         cnr_value = cnr(result.images[0], mask_from_scene(scene)).cnr
     return ManifestRow(
         method=result.method,
-        n=source.n,
+        n=header.n,
         k=shift if result.method in SGI_METHODS else None,
         drift_kind=drift_kind,
         noise_mean=noise_mean,
@@ -244,7 +250,7 @@ def cmd_reconstruct(args, parser) -> int:
         "progressive": args.progressive,
         "seed": source.header.seed,
     }
-    row = _manifest_row(result, source, args.shift, scene, wall_ms, settings)
+    row = _manifest_row(result, source.header, args.shift, scene, wall_ms, settings)
     if args.manifest:
         append_manifest_row(row, args.manifest)
     print(f"{result.method}: n={source.n}, pairs={result.count}" +
@@ -289,32 +295,36 @@ def cmd_sweep(args, parser) -> int:
         parser.error(f"--shift {args.shift} needs more than {args.shift} records, a sweep point has {fewest}")
     scene = import_scene(args.scene)
 
-    base = None  # axis n takes every point as a prefix of one run
-    if args.axis == "n":
-        n_max = max(args.n, *(n for _, n, _, _ in points))
-        base = simulate(scene, n=n_max, seed=args.seed, pattern=pattern, drift=drift, noise=noise)
+    # Points of one drift share their frames: one run of the longest point
+    # (axis n takes every point as a prefix of it) in two streamed passes.
+    n_run = max(args.n, *(n for _, n, _, _ in points))
+    runs = {}
+    for index, (_, _, point_drift, _) in enumerate(points):
+        runs.setdefault(point_drift, []).append(index)
+    results, wall_ms = [None] * len(points), [0.0] * len(points)
+    for point_drift, indices in runs.items():
+        start = time.perf_counter()
+        run = Simulation(scene, n=n_run, seed=args.seed, pattern=pattern, drift=point_drift)
+        run_results = _sweep_run(run, args.seed, [(points[i][1], points[i][3]) for i in indices],
+                                 methods, args.shift)
+        each_ms = (time.perf_counter() - start) * 1000.0 / (len(indices) * len(methods))
+        for index, point_results in zip(indices, run_results):
+            results[index], wall_ms[index] = point_results, each_ms
 
     rows = []
-    for value, n, point_drift, point_noise in points:
-        if base is not None:
-            dataset = base.first(n)
-        else:
-            dataset = simulate(scene, n=n, seed=args.seed, pattern=pattern,
-                               drift=point_drift, noise=point_noise)
-        for method in methods:
-            start = time.perf_counter()
-            result = reconstruct(dataset, method, shift=args.shift)
-            wall_ms = (time.perf_counter() - start) * 1000.0
+    for (value, n, point_drift, point_noise), point_results, ms in zip(points, results, wall_ms):
+        provenance = _provenance(scene, pattern, point_drift, point_noise, n_run, args.seed)
+        header = DatasetHeader(scene.width, scene.height, n, args.seed, provenance)
+        for method, result in zip(methods, point_results):
             settings = {
                 "axis": args.axis,
                 "value": value,
                 "method": method,
                 "shift": args.shift,
                 "seed": args.seed,
-                "provenance": dataset.header.provenance,
+                "provenance": provenance,
             }
-            rows.append(_manifest_row(result, dataset, args.shift, scene, wall_ms, settings))
-        del dataset  # so that one point's run is held at a time, not two
+            rows.append(_manifest_row(result, header, args.shift, scene, ms, settings))
     csv_path, json_path = write_manifest(rows, args.out)
     print(f"wrote {csv_path} and {json_path}: {len(rows)} rows")
     return 0
@@ -339,16 +349,9 @@ def cmd_diagnose(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    commands = {
-        "simulate": cmd_simulate,
-        "reconstruct": cmd_reconstruct,
-        "sweep": cmd_sweep,
-        "diagnose": cmd_diagnose,
-    }
-    try:
-        return commands[args.command](args, parser)
+    args = build_parser().parse_args(argv)
+    try:  # each command's own exit-2 checks report through its subparser: "gikit <command>: error:"
+        return args.run(args, args.parser)
     except (GikitError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

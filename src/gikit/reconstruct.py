@@ -43,7 +43,15 @@ record. It sums the pairs in fixed chunks of records aligned to record 0,
 scattering the pair rule into weights over a chunk and the ``shift`` rows
 before it, so a chunk costs one product and one Neumaier-compensated
 addition. The summation order depends only on record indices, so every route
-and block cut gives the same bits, far inside the 1e-12 contract.
+and block cut gives the same bits, far inside the 1e-12 contract. The
+buckets may also be a (rows, K) matrix: K runs over the same frames that
+differ only in their buckets, as the points of ``gikit sweep`` do. Its
+columns share the row buffer, and each chunk takes one product of the
+stacked (images * K) weight rows. A bucket vector is the K = 1 case.
+
+``gikit sweep`` sums its classic images the same way: it stacks the
+:func:`_classic_weights` rows of every point and method into one W, each
+point's rows zero past its record count, for one :func:`_weighted_sum` pass.
 """
 
 from __future__ import annotations
@@ -117,14 +125,14 @@ def _frame_totals(source) -> np.ndarray:
     return s_r
 
 
-def _weighted_sum(source, weights: np.ndarray) -> np.ndarray:
-    """One pass over the frames for G = W @ M, weight rows W, summed one row
-    block of M at a time from 0 into one preallocated total. A container
-    checks each block as it is read, so a bad record fails the pass before
-    any image exists."""
-    shape = (len(weights), source.header.width * source.header.height)
+def _weighted_sum(blocks, weights: np.ndarray, pixels: int) -> np.ndarray:
+    """One pass over ``(start, buckets, frames)`` blocks of the frame matrix M
+    for G = W @ M, weight rows W, summed one row block of M at a time from 0
+    into one preallocated total. A container checks each block as it is
+    read, so a bad record fails the pass before any image exists."""
+    shape = (len(weights), pixels)
     total, term = np.zeros(shape), np.empty(shape)
-    for start, _, frames in source.blocks():
+    for start, _, frames in blocks:
         total += np.matmul(weights[:, start : start + len(frames)], frames, out=term)
     return total
 
@@ -200,7 +208,8 @@ def reconstruct(source, method: str, *, shift: int = 1, close_loop: bool = False
     s_r = _frame_totals(source) if method == "dgi" else None
     weights = _classic_weights(method, buckets, s_r)
     shape = (source.header.height, source.header.width)
-    images = tuple(ReconImage(row.reshape(shape)) for row in _weighted_sum(source, weights))
+    total = _weighted_sum(source.blocks(), weights, shape[0] * shape[1])
+    images = tuple(ReconImage(row.reshape(shape)) for row in total)
     return ReconResult(method, images, len(buckets))
 
 
@@ -304,16 +313,19 @@ class SgiAccumulator:
     """Streaming state for the successive-deviation estimators.
 
     Records arrive in order, in blocks (:meth:`push_block`) or one at a time
-    (:meth:`push`). Pairs are summed in fixed chunks of about 1 MB of rows,
-    aligned to record 0, each in the chunk of its newer record; a full chunk
-    takes one weighted product over a buffer holding the chunk and the
-    ``shift`` rows before it, and one compensated addition. So the images
-    depend on the records only, not on the block cuts. The buffer and the
-    first record (kept only for ``close_loop``) are copies; the buffer and
-    each chunk's weights, product and compensated sum are allocated with the
-    first block and reused, so pushing allocates no (images, pixels) array
-    and the state does not grow with the number of records.
-    ``snapshot`` never mutates the accumulator, so periodic snapshots give
+    (:meth:`push`). A block's buckets are a vector, or a (rows, K) matrix of
+    K bucket columns over the same frames: K runs that differ only in their
+    buckets then share the row buffer and one product per chunk, and
+    :meth:`snapshots` gives one result per column. Pairs are summed in fixed
+    chunks of about 1 MB of rows, aligned to record 0, each in the chunk of
+    its newer record; a full chunk takes one weighted product over a buffer
+    holding the chunk and the ``shift`` rows before it, and one compensated
+    addition. So the images depend on the records only, not on the block
+    cuts. The buffer and the first record (kept only for ``close_loop``) are
+    copies; the buffer and each chunk's weights, product and compensated sum
+    are allocated with the first block and reused, so pushing allocates no
+    (images, pixels) array and the state does not grow with the number of
+    records. A snapshot never mutates the accumulator, so periodic snapshots give
     real-time reconstruction. Single-writer: push from one thread.
     """
 
@@ -330,13 +342,14 @@ class SgiAccumulator:
         self.shift = shift
         self.close_loop = close_loop
         self._shape: tuple[int, int] | None = None
+        self._columns: int | None = None  # K, the number of bucket columns
         self._chunk = 0
         self._rows: np.ndarray | None = None  # (shift + chunk, pixels): the ring, then the chunk
-        self._buckets: np.ndarray | None = None
-        self._weights: np.ndarray | None = None  # flat room for the (images, shift + chunk) weights
-        self._term: np.ndarray | None = None  # (images, pixels): a chunk's summed terms
+        self._buckets: np.ndarray | None = None  # (K, shift + chunk), beside the rows
+        self._weights: np.ndarray | None = None  # flat room for the (images, K, shift + chunk) weights
+        self._term: np.ndarray | None = None  # (images * K, pixels): a chunk's summed terms
         self._sum: _CompensatedSum | None = None
-        self._first: tuple[float, np.ndarray] | None = None
+        self._first: tuple[np.ndarray, np.ndarray] | None = None
         self._seen = 0
 
     @property
@@ -353,61 +366,69 @@ class SgiAccumulator:
 
     def push_block(self, start: int, buckets, frames) -> None:
         """Add records ``start`` .. ``start + rows - 1`` from buckets (rows,)
-        and frames (rows, height, width); ``start`` must be :attr:`records_seen`.
+        or (rows, K) and frames (rows, height, width); ``start`` must be
+        :attr:`records_seen`, and K that of the first block.
 
         A block that does not fit raises ``ValueError``, and a non-finite
         bucket :class:`DatasetValidationError`; either way nothing is added.
         """
         buckets, frames = np.asarray(buckets, dtype=np.float64), np.asarray(frames, dtype=np.float64)
-        if frames.ndim != 3 or buckets.shape != frames.shape[:1] or self._shape not in (None, frames.shape[1:]):
-            raise ValueError(f"record {start}: buckets {buckets.shape} and frames {frames.shape} "
-                             f"do not fit frames of shape {self._shape}")
+        columns = buckets[np.newaxis] if buckets.ndim == 1 else buckets.T  # (K, rows)
+        if (frames.ndim != 3 or columns.ndim != 2 or columns.shape[1] != len(frames)
+                or self._shape not in (None, frames.shape[1:]) or self._columns not in (None, len(columns))):
+            raise ValueError(f"record {start}: buckets {buckets.shape} and frames {frames.shape} do not fit "
+                             f"frames of shape {self._shape} and {self._columns} bucket columns")
         if start != self._seen:
             raise ValueError(f"block starts at record {start}, expected {self._seen}")
-        _bucket_report(start, buckets).raise_if_failed()
+        if not np.isfinite(columns).all():  # the report names every bad record
+            for column in columns:
+                _bucket_report(start, column).raise_if_failed()
         if not len(frames):
             return
         rows = frames.reshape(len(frames), -1)
         if self._shape is None:
             self._shape, self._chunk = frames.shape[1:], max(1, _CHUNK_BYTES // rows[0].nbytes)
+            self._columns = len(columns)
             # Zeros: the rows before record 0 take weight 0, and 0 * NaN would be NaN.
             self._rows = np.zeros((self.shift + self._chunk, rows.shape[1]))
-            self._buckets = np.zeros(self.shift + self._chunk)
+            self._buckets = np.zeros((self._columns, self.shift + self._chunk))
             images = 1 if self.mode == 1 else 2
-            self._weights = np.empty(images * (self.shift + self._chunk))
-            self._term = np.empty((images, rows.shape[1]))
+            self._weights = np.empty(images * self._columns * (self.shift + self._chunk))
+            self._term = np.empty((images * self._columns, rows.shape[1]))
             self._sum = _CompensatedSum(self._term.shape)
-            self._first = (float(buckets[0]), rows[0].copy()) if self.close_loop else None
+            self._first = (columns[:, 0].copy(), rows[0].copy()) if self.close_loop else None
         chunk = self._chunk
         cuts = range(chunk - start % chunk, len(rows), chunk)  # where a chunk fills
         for lo, hi in zip((0, *cuts), (*cuts, len(rows))):
             at = self.shift + (start + lo) % chunk
             self._rows[at : at + hi - lo] = rows[lo:hi]
-            self._buckets[at : at + hi - lo] = buckets[lo:hi]
+            self._buckets[:, at : at + hi - lo] = columns[:, lo:hi]
             self._seen = start + hi
             if self._seen % chunk == 0:
                 self._sum.add(self._chunk_term(chunk))
                 self._rows[: self.shift] = self._rows[chunk:]
-                self._buckets[: self.shift] = self._buckets[chunk:]
+                self._buckets[:, : self.shift] = self._buckets[:, chunk:]
 
     def _chunk_term(self, filled: int) -> np.ndarray:
-        """The summed terms, (images, pixels), of the pairs whose newer record
-        is among the ``filled`` rows of the current chunk, written into the
-        term buffer."""
+        """The summed terms, (images * K, pixels), of the pairs whose newer
+        record is among the ``filled`` rows of the current chunk, written
+        into the term buffer; row i * K + j is image i of bucket column j."""
         shift, end = self.shift, self.shift + filled
         # Buffer row r holds record r + chunk start - shift, and the first
         # record with a partner is the chunk start or record ``shift``.
         first_new = max(shift, 2 * shift - (self._seen - filled))
         new, old = slice(first_new, end), slice(first_new - shift, end - shift)
-        c_new, c_old = _pair_coefficients(self.mode, self._buckets[new], self._buckets[old])
-        weights = self._weights[: len(c_new) * end].reshape(len(c_new), end)
+        c_new, c_old = _pair_coefficients(self.mode, self._buckets[:, new], self._buckets[:, old])
+        shape = (len(c_new), self._columns, end)
+        weights = self._weights[: shape[0] * shape[1] * end].reshape(shape)
         weights.fill(0.0)
-        weights[:, new] += c_new
-        weights[:, old] += c_old
-        return np.matmul(weights, self._rows[:end], out=self._term)
+        weights[..., new] += c_new
+        weights[..., old] += c_old
+        return np.matmul(weights.reshape(-1, end), self._rows[:end], out=self._term)
 
-    def snapshot(self) -> ReconResult:
-        """Reconstruction over the pairs seen so far; equals the batch result."""
+    def snapshots(self) -> list[ReconResult]:
+        """Reconstruction over the pairs seen so far, one result per bucket
+        column; each equals the batch result of its column."""
         use_loop = self.close_loop and self._seen >= 2
         pairs = self.pairs + use_loop
         if pairs < 1:
@@ -418,7 +439,16 @@ class SgiAccumulator:
         pending = [self._chunk_term(filled)]
         if use_loop:
             last = self.shift + filled - 1
-            c_new, c_old = _pair_coefficients(self.mode, self._buckets[last], self._first[0])
-            pending.append(c_new[:, np.newaxis] * self._rows[last] + c_old[:, np.newaxis] * self._first[1])
-        images = tuple(ReconImage(row.reshape(self._shape) / pairs) for row in self._sum.value(*pending))
-        return ReconResult(f"sgi{self.mode}", images, pairs)
+            c_new, c_old = _pair_coefficients(self.mode, self._buckets[:, last], self._first[0])
+            loop = c_new[..., np.newaxis] * self._rows[last] + c_old[..., np.newaxis] * self._first[1]
+            pending.append(loop.reshape(self._term.shape))
+        totals = self._sum.value(*pending).reshape(-1, self._columns, *self._shape) / pairs
+        return [ReconResult(f"sgi{self.mode}", tuple(map(ReconImage, totals[:, j])), pairs)
+                for j in range(self._columns)]
+
+    def snapshot(self) -> ReconResult:
+        """Reconstruction over the pairs seen so far, of one bucket column;
+        equals the batch result."""
+        if self._columns not in (None, 1):
+            raise ValueError(f"{self._columns} bucket columns give one result each: use snapshots()")
+        return self.snapshots()[0]

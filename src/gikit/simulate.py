@@ -28,7 +28,9 @@ buffer, scales them by the drift gains, integrates the buckets and adds the
 noise. ``gikit simulate`` writes each block straight into the container, so
 it holds one block (about 1 MB of stored records, twice that as float64
 frames) and never the whole run; :func:`simulate` copies the same blocks
-into one in-memory stack, so both give the same bytes.
+into one in-memory stack, so both give the same bytes. ``gikit sweep``
+streams a run's blocks without noise and adds each point's noise through
+:func:`_block_noise`, the step that :class:`Simulation` itself takes.
 """
 
 from __future__ import annotations
@@ -356,8 +358,17 @@ def _bucket_noise(rng: np.random.Generator, pixels: int, model: NoiseModel) -> f
     if model.target == "bucket":
         return float(rng.normal(model.mean, model.std))
     # Independent per-pixel noise on the field reaching the detector,
-    # integrated over the full collection area.
-    return float(rng.normal(model.mean, model.std, size=pixels).sum())
+    # integrated over the full collection area. A sum too large for float64
+    # is inf or NaN, which the bucket check rejects, so it is not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(rng.normal(model.mean, model.std, size=pixels).sum())
+
+
+def _block_noise(seed: int, start: int, count: int, pixels: int, model: NoiseModel) -> np.ndarray:
+    """The noise of records ``start`` to ``start + count - 1``, each drawn
+    from its own stream (2, i) of the run seed."""
+    rngs = _record_rngs(seed, _NOISE_KEY, start, count)
+    return np.array([_bucket_noise(rng, pixels, model) for rng in rngs])
 
 
 def apply_noise(records, model: NoiseModel, seed: int = 0) -> Iterator[MeasurementRecord]:
@@ -436,9 +447,7 @@ class Simulation:
         frames *= self._gains[start:stop, None, None]
         buckets = frames.reshape(len(frames), -1) @ self._transmission
         if self._noise.enabled:
-            pixels = self._transmission.size
-            rngs = _record_rngs(self._seed, _NOISE_KEY, start, len(frames))
-            buckets += np.array([_bucket_noise(rng, pixels, self._noise) for rng in rngs])
+            buckets += _block_noise(self._seed, start, len(frames), self._transmission.size, self._noise)
         return buckets
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:

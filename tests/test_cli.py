@@ -329,7 +329,7 @@ def test_sweep_drift_kind_point_checked_before_any_run(tmp_path, scene_pgm, monk
     def no_run(*args, **kwargs):
         raise AssertionError("sweep simulated a point before checking every point")
 
-    monkeypatch.setattr("gikit.cli.simulate", no_run)
+    monkeypatch.setattr("gikit.cli.Simulation", no_run)
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--scene", str(scene_pgm), "--drift", "random-walk:2", "--axis", "drift-kind",
               "--values", "none,linear", "--methods", "g2", "--n", "16", "--out", str(tmp_path / "sweep")])
@@ -372,7 +372,7 @@ def test_sweep_bad_shift_checked_before_any_run(tmp_path, scene_pgm, monkeypatch
     def no_run(*args, **kwargs):
         raise AssertionError("sweep simulated a point before checking --shift")
 
-    monkeypatch.setattr("gikit.cli.simulate", no_run)
+    monkeypatch.setattr("gikit.cli.Simulation", no_run)
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--scene", str(scene_pgm), "--n", "64", "--out", str(tmp_path / "sweep")] + flags)
     assert err.value.code == 2
@@ -489,3 +489,91 @@ def test_sweep_values_are_stripped(tmp_path, scene_pgm):
     sidecar = json.loads((tmp_path / "s.json").read_text())
     assert [entry["settings"]["value"] for entry in sidecar] == ["none", "linear"]
     assert [entry["row"]["drift_kind"] for entry in sidecar] == ["none", "linear"]
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n", "1", "--out", "x.gid"],
+    ["sweep", "--n", "4", "--axis", "noise-mean", "--values", "0.01,1e308", "--methods", "g2,sgi1", "--out", "x"],
+])
+def test_object_field_noise_overflow_exits_1_quietly(tmp_path, scene_pgm, capsys, command):
+    # 144 pixels of noise with mean 1e308 sum past float64: the bucket is inf,
+    # which the bucket check rejects without a warning reaching stderr.
+    argv = command + ["--scene", str(scene_pgm), "--noise-target", "object-field", "--noise-mean", "1e308",
+                      "--grain", "0"]
+    argv = [str(tmp_path / a) if a in ("x", "x.gid") else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid dataset: record 0: bucket is inf") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.pgm"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--scene", "{scene}", "--n", "4", "--drift", "bogus", "--out", "{tmp}/x.gid"]),
+    ("reconstruct", ["--in", "{gid}", "--method", "sgi1", "--shift", "2", "--close-loop", "--out", "{tmp}/x"]),
+    ("sweep", ["--scene", "{scene}", "--n", "4", "--axis", "n", "--values", "3", "--methods", "nope",
+               "--out", "{tmp}/x"]),
+    ("diagnose", ["--in", "{gid}", "--shift", "24", "--out", "{tmp}/x.csv"]),
+])
+def test_command_checks_report_as_their_command(tmp_path, scene_pgm, capsys, command, flags):
+    gid = _simulate(tmp_path, scene_pgm)
+    capsys.readouterr()
+    names = {"scene": scene_pgm, "tmp": tmp_path, "gid": gid}
+    with pytest.raises(SystemExit) as err:
+        main([command] + [flag.format(**names) for flag in flags])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: gikit {command} ")
+    assert lines[-1].startswith(f"gikit {command}: error: ")
+
+
+@pytest.mark.parametrize("target", ["bucket", "object-field"])
+def test_sweep_buckets_equal_each_points_simulation(monkeypatch, target):
+    # Blocks of 8 records, so that the 70 records span several.
+    monkeypatch.setattr(gikit.fileio, "_BLOCK_BYTES", 8 * (8 + 4 * 9 * 7))
+    scene = binary_demo_scene(9, 7)
+    drift = gikit.DriftProfile("linear", 0.3)
+    noises = [gikit.NoiseModel(mean, 0.05, target) for mean in (0.0, 0.012, -0.5)] + [gikit.NoiseModel()]
+    run = gikit.Simulation(scene, n=70, seed=4, drift=drift)
+    buckets, s_r = gikit.sweep._sweep_buckets(run, 4, noises, 70)
+    for row, noise in zip(buckets, noises):
+        expected = gikit.simulate(scene, n=70, seed=4, drift=drift, noise=noise)
+        assert row.tobytes() == expected.buckets.tobytes()
+    assert s_r.tobytes() == expected.frame_matrix.sum(axis=1).tobytes()
+
+
+SWEEP_AXES_ARGV = {
+    "noise-mean": ["--axis", "noise-mean", "--values", "0.012,0.06,0.012,-0.3", "--noise-target", "object-field"],
+    "drift-kind": ["--axis", "drift-kind", "--values", "none,random-walk,step,none", "--drift", "linear:0.3",
+                   "--pattern", "speckle", "--grain", "1.5"],
+    "n": ["--axis", "n", "--values", "250,37,120", "--drift", "sinusoidal:0.4", "--noise-mean", "0.1"],
+}
+
+
+@pytest.mark.parametrize("axis", sorted(SWEEP_AXES_ARGV))
+def test_sweep_rows_equal_reconstructions_of_each_point(tmp_path, scene_pgm, monkeypatch, axis):
+    # Every row's CNR against the in-memory simulation of its point,
+    # reconstructed alone; blocks of 40 and chunks of 56 records cut the
+    # passes at other records than the points' counts.
+    monkeypatch.setattr(gikit.fileio, "_BLOCK_BYTES", 40 * (8 + 4 * 144))
+    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_BYTES", 56 * 8 * 144)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scene", str(scene_pgm), "--methods", ",".join(gikit.reconstruct.METHODS),
+                 "--n", "200", "--noise-std", "0.05", "--shift", "2", "--seed", "8", "--out", str(out)]
+                + SWEEP_AXES_ARGV[axis]) == 0
+    scene = gikit.import_scene(scene_pgm)
+    mask = gikit.mask_from_scene(scene)
+    entries = json.loads(out.with_suffix(".json").read_text())
+    assert len(entries) == 4 * 7 if axis != "n" else 3 * 7
+    for entry in entries:
+        settings, row = entry["settings"], entry["row"]
+        provenance = json.loads(settings["provenance"])
+        run = gikit.simulate(
+            scene, n=provenance["n"], seed=8, pattern=gikit.PatternModel(**provenance["pattern"]),
+            drift=gikit.DriftProfile(**provenance["drift"]), noise=gikit.NoiseModel(**provenance["noise"]),
+        ).first(row["n"])
+        expected = gikit.reconstruct.reconstruct(run, settings["method"], shift=2)
+        assert row["pair_count"] == expected.count
+        cnr = gikit.cnr(expected.images[0], mask).cnr
+        assert abs(row["cnr"] - cnr) <= 1e-12 * abs(cnr), (settings["method"], settings["value"])

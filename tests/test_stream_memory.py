@@ -1,6 +1,7 @@
 """Memory of the streamed commands: a `reconstruct`, `--progressive` or
 `diagnose` run holds one reused read block, the sgi accumulator's row buffer
-and O(images x pixels) state, whatever the number of records."""
+and O(images x pixels) state, whatever the number of records, and a `sweep`
+holds O(records) vectors but never a run's frames."""
 
 import tracemalloc
 
@@ -132,3 +133,24 @@ def test_sweep_holds_one_point_at_a_time(tmp_path, monkeypatch):
     # frame matrices would mean the previous point's run is still held.
     matrix, block = n * side * side * 8, 8 * side * side * 8
     assert peak < 1.5 * matrix + block, f"traced peak {peak / matrix:.2f} frame matrices"
+
+
+def test_sweep_memory_does_not_grow_with_its_longest_point(tmp_path):
+    # Axis n streams one run past every point: what grows with the records
+    # is O(n) vectors (buckets, frame totals, gains, weight rows), not the
+    # 8 KB of a 32x32 frame per record.
+    side, methods = 32, "g2,dgi,ci,sgi1"
+    scene = tmp_path / "scene.pgm"
+    export_image(ReconImage(binary_demo_scene(side, side).transmission), scene)
+
+    def peak(most: int) -> int:
+        argv = ["sweep", "--scene", str(scene), "--axis", "n", "--values", f"1024,{most}", "--methods", methods,
+                "--n", str(most), "--seed", "3", "--drift", "linear:0.3", "--out", str(tmp_path / "sweep")]
+        code, traced = _traced(main, argv)
+        assert code == 0
+        return traced
+
+    short, long = 4096, 16384
+    rows = 2 * len(methods.split(","))
+    growth = peak(long) - peak(short)
+    assert growth < 64 * (long - short) * rows, f"traced peak grew {growth / (long - short):.0f} B per record"

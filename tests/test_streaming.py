@@ -254,3 +254,57 @@ def test_rejected_block_adds_nothing(monkeypatch, rng):
     acc.push_block(4, ds.buckets[4:4], frames[4:4])  # an empty block is no record
     acc.push_block(4, ds.buckets[4:], frames[4:])
     assert _image_bytes(acc.snapshot()) == _image_bytes(recon_sgi(ds, mode=3, shift=2))
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+@pytest.mark.parametrize("shift, close_loop", [(1, False), (1, True), (3, False)])
+def test_bucket_columns_match_their_single_column_runs(monkeypatch, rng, mode, shift, close_loop):
+    # K bucket columns over one set of frames: each column's images are those
+    # of an accumulator fed that column alone, across chunks and block cuts.
+    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_BYTES", 4 * 8 * 5 * 6)
+    n, k = 37, 4
+    frames = rng.random((n, 5, 6))
+    columns = rng.normal(5.0, 2.0, size=(n, k))
+    stacked = SgiAccumulator(mode=mode, shift=shift, close_loop=close_loop)
+    for lo, hi in [(0, 3), (3, 11), (11, 12), (12, n)]:
+        stacked.push_block(lo, columns[lo:hi], frames[lo:hi])
+    results = stacked.snapshots()
+    assert len(results) == k
+    for j, result in enumerate(results):
+        single = SgiAccumulator(mode=mode, shift=shift, close_loop=close_loop)
+        single.push_block(0, columns[:, j], frames)
+        expected = single.snapshot()
+        assert result.count == expected.count and result.method == expected.method
+        for a, b in zip(result.images, expected.images):
+            assert_images_close(a.data, b.data, 1e-12)
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_one_bucket_column_is_the_bucket_vector(rng, mode):
+    ds = random_dataset(rng, 29, 5, 6)
+    frames = ds.frame_matrix.reshape(29, 5, 6)
+    column = SgiAccumulator(mode=mode, shift=2)
+    column.push_block(0, ds.buckets[:, np.newaxis], frames)
+    (result,) = column.snapshots()
+    assert _image_bytes(result) == _image_bytes(column.snapshot())
+    assert _image_bytes(result) == _image_bytes(recon_sgi(ds, mode=mode, shift=2))
+
+
+def test_bucket_columns_are_checked_and_fixed(rng):
+    frames = rng.random((6, 3, 3))
+    columns = rng.normal(5.0, 2.0, size=(6, 3))
+    acc = SgiAccumulator(mode=1)
+    acc.push_block(0, columns[:3], frames[:3])
+    with pytest.raises(ValueError):
+        acc.push_block(3, columns[3:, :2], frames[3:])  # K is fixed by the first block
+    with pytest.raises(ValueError):
+        acc.push_block(3, columns[3:, 0], frames[3:])
+    bad = columns[3:].copy()
+    bad[1, 2] = np.inf
+    with pytest.raises(DatasetValidationError) as failure:
+        acc.push_block(3, bad, frames[3:])
+    assert [issue.index for issue in failure.value.report.issues] == [4]
+    assert acc.records_seen == 3
+    with pytest.raises(ValueError):
+        acc.snapshot()  # three columns give three results
+    assert len(acc.snapshots()) == 3
