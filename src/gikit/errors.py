@@ -27,7 +27,8 @@ class DegeneratePartitionError(GikitError):
 
 
 class DegenerateVarianceError(GikitError):
-    """A statistic is undefined because the relevant variance is zero."""
+    """A statistic is undefined because the relevant variance is zero or
+    overflows float64."""
 
 
 class FileFormatError(GikitError):

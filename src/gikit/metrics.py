@@ -40,15 +40,19 @@ def cnr(image: ReconImage, mask: ObjectMask) -> CnrReport:
         )
     inside = image.data[mask.data]
     outside = image.data[~mask.data]
-    mean_in = float(inside.mean())
-    mean_out = float(outside.mean())
-    var_in = float(inside.var())
-    var_out = float(outside.var())
-    pooled = 0.5 * (var_in + var_out)
-    if pooled == 0.0:
-        raise DegenerateVarianceError("both regions have zero variance; CNR undefined")
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite image's statistics may overflow
+        mean_in = float(inside.mean())
+        mean_out = float(outside.mean())
+        var_in = float(inside.var())
+        var_out = float(outside.var())
+        pooled = 0.5 * (var_in + var_out)
+        if pooled == 0.0:
+            raise DegenerateVarianceError("both regions have zero variance; CNR undefined")
+        value = (mean_in - mean_out) / float(np.sqrt(pooled))
+    if not np.isfinite((mean_in, mean_out, pooled, value)).all():
+        raise DegenerateVarianceError("the pixel statistics overflow float64; CNR undefined")
     return CnrReport(
-        cnr=(mean_in - mean_out) / float(np.sqrt(pooled)),
+        cnr=value,
         mean_in=mean_in,
         mean_out=mean_out,
         var_in=var_in,

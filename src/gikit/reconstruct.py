@@ -65,7 +65,7 @@ from .errors import (
     DegeneratePartitionError,
     InsufficientRecordsError,
 )
-from .types import Dataset, MeasurementRecord, ReconImage, _bucket_report
+from .types import Dataset, MeasurementRecord, ReconImage, ValidationIssue, ValidationReport, _bucket_report
 
 __all__ = [
     "METHODS",
@@ -116,6 +116,15 @@ def _checked_buckets(source) -> np.ndarray:
     return buckets
 
 
+def _require_no_overflow(values: np.ndarray, what: str) -> None:
+    """Raise :class:`DatasetValidationError` if ``values``, worked out from
+    finite buckets and frames, overflowed float64 to inf or NaN. Callers
+    compute them under ``np.errstate(over="ignore", invalid="ignore")``."""
+    if not np.isfinite(values).all():
+        issue = ValidationIssue(None, "overflow", f"the buckets are too large: float64 overflows in {what}")
+        ValidationReport((issue,)).raise_if_failed()
+
+
 def _frame_totals(source) -> np.ndarray:
     """One pass over the frames for the frame totals R, shape (n,). A
     container checks each block as it is read."""
@@ -133,7 +142,9 @@ def _weighted_sum(blocks, weights: np.ndarray, pixels: int) -> np.ndarray:
     shape = (len(weights), pixels)
     total, term = np.zeros(shape), np.empty(shape)
     for start, _, frames in blocks:
-        total += np.matmul(weights[:, start : start + len(frames)], frames, out=term)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += np.matmul(weights[:, start : start + len(frames)], frames, out=term)
+    _require_no_overflow(total, "the weighted frame sums")
     return total
 
 
@@ -145,14 +156,19 @@ def _classic_weights(method: str, buckets: np.ndarray, s_r: np.ndarray | None) -
         return buckets[np.newaxis] / n
     if n < 2:
         raise InsufficientRecordsError(f"{method} needs at least 2 records, got {n}")
-    s_mean = buckets.mean()
-    if method == "dgi-delta":
-        return (buckets - s_mean)[np.newaxis] / n
-    if method == "dgi":
-        r_mean = s_r.mean()
-        if r_mean == 0.0:
-            raise DegenerateDivisorError("mean frame total is zero (all-dark reference frames)")
-        return (buckets - (s_mean / r_mean) * s_r)[np.newaxis] / n
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
+        s_mean = buckets.mean()
+        if method == "dgi-delta":
+            weights = (buckets - s_mean)[np.newaxis] / n
+        elif method == "dgi":
+            r_mean = s_r.mean()
+            if r_mean == 0.0:
+                raise DegenerateDivisorError("mean frame total is zero (all-dark reference frames)")
+            weights = (buckets - (s_mean / r_mean) * s_r)[np.newaxis] / n
+    _require_no_overflow(s_mean, "the bucket sum")
+    if method != "ci":
+        _require_no_overflow(weights, f"the {method} weights")
+        return weights
     positive = buckets >= s_mean
     n_pos = int(np.count_nonzero(positive))
     if n_pos == 0 or n_pos == n:
@@ -405,7 +421,8 @@ class SgiAccumulator:
             self._buckets[:, at : at + hi - lo] = columns[:, lo:hi]
             self._seen = start + hi
             if self._seen % chunk == 0:
-                self._sum.add(self._chunk_term(chunk))
+                with np.errstate(over="ignore", invalid="ignore"):  # a snapshot checks the sums
+                    self._sum.add(self._chunk_term(chunk))
                 self._rows[: self.shift] = self._rows[chunk:]
                 self._buckets[:, : self.shift] = self._buckets[:, chunk:]
 
@@ -436,13 +453,15 @@ class SgiAccumulator:
                 f"no pairs yet: {self._seen} records pushed with shift={self.shift}"
             )
         filled = self._seen % self._chunk
-        pending = [self._chunk_term(filled)]
-        if use_loop:
-            last = self.shift + filled - 1
-            c_new, c_old = _pair_coefficients(self.mode, self._buckets[:, last], self._first[0])
-            loop = c_new[..., np.newaxis] * self._rows[last] + c_old[..., np.newaxis] * self._first[1]
-            pending.append(loop.reshape(self._term.shape))
-        totals = self._sum.value(*pending).reshape(-1, self._columns, *self._shape) / pairs
+        with np.errstate(over="ignore", invalid="ignore"):
+            pending = [self._chunk_term(filled)]
+            if use_loop:
+                last = self.shift + filled - 1
+                c_new, c_old = _pair_coefficients(self.mode, self._buckets[:, last], self._first[0])
+                loop = c_new[..., np.newaxis] * self._rows[last] + c_old[..., np.newaxis] * self._first[1]
+                pending.append(loop.reshape(self._term.shape))
+            totals = self._sum.value(*pending).reshape(-1, self._columns, *self._shape) / pairs
+        _require_no_overflow(totals, f"the sgi{self.mode} pair sums")
         return [ReconResult(f"sgi{self.mode}", tuple(map(ReconImage, totals[:, j])), pairs)
                 for j in range(self._columns)]
 

@@ -31,6 +31,11 @@ frames) and never the whole run; :func:`simulate` copies the same blocks
 into one in-memory stack, so both give the same bytes. ``gikit sweep``
 streams a run's blocks without noise and adds each point's noise through
 :func:`_block_noise`, the step that :class:`Simulation` itself takes.
+
+Correlated speckle needs NumPy alone. :func:`_wrap_blur` is SciPy's
+wrap-mode ``gaussian_filter`` reproduced bit for bit, and a block of speckle
+frames is one gather of rows from a sliding-window view of the doubled base
+frame, each row equal to ``np.roll`` of the base by the frame's offset.
 """
 
 from __future__ import annotations
@@ -181,7 +186,8 @@ class PatternModel:
 
     correlated-speckle emulates a slowly evolving pseudo-thermal field: one
     white-noise field is blurred by a Gaussian kernel of scale
-    ``grain_radius`` (periodic boundaries), min-max normalized into [0, 1),
+    ``grain_radius`` (periodic boundaries; the blur equals SciPy's
+    ``gaussian_filter(mode="wrap")`` bit for bit), min-max normalized into [0, 1),
     then cyclically translated by ``step_shift`` pixels per shot in row-major
     scan order, so consecutive frames differ only slightly and every offset
     yields a distinct frame. ``jitter`` adds a Gaussian perturbation to each
@@ -261,6 +267,23 @@ class NoiseModel:
         return self.mean != 0.0 or self.std != 0.0
 
 
+def _wrap_blur(image: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(image, sigma, mode="wrap")``, bit for
+    bit: SciPy's kernel, truncated at 4 sigma, and its symmetric correlation,
+    one axis at a time from axis 0, each sum taken in SciPy's order."""
+    if sigma <= 1e-15:  # SciPy leaves the image as it is
+        return image.copy()
+    radius = int(4.0 * sigma + 0.5)
+    weights = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    weights = weights / weights.sum()
+    for axis in range(image.ndim):
+        out = image * weights[radius]
+        for j in range(radius, 0, -1):
+            out += (np.roll(image, j, axis) + np.roll(image, -j, axis)) * weights[radius - j]
+        image = out
+    return image
+
+
 def _pattern_filler(width: int, height: int, n: int, model: PatternModel, seed: int):
     """Return ``fill(start, out)``, which writes frames ``start`` to
     ``start + len(out) - 1`` of an ``n``-frame run into ``out``, a C-contiguous
@@ -284,9 +307,7 @@ def _pattern_filler(width: int, height: int, n: int, model: PatternModel, seed: 
     base_rng = _child_rng(seed, _PATTERN_KEY, 0)
     base = base_rng.random((height, width))
     if model.grain_radius > 0:
-        from scipy.ndimage import gaussian_filter  # imported here: it is most of gikit's import time
-
-        base = gaussian_filter(base, sigma=model.grain_radius, mode="wrap")
+        base = _wrap_blur(base, model.grain_radius)
     span = base.max() - base.min()
     if span > 0:
         base = (base - base.min()) / span
@@ -304,11 +325,15 @@ def _pattern_filler(width: int, height: int, n: int, model: PatternModel, seed: 
         raise ValueError(f"speckle offsets of step_shift={model.step_shift} and "
                          f"jitter={model.jitter} over {n} frames do not fit in int64")
     offsets = shifts.astype(np.int64)
+    # Frame i is np.roll(flat, offsets[i]): the window of the doubled base
+    # that starts at -offsets[i] mod pixels.
+    pixels = width * height
     flat = base.ravel()
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((flat, flat)), pixels)
+    starts = (pixels - offsets % pixels) % pixels
 
     def fill_speckle(start: int, out: np.ndarray) -> None:
-        for i, frame in enumerate(out, start):
-            frame[...] = np.roll(flat, offsets[i]).reshape(height, width)
+        out.reshape(len(out), pixels)[...] = windows[starts[start : start + len(out)]]
 
     return fill_speckle
 
@@ -317,7 +342,9 @@ def generate_patterns(width: int, height: int, n: int, model: PatternModel, seed
     """Generate ``n`` illumination frames, deterministic in ``seed``."""
     fill = _pattern_filler(width, height, n, model, _run_seed(seed))
     stack = np.empty((n, height, width))
-    fill(0, stack)
+    rows = _block_rows(width * height)  # a block at a time: the speckle gather copies its rows once more
+    for start in range(0, n, rows):
+        fill(start, stack[start : start + rows])
     stack.flags.writeable = False
     return [_frame_unchecked(stack[i]) for i in range(n)]
 
@@ -343,11 +370,13 @@ def drift_gains(profile: DriftProfile, n: int, seed: int = 0) -> np.ndarray:
         gains = 1.0 + a * np.where(segment % 2 == 0, 1.0, -1.0)
     else:  # random-walk
         eps = _child_rng(seed, _DRIFT_KEY).normal(0.0, a, size=n)
-        gains = np.empty(n)
-        gains[0] = 1.0
+        with np.errstate(over="ignore"):  # an infinite step is clamped to the upper bound
+            steps = np.exp(eps[1:]).tolist()
+        walk = [1.0]
         lo, hi = _WALK_BOUNDS
-        for j in range(1, n):
-            gains[j] = min(max(gains[j - 1] * np.exp(eps[j]), lo), hi)
+        for step in steps:
+            walk.append(min(max(walk[-1] * step, lo), hi))
+        gains = np.array(walk)
     if (gains <= 0.0).any():
         raise ValueError("drift gains must stay positive")
     return gains

@@ -277,12 +277,42 @@ def test_sweep_rows_deterministic_except_wall_time(tmp_path, scene_pgm):
     assert outs[0] == outs[1]
 
 
-def test_import_cli_leaves_scipy_unloaded():
+def _scipy_speckle_filler(width, height, n, model, seed):
+    """The speckle frames as earlier versions made them: SciPy's wrap-mode
+    Gaussian blur of the base frame, then one np.roll of it per frame."""
+    from scipy.ndimage import gaussian_filter
+
+    def stream(*key):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+    base = gaussian_filter(stream(0, 0).random((height, width)), sigma=model.grain_radius, mode="wrap")
+    base = (base - base.min()) / (base.max() - base.min()) * np.nextafter(1.0, 0.0)
+    shifts = np.arange(n) * model.step_shift + stream(0, 1).normal(0.0, model.jitter, size=n)
+    offsets = np.rint(shifts).astype(np.int64)
+
+    def fill(start, out):
+        for i, frame in enumerate(out, start):
+            frame[...] = np.roll(base.ravel(), offsets[i]).reshape(height, width)
+
+    return fill
+
+
+def test_speckle_simulate_runs_without_scipy(tmp_path, scene_pgm):
+    # The CLI child cannot import SciPy; its container must equal, byte for
+    # byte, the one written through the simulator with SciPy's blur and rolls.
+    flags = ["--scene", str(scene_pgm), "--n", "700", "--seed", "3", "--pattern", "speckle", "--grain", "2.5",
+             "--step-shift", "1.5", "--jitter", "0.7", "--drift", "random-walk:0.05"]
+    probe = ("import sys; sys.modules['scipy'] = None; from gikit.cli import main; "
+             "sys.exit(main(sys.argv[1:]))")
     src = str(Path(gikit.__file__).resolve().parents[1])
-    probe = "import sys, gikit.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    subprocess.run([sys.executable, "-c", probe, "simulate", *flags, "--out", str(tmp_path / "child.gid")],
+                   env={**os.environ, "PYTHONPATH": src}, capture_output=True, check=True, timeout=60)
+
+    pattern = gikit.PatternModel("correlated-speckle", 2.5, 1.5, 0.7)
+    run = gikit.Simulation(gikit.import_scene(scene_pgm), 700, 3, pattern, gikit.DriftProfile("random-walk", 0.05))
+    run._fill = _scipy_speckle_filler(12, 12, 700, pattern, 3)
+    gikit.write_container(run.header, run.blocks(), tmp_path / "scipy.gid")
+    assert (tmp_path / "child.gid").read_bytes() == (tmp_path / "scipy.gid").read_bytes()
 
 
 NON_FINITE_SETTINGS = [
@@ -507,6 +537,33 @@ def test_object_field_noise_overflow_exits_1_quietly(tmp_path, scene_pgm, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: invalid dataset: record 0: bucket is inf") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.pgm"]
+
+
+@pytest.mark.parametrize("values, methods, message", [
+    ("1e308", "dgi", "error: invalid dataset: the buckets are too large: float64 overflows in the bucket sum"),
+    ("1e300", "g2,dgi,sgi1", "error: the pixel statistics overflow float64; CNR undefined"),
+], ids=["bucket-sum", "pixel-variance"])
+def test_sweep_of_buckets_near_the_float64_limit_exits_1_quietly(tmp_path, scene_pgm, capsys, values,
+                                                                 methods, message):
+    # Finite buckets whose sums (1e308) or whose image's pixel variance (1e300)
+    # overflow float64 end in one typed error and no RuntimeWarning.
+    argv = ["sweep", "--scene", str(scene_pgm), "--axis", "noise-mean", "--values", values,
+            "--methods", methods, "--n", "4", "--out", str(tmp_path / "x")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == message + "\n"
+
+
+def test_reconstruct_of_buckets_near_the_float64_limit_exits_1_quietly(tmp_path, scene_pgm, capsys):
+    gid = _simulate(tmp_path, scene_pgm, n=4, extra=["--noise-mean", "1e308"])
+    capsys.readouterr()
+    for method in ("dgi-delta", "ci"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["reconstruct", "--in", str(gid), "--method", method, "--out", str(tmp_path / method)]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid dataset: the buckets are too large")
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -37,6 +37,16 @@ def test_cnr_degenerate_variance():
         cnr(ReconImage(np.zeros((3, 3))), mask)
 
 
+def test_cnr_of_statistics_beyond_float64_raises_a_typed_error():
+    # A finite image whose pixel variance overflows float64; the suite turns
+    # the RuntimeWarning of an unguarded overflow into an error.
+    mask = ObjectMask([[True, True], [False, False]])
+    with pytest.raises(DegenerateVarianceError, match="overflow"):
+        cnr(ReconImage([[1e300, -1e300], [0.0, 1.0]]), mask)
+    with pytest.raises(DegenerateVarianceError, match="overflow"):
+        cnr(ReconImage([[1.7e308, 1.7e308], [-1.7e308, -1.6e308]]), mask)
+
+
 def test_mask_from_scene():
     binary = ObjectScene([[1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_array_equal(mask_from_scene(binary, 0.3).data, binary.transmission == 1.0)

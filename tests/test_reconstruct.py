@@ -7,12 +7,14 @@ from conftest import assert_images_close, random_dataset
 
 from gikit import (
     Dataset,
+    DatasetValidationError,
     DegenerateDivisorError,
     DegeneratePartitionError,
     DriftProfile,
     InsufficientRecordsError,
     ObjectScene,
     PatternModel,
+    SgiAccumulator,
     binary_demo_scene,
     recon_ci,
     recon_delta_gi,
@@ -22,6 +24,7 @@ from gikit import (
     simulate,
     sr_diagnostics,
 )
+from gikit.reconstruct import METHODS, reconstruct
 
 
 @pytest.fixture
@@ -274,3 +277,34 @@ def test_classic_estimators_match_per_record_loops(method, recon, rng):
         assert len(result.images) == len(expected)
         for image, ref in zip(result.images, expected):
             assert_images_close(image.data, ref, 1e-12)
+
+
+def _overflowing_dataset() -> Dataset:
+    """Finite buckets whose sums overflow float64 in every estimator: the
+    bucket sum a - a + a + a, the deviations a - (-a) and a * 4 in the pair
+    and weighted-frame sums."""
+    a = 1.5e308
+    frames = np.array([4.0, 0.0, 4.0, 4.0]).repeat(4).reshape(4, 2, 2)
+    return Dataset.from_arrays(frames, np.array([a, -a, a, a]))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_overflowing_sums_raise_a_typed_error(method):
+    # The suite turns RuntimeWarning into an error, so a sum that warned
+    # about its overflow would fail here with that warning instead.
+    with pytest.raises(DatasetValidationError, match="overflows in"):
+        reconstruct(_overflowing_dataset(), method)
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_accumulator_overflow_raises_at_the_snapshot(mode):
+    ds = _overflowing_dataset()
+    acc = SgiAccumulator(mode=mode)
+    for record in ds.records:
+        acc.push(record)
+    with pytest.raises(DatasetValidationError, match=f"sgi{mode} pair sums"):
+        acc.snapshot()
+    columns = SgiAccumulator(mode=mode)  # a finite column beside an overflowing one
+    columns.push_block(0, np.stack((ds.buckets, np.ones(4)), axis=1), ds.frame_matrix.reshape(4, 2, 2))
+    with pytest.raises(DatasetValidationError):
+        columns.snapshots()

@@ -14,6 +14,7 @@ from gikit import (
     generate_patterns,
     simulate,
 )
+from gikit.simulate import _wrap_blur
 
 SPECKLE = PatternModel("correlated-speckle", grain_radius=2.0, step_shift=1.0, jitter=0.0)
 
@@ -184,6 +185,14 @@ def test_generate_patterns_are_the_simulated_frames(pattern):
     assert np.stack([f.data for f in frames]).tobytes() == run.frame_matrix.tobytes()
 
 
+@pytest.mark.parametrize("pattern", [PatternModel(), PatternModel("correlated-speckle", 2.5, 1.5, jitter=0.7)])
+def test_generate_patterns_over_many_blocks_are_the_simulated_frames(pattern):
+    # 64x64 frames fill a block with 63 records, so 150 frames span three.
+    frames = generate_patterns(64, 64, 150, pattern, seed=12)
+    run = simulate(binary_demo_scene(64, 64), n=150, seed=12, pattern=pattern)
+    assert np.stack([f.data for f in frames]).tobytes() == run.frame_matrix.tobytes()
+
+
 @pytest.mark.parametrize("target", ["bucket", "object-field"])
 def test_apply_noise_gives_the_noised_run(target):
     scene = binary_demo_scene(8, 8)
@@ -259,3 +268,51 @@ def test_speckle_grain_wider_than_frame_rejected():
         generate_patterns(8, 6, 2, PatternModel("correlated-speckle", grain_radius=8.5), seed=0)
     frames = generate_patterns(8, 6, 2, PatternModel("correlated-speckle", grain_radius=8.0), seed=0)
     assert len(frames) == 2
+
+
+BLUR_SHAPES = [(1, 9), (9, 1), (5, 12), (128, 128)]
+
+
+@pytest.mark.parametrize("shape", BLUR_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("sigma", [1e-200, 0.1, 0.5, 1.5, 2.5, 8.0])
+def test_wrap_blur_is_scipy_gaussian_filter_bit_for_bit(shape, sigma):
+    # SciPy is imported directly, so this check cannot skip. At sigma 8 the
+    # kernel radius, 32, is wider than every frame here but 128x128; SciPy
+    # leaves a sigma of 1e-15 or less unfiltered.
+    from scipy.ndimage import gaussian_filter
+
+    image = np.random.default_rng(sum(shape)).random(shape)
+    expected = gaussian_filter(image, sigma=sigma, mode="wrap")
+    assert np.array_equal(_wrap_blur(image, sigma), expected)
+
+
+@pytest.mark.parametrize("step_shift, jitter, n, lowest, highest", [
+    (1.5, 3.0, 40, -1, 50),  # negative jittered offsets
+    (1e9 + 0.5, 3.0, 30, 0, 10**10),  # offsets far above the pixel count
+    (0.0, 2.0**61, 32, -(2**61), 2**62),  # offsets of either sign near 2**62
+])
+def test_gathered_speckle_frames_are_rolls(step_shift, jitter, n, lowest, highest):
+    height, width, seed = 3, 4, 2
+    flat = generate_patterns(width, height, 1, PatternModel("correlated-speckle", 1.5, 0.0), seed)[0].data.ravel()
+    draws = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 1))).normal(0.0, jitter, size=n)
+    offsets = np.rint(np.arange(n) * step_shift + draws).astype(np.int64)
+    assert offsets.min() <= lowest and offsets.max() >= highest
+    frames = generate_patterns(width, height, n, PatternModel("correlated-speckle", 1.5, step_shift, jitter), seed)
+    for offset, frame in zip(offsets, frames):
+        assert np.array_equal(frame.data.ravel(), np.roll(flat, offset))
+
+
+@pytest.mark.parametrize("amplitude", [1.5, 1000.0])
+@pytest.mark.parametrize("seed", [0, 1, 7, 31, 2024])
+def test_random_walk_gains_equal_the_scalar_loop(seed, amplitude):
+    # Over 400 shots both amplitudes drive the walk into both bounds; at
+    # 1000, exp(eps) overflows to inf, which the walk clamps without a warning.
+    profile, n = DriftProfile("random-walk", amplitude), 400
+    eps = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,))).normal(0.0, amplitude, size=n)
+    expected = np.empty(n)
+    expected[0] = 1.0
+    with np.errstate(over="ignore"):
+        for j in range(1, n):
+            expected[j] = min(max(expected[j - 1] * np.exp(eps[j]), 0.1), 10.0)
+    assert expected.min() == 0.1 and expected.max() == 10.0
+    assert drift_gains(profile, n, seed=seed).tobytes() == expected.tobytes()
