@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import GikitError
 from .fileio import (
@@ -33,9 +34,10 @@ from .fileio import (
 )
 from .metrics import cnr, mask_from_scene
 from .reconstruct import METHODS, SGI_METHODS, SgiAccumulator, _frame_blocks, reconstruct, sr_diagnostics
-from .simulate import DriftProfile, NoiseModel, PatternModel, Simulation, _provenance
-from .sweep import _sweep_run
 from .types import DatasetHeader
+
+if TYPE_CHECKING:  # simulate and sweep load inside the commands that run them
+    from .simulate import DriftProfile, NoiseModel, PatternModel
 
 PATTERN_ALIASES = {"iid": "iid-uniform", "speckle": "correlated-speckle"}
 SWEEP_AXES = ("n", "noise-mean", "drift-kind")
@@ -54,6 +56,8 @@ def _at_least(minimum: int):
 def _simulation_models(args, parser) -> tuple[PatternModel, DriftProfile, NoiseModel]:
     """The models of :func:`_add_simulation_flags`'s flags; a bad value exits 2.
     ``--drift`` is ``kind[:amplitude[:period_or_knots]]``, e.g. ``linear:0.3``."""
+    from .simulate import DriftProfile, NoiseModel, PatternModel
+
     kind, *numbers = args.drift.split(":")
     try:
         if len(numbers) > 2:
@@ -169,6 +173,8 @@ def _manifest_row(result, header, shift, scene, wall_ms, settings) -> ManifestRo
 
 
 def cmd_simulate(args, parser) -> int:
+    from .simulate import Simulation
+
     pattern, drift, noise = _simulation_models(args, parser)
     scene = import_scene(args.scene)
     run = Simulation(scene, n=args.n, seed=args.seed, pattern=pattern, drift=drift, noise=noise)
@@ -282,6 +288,9 @@ def _sweep_points(args, parser, drift: DriftProfile, noise: NoiseModel) -> list:
 
 
 def cmd_sweep(args, parser) -> int:
+    from .simulate import Simulation, _provenance
+    from .sweep import _sweep_run
+
     methods = [m for m in args.methods.split(",") if m.strip()]
     if not methods:
         parser.error("--methods must list at least one method")

@@ -58,7 +58,6 @@ import csv
 import io
 import json
 import os
-import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -119,7 +118,7 @@ def _block_rows(pixels: int, multiple: int = 1) -> int:
 def _temporary_path(path) -> Path:
     """A new hidden name beside ``path``, for a file to be renamed over it."""
     path = Path(path)
-    return path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    return path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
 
 
 @contextmanager

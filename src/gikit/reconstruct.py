@@ -130,7 +130,9 @@ def _frame_totals(source) -> np.ndarray:
     container checks each block as it is read."""
     s_r = np.empty(source.n)
     for start, _, frames in source.blocks():
-        np.sum(frames, axis=1, out=s_r[start : start + len(frames)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.sum(frames, axis=1, out=s_r[start : start + len(frames)])
+    _require_no_overflow(s_r, "the frame totals")
     return s_r
 
 

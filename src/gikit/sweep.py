@@ -4,7 +4,8 @@ The points of a ``gikit sweep`` that share their frames differ only in
 their record count and their noise: the ``noise-mean`` points of one run,
 or the axis-``n`` points, each a prefix of the longest. :func:`_sweep_run`
 reconstructs all of them, with every method, in two passes over the
-noise-free run's blocks, and never holds the run's frames.
+noise-free run's blocks, or one when every method is sgi, and never holds
+the run's frames.
 """
 
 from __future__ import annotations
@@ -24,20 +25,31 @@ def _first_records(blocks, stop: int):
         yield start, buckets[: stop - start], frames[: stop - start]
 
 
+def _noised_blocks(run: Simulation, seed: int, noises: list, stop: int):
+    """The first ``stop`` records of the noise-free ``run`` as ``(start,
+    buckets, frames)`` blocks with buckets of shape (len(noises), rows): row
+    j noised by ``noises[j]`` through the simulator's own per-block noise
+    step. So each row is, byte for byte, the buckets of the run simulated
+    with that noise model."""
+    pixels = run.header.width * run.header.height
+    for start, clean, frames in _first_records(run.blocks(), stop):
+        buckets = np.empty((len(noises), len(clean)))
+        for row, noise in zip(buckets, noises):
+            row[:] = clean
+            if noise.enabled:
+                row += _block_noise(seed, start, len(clean), pixels, noise)
+        yield start, buckets, frames
+
+
 def _sweep_buckets(run: Simulation, seed: int, noises: list, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """One pass over the first ``stop`` records of the noise-free ``run``:
     the frame totals R, and as row j the buckets noised by ``noises[j]``
-    through the simulator's own per-block noise step. So each row is, byte
-    for byte, the buckets of the run simulated with that noise model."""
-    pixels = run.header.width * run.header.height
+    (:func:`_noised_blocks`)."""
     buckets, s_r = np.empty((len(noises), stop)), np.empty(stop)
-    for start, clean, frames in _first_records(run.blocks(), stop):
-        rows = slice(start, start + len(clean))
+    for start, block, frames in _noised_blocks(run, seed, noises, stop):
+        rows = slice(start, start + len(frames))
         np.sum(frames, axis=1, out=s_r[rows])
-        for row, noise in zip(buckets, noises):
-            row[rows] = clean
-            if noise.enabled:
-                row[rows] += _block_noise(seed, start, len(clean), pixels, noise)
+        buckets[:, rows] = block
     return buckets, s_r
 
 
@@ -45,27 +57,34 @@ def _sweep_run(run: Simulation, seed: int, points: list, methods: list, shift: i
     """Every method's :class:`ReconResult` on each ``(n, noise)`` point of
     ``run``'s frames: its first n records, noised by ``noise``.
 
-    Two passes over the noise-free ``run``. The first gives one bucket
-    column per noise model (:func:`_sweep_buckets`). The second sums every
-    classic image at once, as one stacked ``W`` of :func:`_classic_weights`
-    rows, zero past each point's count, and feeds one :class:`SgiAccumulator`
-    per sgi method with every bucket column, taking its snapshots at the
-    points' counts."""
+    Two passes over the noise-free ``run`` when a method is classic. The
+    first gives one bucket row per noise model (:func:`_sweep_buckets`). The
+    second sums every classic image at once, as one stacked ``W`` of
+    :func:`_classic_weights` rows, zero past each point's count, and feeds
+    one :class:`SgiAccumulator` per sgi method with every bucket row as a
+    column, taking its snapshots at the points' counts. When every method is
+    sgi, that second pass is the only one, and it noises each block itself
+    (:func:`_noised_blocks`)."""
     header = run.header
     shape, pixels = (header.height, header.width), header.width * header.height
     stop = max(n for n, _ in points)
     noises = list(dict.fromkeys(noise for _, noise in points))
-    buckets, s_r = _sweep_buckets(run, seed, noises, stop)
     columns = [noises.index(noise) for _, noise in points]
 
     rows, classic = [], {}  # classic[point, method]: the method's rows of the stacked W
-    for point, ((n, _), column) in enumerate(zip(points, columns)):
-        _bucket_report(0, buckets[column, :n]).raise_if_failed()
-        for method in methods:
-            if method not in SGI_METHODS:
-                weights = _classic_weights(method, buckets[column, :n], s_r[:n])
-                classic[point, method] = slice(len(rows), len(rows) + len(weights))
-                rows.extend(weights)
+    if all(method in SGI_METHODS for method in methods):
+        blocks = _noised_blocks(run, seed, noises, stop)  # push_block checks the buckets
+    else:
+        buckets, s_r = _sweep_buckets(run, seed, noises, stop)
+        for point, ((n, _), column) in enumerate(zip(points, columns)):
+            _bucket_report(0, buckets[column, :n]).raise_if_failed()
+            for method in methods:
+                if method not in SGI_METHODS:
+                    weights = _classic_weights(method, buckets[column, :n], s_r[:n])
+                    classic[point, method] = slice(len(rows), len(rows) + len(weights))
+                    rows.extend(weights)
+        blocks = ((start, buckets[:, start : start + len(frames)], frames)
+                  for start, _, frames in _first_records(run.blocks(), stop))
     stacked = np.zeros((len(rows), stop))  # each point's rows are zero past its count
     for at, row in enumerate(rows):
         stacked[at, : len(row)] = row
@@ -75,17 +94,16 @@ def _sweep_run(run: Simulation, seed: int, points: list, methods: list, shift: i
 
     def fed(blocks):
         """The blocks, each pushed first to every accumulator, cut at the counts."""
-        for start, _, frames in blocks:
+        for start, block, frames in blocks:
             cuts = sorted(count - start for count in counts if start < count < start + len(frames))
             for lo, hi in zip((0, *cuts), (*cuts, len(frames))):
                 for method, acc in accumulators.items():
-                    acc.push_block(start + lo, buckets[:, start + lo : start + hi].T,
-                                   frames[lo:hi].reshape(hi - lo, *shape))
+                    acc.push_block(start + lo, block[:, lo:hi].T, frames[lo:hi].reshape(hi - lo, *shape))
                     if start + hi in counts:
                         snapshots[method, start + hi] = acc.snapshots()
             yield start, None, frames
 
-    total = _weighted_sum(fed(_first_records(run.blocks(), stop)), stacked, pixels)
+    total = _weighted_sum(fed(blocks), stacked, pixels)
     results = []
     for point, ((n, _), column) in enumerate(zip(points, columns)):
         results.append([

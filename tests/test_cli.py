@@ -1,5 +1,6 @@
 """Black-box checks of the command-line surface: flags, exit codes, outputs."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -359,7 +360,7 @@ def test_sweep_drift_kind_point_checked_before_any_run(tmp_path, scene_pgm, monk
     def no_run(*args, **kwargs):
         raise AssertionError("sweep simulated a point before checking every point")
 
-    monkeypatch.setattr("gikit.cli.Simulation", no_run)
+    monkeypatch.setattr(importlib.import_module("gikit.simulate"), "Simulation", no_run)
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--scene", str(scene_pgm), "--drift", "random-walk:2", "--axis", "drift-kind",
               "--values", "none,linear", "--methods", "g2", "--n", "16", "--out", str(tmp_path / "sweep")])
@@ -402,7 +403,7 @@ def test_sweep_bad_shift_checked_before_any_run(tmp_path, scene_pgm, monkeypatch
     def no_run(*args, **kwargs):
         raise AssertionError("sweep simulated a point before checking --shift")
 
-    monkeypatch.setattr("gikit.cli.Simulation", no_run)
+    monkeypatch.setattr(importlib.import_module("gikit.simulate"), "Simulation", no_run)
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--scene", str(scene_pgm), "--n", "64", "--out", str(tmp_path / "sweep")] + flags)
     assert err.value.code == 2
@@ -608,21 +609,24 @@ SWEEP_AXES_ARGV = {
 }
 
 
-@pytest.mark.parametrize("axis", sorted(SWEEP_AXES_ARGV))
-def test_sweep_rows_equal_reconstructions_of_each_point(tmp_path, scene_pgm, monkeypatch, axis):
+@pytest.mark.parametrize("axis, methods", [
+    *(pytest.param(axis, ",".join(gikit.reconstruct.METHODS), id=axis) for axis in sorted(SWEEP_AXES_ARGV)),
+    *(pytest.param(axis, "sgi1,sgi3", id=f"{axis}-sgi") for axis in sorted(SWEEP_AXES_ARGV)),  # one pass
+])
+def test_sweep_rows_equal_reconstructions_of_each_point(tmp_path, scene_pgm, monkeypatch, axis, methods):
     # Every row's CNR against the in-memory simulation of its point,
     # reconstructed alone; blocks of 40 and chunks of 56 records cut the
     # passes at other records than the points' counts.
     monkeypatch.setattr(gikit.fileio, "_BLOCK_BYTES", 40 * (8 + 4 * 144))
     monkeypatch.setattr(gikit.reconstruct, "_CHUNK_BYTES", 56 * 8 * 144)
     out = tmp_path / "sweep"
-    assert main(["sweep", "--scene", str(scene_pgm), "--methods", ",".join(gikit.reconstruct.METHODS),
+    assert main(["sweep", "--scene", str(scene_pgm), "--methods", methods,
                  "--n", "200", "--noise-std", "0.05", "--shift", "2", "--seed", "8", "--out", str(out)]
                 + SWEEP_AXES_ARGV[axis]) == 0
     scene = gikit.import_scene(scene_pgm)
     mask = gikit.mask_from_scene(scene)
     entries = json.loads(out.with_suffix(".json").read_text())
-    assert len(entries) == 4 * 7 if axis != "n" else 3 * 7
+    assert len(entries) == (3 if axis == "n" else 4) * len(methods.split(","))
     for entry in entries:
         settings, row = entry["settings"], entry["row"]
         provenance = json.loads(settings["provenance"])
@@ -634,3 +638,13 @@ def test_sweep_rows_equal_reconstructions_of_each_point(tmp_path, scene_pgm, mon
         assert row["pair_count"] == expected.count
         cnr = gikit.cnr(expected.images[0], mask).cnr
         assert abs(row["cnr"] - cnr) <= 1e-12 * abs(cnr), (settings["method"], settings["value"])
+
+
+def test_all_sgi_sweep_makes_one_pass(tmp_path, scene_pgm, monkeypatch):
+    # No classic method needs the bucket pass: one Simulation.blocks for the run.
+    simulation = importlib.import_module("gikit.simulate").Simulation
+    passes, blocks = [], simulation.blocks
+    monkeypatch.setattr(simulation, "blocks", lambda self: passes.append(self) or blocks(self))
+    assert main(["sweep", "--scene", str(scene_pgm), "--axis", "noise-mean", "--values", "0,0.1",
+                 "--methods", "sgi1,sgi3", "--n", "64", "--out", str(tmp_path / "sweep")]) == 0
+    assert len(passes) == 1

@@ -1,0 +1,84 @@
+"""What each command loads, and the two meanings of ``gikit.simulate``.
+
+Each check runs in a fresh interpreter, since the modules that one test
+imports stay loaded for the next.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gikit
+
+SRC = str(Path(gikit.__file__).resolve().parents[1])
+ENV = {**os.environ, "PYTHONPATH": SRC}
+# Modules that a command reading a container has no use for: the simulator,
+# the sweep, NumPy's random generators, and the OpenSSL bindings.
+NOT_FOR_READING = {"gikit.simulate", "gikit.sweep", "numpy.random", "hashlib", "_hashlib", "ssl"}
+
+
+def _cli_imports(*argv) -> set:
+    """The modules that ``python -m gikit.cli argv`` imports; the command must succeed."""
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "gikit.cli", *map(str, argv)],
+                          env=ENV, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    # -X importtime writes "import time: self | cumulative | module" per import
+    return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:") and not line.endswith("imported package")}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A scene, and ``run.gid`` simulated from it by the CLI."""
+    work = tmp_path_factory.mktemp("imports")
+    gikit.export_image(gikit.ReconImage(gikit.binary_demo_scene(8, 8).transmission), work / "scene.pgm")
+    loaded = _cli_imports("simulate", "--scene", work / "scene.pgm", "--n", "64", "--drift", "linear:0.3",
+                          "--noise-std", "0.05", "--out", work / "run.gid")
+    assert {"gikit.simulate", "numpy.random"} <= loaded
+    return work
+
+
+def test_sweep_loads_the_simulator_and_the_sweep(workdir):
+    loaded = _cli_imports("sweep", "--scene", workdir / "scene.pgm", "--axis", "n", "--values", "16,32",
+                          "--methods", "g2,sgi1", "--n", "32", "--out", workdir / "sweep")
+    assert {"gikit.simulate", "gikit.sweep"} <= loaded
+
+
+@pytest.mark.parametrize("command", [
+    ["reconstruct", "--method", "dgi", "--scene", "{work}/scene.pgm", "--manifest", "{work}/log", "--raw",
+     "--out", "{work}/dgi"],
+    ["reconstruct", "--method", "sgi2", "--progressive", "16", "--shift", "2", "--out", "{work}/sgi2"],
+    ["diagnose", "--out", "{work}/dev.csv"],
+], ids=["reconstruct", "progressive", "diagnose"])
+def test_reading_commands_load_no_simulator_and_no_openssl(workdir, command):
+    argv = [arg.format(work=workdir) for arg in command]
+    loaded = _cli_imports(*argv[:1], "--in", workdir / "run.gid", *argv[1:])
+    assert "gikit.reconstruct" in loaded
+    assert not loaded & NOT_FOR_READING, sorted(loaded & NOT_FOR_READING)
+
+
+NAME_PROBE = """
+import sys, types
+{first}
+import gikit
+from gikit import simulate
+from gikit.simulate import Simulation, _pcg64_states
+assert isinstance(gikit.simulate, types.FunctionType) and simulate is gikit.simulate, gikit.simulate
+assert isinstance(sys.modules["gikit.simulate"], types.ModuleType)
+assert sys.modules["gikit.simulate"].simulate is simulate and gikit.Simulation is Simulation
+assert callable(_pcg64_states) and "simulate" in dir(gikit) and "simulate" in gikit.__all__
+"""
+
+
+@pytest.mark.parametrize("first", [
+    "import gikit.simulate",
+    "from gikit import Simulation",
+    "from gikit.cli import main; assert main(sys.argv[1:]) == 0",
+], ids=["submodule", "public-name", "cli-simulate"])
+def test_gikit_simulate_is_the_function_in_any_import_order(workdir, first):
+    argv = ["simulate", "--scene", workdir / "scene.pgm", "--n", "8", "--out", workdir / "names.gid"]
+    subprocess.run([sys.executable, "-c", NAME_PROBE.format(first=first), *map(str, argv)],
+                   env=ENV, check=True, timeout=60)

@@ -296,6 +296,14 @@ def test_overflowing_sums_raise_a_typed_error(method):
         reconstruct(_overflowing_dataset(), method)
 
 
+@pytest.mark.parametrize("estimate", [sr_diagnostics, recon_dgi])
+def test_overflowing_frame_totals_raise_a_typed_error(estimate):
+    # Finite frames whose totals overflow float64; RuntimeWarning is an error here.
+    ds = Dataset.from_arrays(np.full((4, 2, 2), 1e308), [1, 2, 3, 4])
+    with pytest.raises(DatasetValidationError, match="overflows in the frame totals"):
+        estimate(ds)
+
+
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_accumulator_overflow_raises_at_the_snapshot(mode):
     ds = _overflowing_dataset()
