@@ -15,9 +15,13 @@ keep full precision). Payload length must equal n * (8 + 4 * width * height)
 exactly.
 
 Every read goes through one block reader. It checks the header and the
-payload length once, then reads the fixed-stride records about 1 MB at a
-time, a size that stays in cache, and converts each chunk into one float64
-block buffer that it allocates once and reuses, checking each block for
+payload length once, then reads the fixed-stride records a block of the
+grid at a time: the most records that fit in about 1 MB, a size that stays
+in cache, rounded down to a multiple of 8, aligned to record 0. The
+simulator produces its blocks on the same grid, and the sgi accumulator
+sums its pairs in chunks of one block, so it takes each chunk where the
+block already is. The reader converts each block into one float64 block
+buffer that it allocates once and reuses, checking each block for
 non-finite values and negative pixels. The check runs on the stored
 float32 pixels in two scans, ``min() >= 0`` (false for NaN, -inf and
 negative pixels) and ``max() < inf``, plus ``isfinite`` on the buckets; only
@@ -35,16 +39,17 @@ next block is asked for, which is how the CLI reads: ``reconstruct``,
 ``--progressive`` and ``diagnose`` hold the 1 MB record buffer, the 2 MB
 float64 block buffer, the classic estimators' O(n) bucket and weight
 vectors, the frame totals of ``dgi`` and ``diagnose`` and the output
-images or the sgi accumulator's 1 MB row buffer, never the whole frame
+images, or the sgi accumulator's ``shift`` carried rows and the rows of a
+chunk that a snapshot or the end of the run cut, never the whole frame
 matrix. With one reused buffer, rather than a fresh block per read, the
 peak RSS does not depend on where the allocator puts each block.
 
 Every write goes through one block writer, :func:`write_container`, which
 takes a header and the same ``(start, buckets, frames)`` blocks and stores
-them through one record buffer of at most 1 MB, rejecting a block with a
-non-finite bucket. :func:`write_dataset` and :func:`encode_dataset` feed it a
-dataset's single block; ``gikit simulate`` feeds it the blocks of a
-:class:`~gikit.simulate.Simulation` as they are produced.
+them through one record buffer of one block of the grid, rejecting a block
+with a non-finite bucket. :func:`write_dataset` and :func:`encode_dataset`
+feed it a dataset's single block; ``gikit simulate`` feeds it the blocks of
+a :class:`~gikit.simulate.Simulation` as they are produced.
 
 Every file this module writes whole goes to a temporary file in the
 destination directory first and is then renamed over the destination, so a
@@ -100,7 +105,8 @@ CONTAINER_VERSION = 1
 
 _BUCKET_BYTES = 8
 _PIXEL_BYTES = 4
-_BLOCK_BYTES = 2**20  # bytes of stored records per block: about the size of a core's cache
+_GRID_BYTES = 2**20  # bytes of stored records per block of the grid: about the size of a core's cache
+_BLOCK_BYTES = _GRID_BYTES  # the reader's and the writer's blocks: the grid's, unless set apart
 _BUCKET_GROUP = 4096  # buckets per column read: about 0.6 MB of transient 8-byte reads
 
 
@@ -108,11 +114,13 @@ def _record_dtype(pixels: int) -> np.dtype:
     return np.dtype([("bucket", "<f8"), ("frame", "<f4", (pixels,))])
 
 
-def _block_rows(pixels: int, multiple: int = 1) -> int:
-    """Records per block: as many as fit in ``_BLOCK_BYTES``, rounded down
-    to a multiple of ``multiple`` and at least ``multiple``."""
-    rows = _BLOCK_BYTES // _record_dtype(pixels).itemsize
-    return max(multiple, rows - rows % multiple)
+def _block_rows(pixels: int, block_bytes: int | None = None) -> int:
+    """Records per block of the grid that the reader, the writer and the
+    sgi accumulator cut a run on, aligned to record 0: as many stored
+    records as fit in ``block_bytes`` (default ``_BLOCK_BYTES``), rounded
+    down to a multiple of 8 once 8 fit, and at least 1."""
+    rows = (_BLOCK_BYTES if block_bytes is None else block_bytes) // _record_dtype(pixels).itemsize
+    return rows - rows % 8 if rows >= 8 else max(1, rows)
 
 
 def _temporary_path(path) -> Path:

@@ -38,16 +38,23 @@ giving m = N.
 
 Every sgi route runs through one :class:`SgiAccumulator`: batch
 ``reconstruct`` feeds it the source's row blocks in one pass,
-``--progressive`` the same blocks cut at its snapshots, and ``push`` one
-record. It sums the pairs in fixed chunks of records aligned to record 0,
-scattering the pair rule into weights over a chunk and the ``shift`` rows
-before it, so a chunk costs one product and one Neumaier-compensated
-addition. The summation order depends only on record indices, so every route
-and block cut gives the same bits, far inside the 1e-12 contract. The
-buckets may also be a (rows, K) matrix: K runs over the same frames that
-differ only in their buckets, as the points of ``gikit sweep`` do. Its
-columns share the row buffer, and each chunk takes one product of the
-stacked (images * K) weight rows. A bucket vector is the K = 1 case.
+``--progressive`` the same blocks cut at its snapshots, ``gikit sweep`` the
+simulator's blocks cut at its points' counts, and ``push`` one record. It
+sums the pairs in fixed chunks of records aligned to record 0, scattering
+the pair rule into weights over a chunk and the ``shift`` rows before it.
+A chunk is one block of the grid that the container reader and the
+simulator cut a run on (``fileio._block_rows``), so a chunk that arrives
+whole is summed where its block already is, as ``W[:, shift:] @
+chunk_rows + W[:, :shift] @ carried_rows`` over copies of the ``shift``
+rows before it, and takes one Neumaier-compensated addition. Only a chunk
+that a block cuts is staged in a buffer first. The summation order depends
+only on record indices, so every route and block cut gives the same bits,
+far inside the 1e-12 contract. The buckets may also be a (rows, K) matrix:
+K runs over the same frames that differ only in their buckets, as the
+points of ``gikit sweep`` do. Several modes may share one accumulator too.
+The columns and the modes share the rows, and each chunk takes one product
+of the stacked (images * K) weight rows of every mode. A bucket vector is
+the K = 1 case.
 
 ``gikit sweep`` sums its classic images the same way: it stacks the
 :func:`_classic_weights` rows of every point and method into one W, each
@@ -65,6 +72,7 @@ from .errors import (
     DegeneratePartitionError,
     InsufficientRecordsError,
 )
+from .fileio import _GRID_BYTES, _block_rows
 from .types import Dataset, MeasurementRecord, ReconImage, ValidationIssue, ValidationReport, _bucket_report
 
 __all__ = [
@@ -116,12 +124,13 @@ def _checked_buckets(source) -> np.ndarray:
     return buckets
 
 
-def _require_no_overflow(values: np.ndarray, what: str) -> None:
+def _require_no_overflow(values: np.ndarray, culprit: str, what: str) -> None:
     """Raise :class:`DatasetValidationError` if ``values``, worked out from
-    finite buckets and frames, overflowed float64 to inf or NaN. Callers
-    compute them under ``np.errstate(over="ignore", invalid="ignore")``."""
+    finite buckets and frames, overflowed float64 to inf or NaN; the message
+    says that ``culprit`` ("the frames", say) is too large. Callers compute
+    the values under ``np.errstate(over="ignore", invalid="ignore")``."""
     if not np.isfinite(values).all():
-        issue = ValidationIssue(None, "overflow", f"the buckets are too large: float64 overflows in {what}")
+        issue = ValidationIssue(None, "overflow", f"{culprit} are too large: float64 overflows in {what}")
         ValidationReport((issue,)).raise_if_failed()
 
 
@@ -132,7 +141,7 @@ def _frame_totals(source) -> np.ndarray:
     for start, _, frames in source.blocks():
         with np.errstate(over="ignore", invalid="ignore"):
             np.sum(frames, axis=1, out=s_r[start : start + len(frames)])
-    _require_no_overflow(s_r, "the frame totals")
+    _require_no_overflow(s_r, "the frames", "the frame totals")
     return s_r
 
 
@@ -146,7 +155,7 @@ def _weighted_sum(blocks, weights: np.ndarray, pixels: int) -> np.ndarray:
     for start, _, frames in blocks:
         with np.errstate(over="ignore", invalid="ignore"):
             total += np.matmul(weights[:, start : start + len(frames)], frames, out=term)
-    _require_no_overflow(total, "the weighted frame sums")
+    _require_no_overflow(total, "the buckets or frames", "the weighted frame sums")
     return total
 
 
@@ -167,9 +176,10 @@ def _classic_weights(method: str, buckets: np.ndarray, s_r: np.ndarray | None) -
             if r_mean == 0.0:
                 raise DegenerateDivisorError("mean frame total is zero (all-dark reference frames)")
             weights = (buckets - (s_mean / r_mean) * s_r)[np.newaxis] / n
-    _require_no_overflow(s_mean, "the bucket sum")
+    _require_no_overflow(s_mean, "the buckets", "the bucket sum")
     if method != "ci":
-        _require_no_overflow(weights, f"the {method} weights")
+        culprit = "the buckets or frames" if method == "dgi" else "the buckets"  # dgi's weights scale R
+        _require_no_overflow(weights, culprit, f"the {method} weights")
         return weights
     positive = buckets >= s_mean
     n_pos = int(np.count_nonzero(positive))
@@ -207,13 +217,16 @@ def reconstruct(source, method: str, *, shift: int = 1, close_loop: bool = False
     """Batch reconstruction with any method in :data:`METHODS`.
 
     ``source`` is a :class:`~gikit.types.Dataset`, read as one block, or an
-    opened :class:`~gikit.fileio.Container`, read in row blocks. The sgi
-    methods feed one pass to an :class:`SgiAccumulator`, ``shift`` and
-    ``close_loop`` choosing the pairs. The classic methods ignore those and
-    build their weights from ``source.buckets`` (a container's bucket column,
-    read alone), then take one pass over the frames that sums
-    ``W[:, rows] @ block``; ``dgi``, whose weights need the mean frame
-    total, takes a pass for the totals first.
+    opened :class:`~gikit.fileio.Container`, read in blocks of the grid. The
+    sgi methods feed one pass to an :class:`SgiAccumulator`, ``shift`` and
+    ``close_loop`` choosing the pairs; it sums every whole chunk of the
+    source straight from the block that holds it and stages only the end of
+    the run, when that is no whole chunk. The classic methods ignore
+    ``shift`` and ``close_loop`` and build their weights from
+    ``source.buckets`` (a container's bucket column, read alone), then take
+    one pass over the frames that sums ``W[:, rows] @ block``; ``dgi``,
+    whose weights need the mean frame total, takes a pass for the totals
+    first.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -324,32 +337,55 @@ class _CompensatedSum:
         return total + comp
 
 
-_CHUNK_BYTES = 2**20  # float64 frame rows per summation chunk
+_CHUNK_ROWS: int | None = None  # records per summation chunk; None: one block of the grid
+
+
+def _chunk_rows(pixels: int) -> int:
+    """Records per summation chunk: ``_CHUNK_ROWS``, or one block of the
+    grid that the container reader and the simulator cut a run on, at the
+    grid's own block size, so a reader set to other blocks sums the same
+    chunks."""
+    return _CHUNK_ROWS or _block_rows(pixels, _GRID_BYTES)
 
 
 class SgiAccumulator:
     """Streaming state for the successive-deviation estimators.
 
-    Records arrive in order, in blocks (:meth:`push_block`) or one at a time
+    ``mode`` is one of :data:`SGI_MODES`, or a tuple of them: several modes
+    then share one pass, their coefficient rows stacked into one weight
+    matrix, and :meth:`snapshots_by_mode` gives each mode's results. Records
+    arrive in order, in blocks (:meth:`push_block`) or one at a time
     (:meth:`push`). A block's buckets are a vector, or a (rows, K) matrix of
     K bucket columns over the same frames: K runs that differ only in their
-    buckets then share the row buffer and one product per chunk, and
-    :meth:`snapshots` gives one result per column. Pairs are summed in fixed
-    chunks of about 1 MB of rows, aligned to record 0, each in the chunk of
-    its newer record; a full chunk takes one weighted product over a buffer
-    holding the chunk and the ``shift`` rows before it, and one compensated
-    addition. So the images depend on the records only, not on the block
-    cuts. The buffer and the first record (kept only for ``close_loop``) are
-    copies; the buffer and each chunk's weights, product and compensated sum
-    are allocated with the first block and reused, so pushing allocates no
+    buckets then share one product per chunk, and :meth:`snapshots` gives
+    one result per column.
+
+    Pairs are summed in fixed chunks of records aligned to record 0, each
+    pair in the chunk of its newer record. A chunk is one block of the grid
+    that the container reader and the simulator cut on, so a chunk that
+    arrives whole inside one block is summed straight from that block's
+    rows: its term is ``W[:, shift:] @ chunk_rows + W[:, :shift] @
+    carried_rows``, where the carried rows are copies of the ``shift``
+    records before the chunk, and it takes one compensated addition. Only a
+    chunk that a block cuts (one-record pushes, snapshot points, the end of
+    the stream) is staged, its rows copied into a buffer until it is whole
+    or a snapshot sums the part that has arrived. The term depends on the
+    record indices alone, so every route and block cut gives the same bits.
+
+    The state is the carried rows, the rows of a cut chunk while it fills
+    (at most one chunk), the chunk's bucket, weight, term and compensation
+    buffers and a copy of the first record when ``close_loop`` is set. It is
+    allocated with the first block and reused, so pushing allocates no
     (images, pixels) array and the state does not grow with the number of
-    records. A snapshot never mutates the accumulator, so periodic snapshots give
-    real-time reconstruction. Single-writer: push from one thread.
+    records. A snapshot never mutates the
+    accumulator, so periodic snapshots give real-time reconstruction.
+    Single-writer: push from one thread.
     """
 
-    def __init__(self, mode: int = 1, shift: int = 1, close_loop: bool = False):
-        if mode not in SGI_MODES:
-            raise ValueError(f"mode must be one of {SGI_MODES}, got {mode}")
+    def __init__(self, mode=1, shift: int = 1, close_loop: bool = False):
+        modes = (mode,) if np.ndim(mode) == 0 else tuple(mode)
+        if not modes or len(set(modes)) != len(modes) or any(m not in SGI_MODES for m in modes):
+            raise ValueError(f"mode must be one of {SGI_MODES} or a tuple of distinct ones, got {mode!r}")
         if shift < 1:
             raise ValueError(f"shift must be >= 1, got {shift}")
         if close_loop and shift != 1:
@@ -357,15 +393,19 @@ class SgiAccumulator:
             # unit shift; how it generalizes to k > 1 is unspecified.
             raise ValueError("close_loop is only defined for shift=1")
         self.mode = mode
+        self.modes = modes
         self.shift = shift
         self.close_loop = close_loop
+        self._images = sum(1 if m == 1 else 2 for m in modes)  # image rows of all modes
         self._shape: tuple[int, int] | None = None
         self._columns: int | None = None  # K, the number of bucket columns
         self._chunk = 0
-        self._rows: np.ndarray | None = None  # (shift + chunk, pixels): the ring, then the chunk
-        self._buckets: np.ndarray | None = None  # (K, shift + chunk), beside the rows
+        self._carried: np.ndarray | None = None  # (shift, pixels): the records before the chunk
+        self._staged: np.ndarray | None = None  # (rows, pixels): the arrived rows of a cut chunk
+        self._buckets: np.ndarray | None = None  # (K, shift + chunk): the carried records', then the chunk's
         self._weights: np.ndarray | None = None  # flat room for the (images, K, shift + chunk) weights
         self._term: np.ndarray | None = None  # (images * K, pixels): a chunk's summed terms
+        self._carried_term: np.ndarray | None = None  # the same shape: the part from the carried rows
         self._sum: _CompensatedSum | None = None
         self._first: tuple[np.ndarray, np.ndarray] | None = None
         self._seen = 0
@@ -405,49 +445,86 @@ class SgiAccumulator:
             return
         rows = frames.reshape(len(frames), -1)
         if self._shape is None:
-            self._shape, self._chunk = frames.shape[1:], max(1, _CHUNK_BYTES // rows[0].nbytes)
+            self._shape, self._chunk = frames.shape[1:], _chunk_rows(rows.shape[1])
             self._columns = len(columns)
             # Zeros: the rows before record 0 take weight 0, and 0 * NaN would be NaN.
-            self._rows = np.zeros((self.shift + self._chunk, rows.shape[1]))
+            self._carried = np.zeros((self.shift, rows.shape[1]))
             self._buckets = np.zeros((self._columns, self.shift + self._chunk))
-            images = 1 if self.mode == 1 else 2
-            self._weights = np.empty(images * self._columns * (self.shift + self._chunk))
-            self._term = np.empty((images * self._columns, rows.shape[1]))
+            self._weights = np.empty(self._images * self._columns * (self.shift + self._chunk))
+            self._term = np.empty((self._images * self._columns, rows.shape[1]))
+            self._carried_term = np.empty_like(self._term)
             self._sum = _CompensatedSum(self._term.shape)
             self._first = (columns[:, 0].copy(), rows[0].copy()) if self.close_loop else None
         chunk = self._chunk
         cuts = range(chunk - start % chunk, len(rows), chunk)  # where a chunk fills
         for lo, hi in zip((0, *cuts), (*cuts, len(rows))):
-            at = self.shift + (start + lo) % chunk
-            self._rows[at : at + hi - lo] = rows[lo:hi]
-            self._buckets[:, at : at + hi - lo] = columns[:, lo:hi]
+            at = (start + lo) % chunk  # rows of the chunk that came before
+            self._buckets[:, self.shift + at : self.shift + at + hi - lo] = columns[:, lo:hi]
             self._seen = start + hi
+            whole = hi - lo == chunk
+            if not whole:
+                self._stage(at, rows[lo:hi])
             if self._seen % chunk == 0:
+                chunk_rows = rows[lo:hi] if whole else self._staged
                 with np.errstate(over="ignore", invalid="ignore"):  # a snapshot checks the sums
-                    self._sum.add(self._chunk_term(chunk))
-                self._rows[: self.shift] = self._rows[chunk:]
-                self._buckets[:, : self.shift] = self._buckets[:, chunk:]
+                    self._sum.add(self._chunk_term(chunk, chunk_rows))
+                self._carry(chunk_rows)
+                self._staged = None
 
-    def _chunk_term(self, filled: int) -> np.ndarray:
+    def _stage(self, at: int, rows: np.ndarray) -> None:
+        """Copy ``rows`` into the staged rows of the cut chunk after its
+        first ``at``. The buffer holds just the rows that have arrived, so
+        the cut end of a stream costs its own rows; when more arrive it
+        grows in place to a whole chunk, so no second buffer is held while
+        it grows. It is dropped once its chunk is summed."""
+        end = at + len(rows)
+        if self._staged is None:
+            self._staged = np.empty((end, rows.shape[1]))
+        elif len(self._staged) < end:
+            # Keeps the first rows. Every view of the buffer is a temporary of
+            # one method call, so none outlives the move; a profiler may hold
+            # the array itself, which would fail numpy's reference check.
+            self._staged.resize((self._chunk, rows.shape[1]), refcheck=False)
+        self._staged[at:end] = rows
+
+    def _carry(self, rows: np.ndarray) -> None:
+        """After a full chunk of ``rows``, carry the last ``shift`` records
+        into the next chunk."""
+        shift, chunk = self.shift, self._chunk
+        keep = min(shift, chunk)
+        self._carried[: shift - keep] = self._carried[keep:]
+        self._carried[shift - keep :] = rows[chunk - keep : chunk]
+        self._buckets[:, :shift] = self._buckets[:, chunk:]
+
+    def _chunk_term(self, filled: int, rows: np.ndarray) -> np.ndarray:
         """The summed terms, (images * K, pixels), of the pairs whose newer
-        record is among the ``filled`` rows of the current chunk, written
-        into the term buffer; row i * K + j is image i of bucket column j."""
+        record is among the ``filled`` rows of the current chunk, given as
+        ``rows``, written into the term buffer; row i * K + j is image i of
+        bucket column j, the images of the modes one after another."""
         shift, end = self.shift, self.shift + filled
-        # Buffer row r holds record r + chunk start - shift, and the first
-        # record with a partner is the chunk start or record ``shift``.
-        first_new = max(shift, 2 * shift - (self._seen - filled))
+        # Bucket column c holds record c + chunk start - shift, and the
+        # first record with a partner is the chunk start or record ``shift``.
+        chunk_start = self._seen - filled
+        first_new = max(shift, 2 * shift - chunk_start)
         new, old = slice(first_new, end), slice(first_new - shift, end - shift)
-        c_new, c_old = _pair_coefficients(self.mode, self._buckets[:, new], self._buckets[:, old])
-        shape = (len(c_new), self._columns, end)
-        weights = self._weights[: shape[0] * shape[1] * end].reshape(shape)
+        weights = self._weights[: self._images * self._columns * end].reshape(self._images, self._columns, end)
         weights.fill(0.0)
-        weights[..., new] += c_new
-        weights[..., old] += c_old
-        return np.matmul(weights.reshape(-1, end), self._rows[:end], out=self._term)
+        image = 0
+        for mode in self.modes:
+            c_new, c_old = _pair_coefficients(mode, self._buckets[:, new], self._buckets[:, old])
+            weights[image : image + len(c_new), :, new] += c_new
+            weights[image : image + len(c_new), :, old] += c_old
+            image += len(c_new)
+        weights = weights.reshape(-1, end)
+        term = np.matmul(weights[:, shift:], rows[:filled], out=self._term)
+        if chunk_start:  # the first chunk has no records before it
+            term += np.matmul(weights[:, :shift], self._carried, out=self._carried_term)
+        return term
 
-    def snapshots(self) -> list[ReconResult]:
-        """Reconstruction over the pairs seen so far, one result per bucket
-        column; each equals the batch result of its column."""
+    def snapshots_by_mode(self) -> dict[int, list[ReconResult]]:
+        """Reconstruction over the pairs seen so far: for each mode, one
+        result per bucket column, each equal to the batch result of its
+        column."""
         use_loop = self.close_loop and self._seen >= 2
         pairs = self.pairs + use_loop
         if pairs < 1:
@@ -456,20 +533,36 @@ class SgiAccumulator:
             )
         filled = self._seen % self._chunk
         with np.errstate(over="ignore", invalid="ignore"):
-            pending = [self._chunk_term(filled)]
+            pending = [self._chunk_term(filled, self._staged)] if filled else []
             if use_loop:
-                last = self.shift + filled - 1
-                c_new, c_old = _pair_coefficients(self.mode, self._buckets[:, last], self._first[0])
-                loop = c_new[..., np.newaxis] * self._rows[last] + c_old[..., np.newaxis] * self._first[1]
-                pending.append(loop.reshape(self._term.shape))
+                last = self.shift + filled - 1  # the bucket column of the last record
+                row = self._staged[filled - 1] if filled else self._carried[-1]
+                loop = []
+                for mode in self.modes:
+                    c_new, c_old = _pair_coefficients(mode, self._buckets[:, last], self._first[0])
+                    loop.append(c_new[..., np.newaxis] * row + c_old[..., np.newaxis] * self._first[1])
+                pending.append(np.concatenate(loop).reshape(self._term.shape))
             totals = self._sum.value(*pending).reshape(-1, self._columns, *self._shape) / pairs
-        _require_no_overflow(totals, f"the sgi{self.mode} pair sums")
-        return [ReconResult(f"sgi{self.mode}", tuple(map(ReconImage, totals[:, j])), pairs)
-                for j in range(self._columns)]
+        results, image = {}, 0
+        for mode in self.modes:
+            images = totals[image : image + (1 if mode == 1 else 2)]
+            image += len(images)
+            _require_no_overflow(images, "the buckets or frames", f"the sgi{mode} pair sums")
+            results[mode] = [ReconResult(f"sgi{mode}", tuple(map(ReconImage, images[:, j])), pairs)
+                             for j in range(self._columns)]
+        return results
+
+    def snapshots(self) -> list[ReconResult]:
+        """Reconstruction over the pairs seen so far of the accumulator's
+        one mode, one result per bucket column; each equals the batch result
+        of its column."""
+        if len(self.modes) > 1:
+            raise ValueError(f"modes {self.modes} give one list each: use snapshots_by_mode()")
+        return self.snapshots_by_mode()[self.modes[0]]
 
     def snapshot(self) -> ReconResult:
-        """Reconstruction over the pairs seen so far, of one bucket column;
-        equals the batch result."""
+        """Reconstruction over the pairs seen so far, of one mode and one
+        bucket column; equals the batch result."""
         if self._columns not in (None, 1):
             raise ValueError(f"{self._columns} bucket columns give one result each: use snapshots()")
         return self.snapshots()[0]

@@ -28,9 +28,12 @@ buffer, scales them by the drift gains, integrates the buckets and adds the
 noise. ``gikit simulate`` writes each block straight into the container, so
 it holds one block (about 1 MB of stored records, twice that as float64
 frames) and never the whole run; :func:`simulate` copies the same blocks
-into one in-memory stack, so both give the same bytes. ``gikit sweep``
-streams a run's blocks without noise and adds each point's noise through
-:func:`_block_noise`, the step that :class:`Simulation` itself takes.
+into one in-memory stack, so both give the same bytes. A block's noise
+is one draw of standard normals per record from its stream (2, i),
+:func:`_noise_draws`, scaled by the noise model (:func:`_scaled_noise`).
+``gikit sweep`` streams a run's blocks without noise and scales the same
+draws by each of its points' noise models, so every point's buckets are
+those that :class:`Simulation` gives with that model.
 
 Correlated speckle needs NumPy alone. :func:`_wrap_blur` is SciPy's
 wrap-mode ``gaussian_filter`` reproduced bit for bit, and a block of speckle
@@ -393,11 +396,36 @@ def _bucket_noise(rng: np.random.Generator, pixels: int, model: NoiseModel) -> f
         return float(rng.normal(model.mean, model.std, size=pixels).sum())
 
 
+def _noise_draws(seed: int, start: int, count: int, size: int) -> np.ndarray:
+    """Standard normals of shape (count, size): row r holds the first
+    ``size`` draws of the noise stream (2, i) of record i = start + r."""
+    draws = np.empty((count, size))
+    for row, rng in zip(draws, _record_rngs(seed, _NOISE_KEY, start, count)):
+        rng.standard_normal(out=row)
+    return draws
+
+
+def _scaled_noise(draws: np.ndarray, model: NoiseModel, out: np.ndarray | None = None) -> np.ndarray:
+    """The noise of ``model`` on each record of ``draws`` (:func:`_noise_draws`,
+    ``pixels`` columns for an object-field model): ``mean + std * z`` of the
+    first draw, or of every draw summed over the row, the object field
+    worked out in ``out``. NumPy's ``normal`` is ``loc + scale * z`` of the
+    same standard normals, so this equals :func:`_bucket_noise` bit for bit,
+    and like ``normal`` it does not warn when a value overflows: the bucket
+    check rejects the inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.target == "bucket":
+            return model.mean + model.std * draws[:, 0]
+        field = np.multiply(draws, model.std, out=out)
+        field += model.mean
+        return field.sum(axis=1)
+
+
 def _block_noise(seed: int, start: int, count: int, pixels: int, model: NoiseModel) -> np.ndarray:
     """The noise of records ``start`` to ``start + count - 1``, each drawn
     from its own stream (2, i) of the run seed."""
-    rngs = _record_rngs(seed, _NOISE_KEY, start, count)
-    return np.array([_bucket_noise(rng, pixels, model) for rng in rngs])
+    draws = _noise_draws(seed, start, count, 1 if model.target == "bucket" else pixels)
+    return _scaled_noise(draws, model, out=draws)
 
 
 def apply_noise(records, model: NoiseModel, seed: int = 0) -> Iterator[MeasurementRecord]:
@@ -436,12 +464,13 @@ class Simulation:
     speckle offsets worked out here once, so a block needs no other records.
     :meth:`blocks` is the only route through the forward model: a container
     is written from it and :meth:`dataset` stacks it, so a streamed run and
-    an in-memory one agree bit for bit because they are one run. Blocks hold
-    a multiple of 8 rows that fit the container writer's record buffer. The
-    multiple of 8 keeps the buckets equal, bit for bit, to those of
-    containers written by earlier versions: BLAS matrix-vector kernels sum
-    rows in small groups, and a block boundary inside a group could change
-    the last bit of a bucket.
+    an in-memory one agree bit for bit because they are one run. Blocks are
+    those of the grid that the container reader and the sgi accumulator cut
+    on (``fileio._block_rows``), and at least 8 rows where fewer records fit
+    a block. Whole groups of 8 rows keep the buckets equal, bit for bit, to
+    those of containers written by earlier versions: BLAS matrix-vector
+    kernels sum rows in small groups, and a block boundary inside a group
+    could change the last bit of a bucket.
     """
 
     def __init__(
@@ -484,7 +513,7 @@ class Simulation:
         shape (rows, pixels): the form in which a container is read. All
         blocks share one frame buffer, so use each before asking for the next."""
         header = self.header
-        rows = min(header.n, _block_rows(self._transmission.size, multiple=8))
+        rows = min(header.n, max(8, _block_rows(self._transmission.size)))
         buffer = np.empty((rows, header.height, header.width))
         for start in range(0, header.n, rows):
             frames = buffer[: header.n - start]

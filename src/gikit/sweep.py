@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .reconstruct import SGI_METHODS, ReconResult, SgiAccumulator, _classic_weights, _weighted_sum
-from .simulate import Simulation, _block_noise
+from .simulate import Simulation, _noise_draws, _scaled_noise
 from .types import ReconImage, _bucket_report
 
 
@@ -28,16 +28,22 @@ def _first_records(blocks, stop: int):
 def _noised_blocks(run: Simulation, seed: int, noises: list, stop: int):
     """The first ``stop`` records of the noise-free ``run`` as ``(start,
     buckets, frames)`` blocks with buckets of shape (len(noises), rows): row
-    j noised by ``noises[j]`` through the simulator's own per-block noise
-    step. So each row is, byte for byte, the buckets of the run simulated
-    with that noise model."""
-    pixels = run.header.width * run.header.height
+    j noised by ``noises[j]``. Each record's normals are drawn once, for
+    every model, and scaled by each as the simulator scales them, so each
+    row is, byte for byte, the buckets of the run simulated with that noise
+    model."""
+    noisy = any(noise.enabled for noise in noises)
+    field = any(noise.enabled and noise.target == "object-field" for noise in noises)
+    size = run.header.width * run.header.height if field else 1
     for start, clean, frames in _first_records(run.blocks(), stop):
         buckets = np.empty((len(noises), len(clean)))
-        for row, noise in zip(buckets, noises):
-            row[:] = clean
-            if noise.enabled:
-                row += _block_noise(seed, start, len(clean), pixels, noise)
+        buckets[:] = clean
+        if noisy:
+            draws = _noise_draws(seed, start, len(clean), size)
+            scratch = np.empty_like(draws) if field else None
+            for row, noise in zip(buckets, noises):
+                if noise.enabled:
+                    row += _scaled_noise(draws, noise, out=scratch)
         yield start, buckets, frames
 
 
@@ -61,10 +67,10 @@ def _sweep_run(run: Simulation, seed: int, points: list, methods: list, shift: i
     first gives one bucket row per noise model (:func:`_sweep_buckets`). The
     second sums every classic image at once, as one stacked ``W`` of
     :func:`_classic_weights` rows, zero past each point's count, and feeds
-    one :class:`SgiAccumulator` per sgi method with every bucket row as a
-    column, taking its snapshots at the points' counts. When every method is
-    sgi, that second pass is the only one, and it noises each block itself
-    (:func:`_noised_blocks`)."""
+    one :class:`SgiAccumulator` with every sgi method's mode and every
+    bucket row as a column, taking its snapshots at the points' counts. When
+    every method is sgi, that second pass is the only one, and it noises
+    each block itself (:func:`_noised_blocks`)."""
     header = run.header
     shape, pixels = (header.height, header.width), header.width * header.height
     stop = max(n for n, _ in points)
@@ -88,26 +94,27 @@ def _sweep_run(run: Simulation, seed: int, points: list, methods: list, shift: i
     stacked = np.zeros((len(rows), stop))  # each point's rows are zero past its count
     for at, row in enumerate(rows):
         stacked[at, : len(row)] = row
-    accumulators = {m: SgiAccumulator(mode=int(m[-1]), shift=shift) for m in methods if m in SGI_METHODS}
+    modes = tuple(dict.fromkeys(int(method[-1]) for method in methods if method in SGI_METHODS))
+    acc = SgiAccumulator(mode=modes, shift=shift) if modes else None
     counts = {n for n, _ in points}
-    snapshots = {}  # snapshots[method, count]: one result per bucket column
+    snapshots = {}  # snapshots[count][mode]: one result per bucket column
 
     def fed(blocks):
-        """The blocks, each pushed first to every accumulator, cut at the counts."""
+        """The blocks, each pushed first to the accumulator, cut at the counts."""
         for start, block, frames in blocks:
             cuts = sorted(count - start for count in counts if start < count < start + len(frames))
             for lo, hi in zip((0, *cuts), (*cuts, len(frames))):
-                for method, acc in accumulators.items():
+                if acc is not None:
                     acc.push_block(start + lo, block[:, lo:hi].T, frames[lo:hi].reshape(hi - lo, *shape))
                     if start + hi in counts:
-                        snapshots[method, start + hi] = acc.snapshots()
+                        snapshots[start + hi] = acc.snapshots_by_mode()
             yield start, None, frames
 
     total = _weighted_sum(fed(blocks), stacked, pixels)
     results = []
     for point, ((n, _), column) in enumerate(zip(points, columns)):
         results.append([
-            snapshots[method, n][column] if method in SGI_METHODS else
+            snapshots[n][int(method[-1])][column] if method in SGI_METHODS else
             ReconResult(method, tuple(ReconImage(row.reshape(shape)) for row in total[classic[point, method]]), n)
             for method in methods
         ])

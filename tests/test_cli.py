@@ -601,6 +601,25 @@ def test_sweep_buckets_equal_each_points_simulation(monkeypatch, target):
     assert s_r.tobytes() == expected.frame_matrix.sum(axis=1).tobytes()
 
 
+def test_sweep_draws_each_records_noise_once(monkeypatch):
+    # Six noise models, both targets: each record's noise stream is set up
+    # once, and every model scales the same draws.
+    simulate = importlib.import_module("gikit.simulate")
+    drawn, record_rngs = [], simulate._record_rngs
+
+    def counted(seed, key, start, count):
+        if key == simulate._NOISE_KEY:
+            drawn.append(count)
+        return record_rngs(seed, key, start, count)
+
+    monkeypatch.setattr(simulate, "_record_rngs", counted)
+    run = gikit.Simulation(binary_demo_scene(9, 7), n=70, seed=4)
+    noises = [gikit.NoiseModel(mean, 0.05, target) for mean in (0.0, 0.012, -0.5)
+              for target in ("bucket", "object-field")]
+    gikit.sweep._sweep_buckets(run, 4, noises, 70)
+    assert sum(drawn) == 70
+
+
 SWEEP_AXES_ARGV = {
     "noise-mean": ["--axis", "noise-mean", "--values", "0.012,0.06,0.012,-0.3", "--noise-target", "object-field"],
     "drift-kind": ["--axis", "drift-kind", "--values", "none,random-walk,step,none", "--drift", "linear:0.3",
@@ -618,7 +637,7 @@ def test_sweep_rows_equal_reconstructions_of_each_point(tmp_path, scene_pgm, mon
     # reconstructed alone; blocks of 40 and chunks of 56 records cut the
     # passes at other records than the points' counts.
     monkeypatch.setattr(gikit.fileio, "_BLOCK_BYTES", 40 * (8 + 4 * 144))
-    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_BYTES", 56 * 8 * 144)
+    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", 56)
     out = tmp_path / "sweep"
     assert main(["sweep", "--scene", str(scene_pgm), "--methods", methods,
                  "--n", "200", "--noise-std", "0.05", "--shift", "2", "--seed", "8", "--out", str(out)]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_images_close, random_dataset
 
+import gikit.reconstruct
 from gikit import (
     Dataset,
     DatasetValidationError,
@@ -242,6 +243,24 @@ def test_batch_sgi_matches_explicit_pair_loop(mode, shift, close_loop, rng):
         assert_images_close(image.data, ref, 1e-12)
 
 
+@pytest.mark.parametrize("chunk_rows", [1, 3, 8])
+@pytest.mark.parametrize("shift, close_loop", [(1, False), (1, True), (2, False), (5, False), (11, False)])
+def test_chunked_sgi_matches_explicit_pair_loop(monkeypatch, rng, chunk_rows, shift, close_loop):
+    # Chunks far shorter than the run, and shifts past a whole chunk: the
+    # pairs that reach back into earlier chunks come from the carried rows.
+    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", chunk_rows)
+    ds = random_dataset(rng, 40)
+    acc = SgiAccumulator(mode=(1, 2, 3), shift=shift, close_loop=close_loop)
+    frames = ds.frame_matrix.reshape(40, 8, 8)
+    for lo, hi in [(0, 16), (16, 21), (21, 40)]:
+        acc.push_block(lo, ds.buckets[lo:hi], frames[lo:hi])
+    for mode, (result,) in acc.snapshots_by_mode().items():
+        expected, pairs = _pair_loop(ds, mode, shift, close_loop)
+        assert result.count == pairs
+        for image, ref in zip(result.images, expected, strict=True):
+            assert_images_close(image.data, ref, 1e-12)
+
+
 def _classic_loop(ds, method):
     """Independent oracle: per-record loops over the README formulas."""
     frames = [r.frame.data for r in ds.records]
@@ -302,6 +321,19 @@ def test_overflowing_frame_totals_raise_a_typed_error(estimate):
     ds = Dataset.from_arrays(np.full((4, 2, 2), 1e308), [1, 2, 3, 4])
     with pytest.raises(DatasetValidationError, match="overflows in the frame totals"):
         estimate(ds)
+
+
+@pytest.mark.parametrize("estimate, culprit, what", [
+    (sr_diagnostics, "the frames", "the frame totals"),
+    (lambda ds: reconstruct(ds, "g2"), "the buckets or frames", "the weighted frame sums"),
+    (lambda ds: reconstruct(ds, "sgi2"), "the buckets or frames", "the sgi2 pair sums"),
+], ids=["frame-totals", "weighted-sums", "pair-sums"])
+def test_overflow_errors_name_what_overflowed(estimate, culprit, what):
+    # Buckets 1 to 4 are small: the frames near the float64 limit overflow.
+    ds = Dataset.from_arrays(np.full((4, 2, 2), 1e308), [1, 2, 3, 4])
+    with pytest.raises(DatasetValidationError) as failure:
+        estimate(ds)
+    assert str(failure.value).endswith(f"{culprit} are too large: float64 overflows in {what}")
 
 
 @pytest.mark.parametrize("mode", [1, 2, 3])

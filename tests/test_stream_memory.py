@@ -1,7 +1,7 @@
 """Memory of the streamed commands: a `reconstruct`, `--progressive` or
-`diagnose` run holds one reused read block, the sgi accumulator's row buffer
-and O(images x pixels) state, whatever the number of records, and a `sweep`
-holds O(records) vectors but never a run's frames."""
+`diagnose` run holds one reused read block, the sgi accumulator's carried
+and staged rows and O(images x pixels) state, whatever the number of
+records, and a `sweep` holds O(records) vectors but never a run's frames."""
 
 import tracemalloc
 
@@ -10,9 +10,9 @@ import pytest
 from conftest import random_dataset
 
 import gikit.fileio
-import gikit.reconstruct
 from gikit import ReconImage, SgiAccumulator, binary_demo_scene, export_image, open_container, write_dataset
 from gikit.cli import main
+from gikit.reconstruct import _chunk_rows, _frame_blocks, reconstruct
 
 SIDE, N, SHIFT = 64, 1024, 4
 PIXELS = SIDE * SIDE
@@ -37,6 +37,13 @@ def container(tmp_path_factory):
     return gid
 
 
+def _reader_bytes(n: int) -> int:
+    """The reader's record buffer and its float64 block buffer, for n records."""
+    record_bytes = 8 + 4 * PIXELS
+    rows = min(n, gikit.fileio._block_rows(PIXELS))
+    return rows * record_bytes + rows * (PIXELS + 1) * 8
+
+
 def _traced(call, *args) -> tuple:
     """``call(*args)`` and the peak of the memory it allocated, in bytes."""
     tracemalloc.start()
@@ -54,23 +61,73 @@ def test_streamed_command_holds_one_block(container, tmp_path, run):
     assert code == 0
 
     # The reader's record buffer and its one float64 block buffer, the sgi
-    # accumulator's (shift + chunk, pixels) rows, then the O(images x pixels)
+    # accumulator's carried rows and staged rows, then the O(images x pixels)
     # totals, terms and exports and the O(n) bucket and frame-total vectors.
-    record_bytes = 8 + 4 * PIXELS
-    rows = min(N, gikit.fileio._BLOCK_BYTES // record_bytes)
-    reader = rows * record_bytes + rows * (PIXELS + 1) * 8
-    chunk = gikit.reconstruct._CHUNK_BYTES // (PIXELS * 8)
-    accumulator = (SHIFT + chunk) * (PIXELS + 1) * 8 if "sgi3" in argv else 0
-    bound = reader + accumulator + 16 * images * PIXELS * 8 + 64 * N
+    # A batch pass stages the cut end of the run alone; --progressive stages
+    # the chunks its snapshots cut, one at a time, and peaks as one fills, when
+    # no snapshot is held: its accumulator's six (images, pixels) buffers.
+    chunk = _chunk_rows(PIXELS)
+    staged = {"sgi3": N % chunk, "progressive": chunk}.get(run)
+    accumulator = (SHIFT + staged) * (PIXELS + 1) * 8 if staged is not None else 0
+    slack = 8 if run == "progressive" else 16
+    bound = _reader_bytes(N) + accumulator + slack * images * PIXELS * 8 + 64 * N
     assert peak < bound, f"{run}: traced peak {peak} bytes over {bound}"
     assert peak < N * PIXELS * 8 / 4  # far below the frame matrix
+
+
+@pytest.mark.parametrize("tail", [False, True])
+def test_batch_sgi_pass_stages_no_chunk(container, tail):
+    # The reader's blocks are whole chunks, summed where they are: beyond the
+    # reader's buffers the pass holds the carried rows, the cut end of the
+    # run (none when it ends on a block) and the accumulator's six
+    # (images, pixels) buffers and snapshot, never a chunk of rows.
+    chunk = _chunk_rows(PIXELS)
+    source = open_container(container)
+    source = source if tail else source.first(N - N % chunk)
+    assert (source.n % chunk != 0) == tail
+    result, peak = _traced(lambda: reconstruct(source, "sgi3", shift=SHIFT))
+    assert result.count == source.n - SHIFT
+    images = 2 * PIXELS * 8
+    beyond = peak - _reader_bytes(source.n)
+    assert beyond < (SHIFT + source.n % chunk) * (PIXELS + 1) * 8 + 12 * images + 64 * N
+    assert beyond < chunk * PIXELS * 8
+
+
+def test_progressive_holds_one_staged_chunk_and_the_carried_rows(container):
+    # Snapshots every 256 records cut a chunk each (256 is no multiple of the
+    # chunk). While a cut chunk fills, its rows are staged; once summed they
+    # are dropped, so the memory held returns to the carried rows alone.
+    every, chunk = 256, _chunk_rows(PIXELS)
+    assert every % chunk
+    tracemalloc.start()
+    try:
+        acc, held, peaks = SgiAccumulator(mode=3, shift=SHIFT), [], []
+        for start, buckets, frames in _frame_blocks(open_container(container)):
+            cuts = range(every - start % every, len(buckets), every)
+            for lo, hi in zip((0, *cuts), (*cuts, len(buckets))):
+                tracemalloc.reset_peak()
+                acc.push_block(start + lo, buckets[lo:hi], frames[lo:hi])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                if acc.records_seen % chunk == 0:  # no chunk open
+                    held.append(tracemalloc.get_traced_memory()[0])
+                if acc.records_seen % every == 0:
+                    acc.snapshot()
+    finally:
+        tracemalloc.stop()
+    # The reader's buffers, the carried rows and buckets, and the term and
+    # compensated-sum buffers.
+    state = _reader_bytes(N) + SHIFT * (PIXELS + 1) * 8 + 6 * 2 * PIXELS * 8
+    row_bytes = PIXELS * 8
+    assert max(held) < state + 64 * 1024
+    assert max(peaks) < state + chunk * row_bytes + 64 * 1024
+    assert max(peaks) - max(held) > (chunk - 1) * row_bytes  # a whole chunk was staged
 
 
 def test_push_block_allocates_no_per_chunk_image(rng):
     # Per-chunk (images, pixels) temporaries would be allocated and freed
     # on every chunk; the accumulator reuses its buffers instead, so pushing
     # many chunks peaks no higher than pushing a few.
-    chunk = gikit.reconstruct._CHUNK_BYTES // (PIXELS * 8)
+    chunk = _chunk_rows(PIXELS)
     many = 40 * chunk
     frames = rng.random((chunk + many, SIDE, SIDE))
     buckets = rng.normal(5.0, 2.0, size=chunk + many)
@@ -87,9 +144,9 @@ def test_push_block_allocates_no_per_chunk_image(rng):
 
 
 def test_accumulator_state_does_not_grow_with_the_stream(rng):
-    # The retained state is the (shift + chunk, pixels) row buffer and the
-    # weight, term and compensation buffers, whatever the number of records.
-    chunk = gikit.reconstruct._CHUNK_BYTES // (PIXELS * 8)
+    # The retained state is the (shift, pixels) carried rows and the weight,
+    # term and compensation buffers, whatever the number of records.
+    chunk = _chunk_rows(PIXELS)
     frames = rng.random((chunk, SIDE, SIDE))
     buckets = rng.normal(5.0, 2.0, size=chunk)
 

@@ -158,7 +158,7 @@ def _image_bytes(result):
 def test_every_route_gives_the_same_bytes(tmp_path, monkeypatch, rng, mode, shift, close_loop, chunk_rows):
     height, width, n = 5, 6, 29
     if chunk_rows is not None:  # chunk_rows 1 and 3 put shift 5 across several chunks
-        monkeypatch.setattr(gikit.reconstruct, "_CHUNK_BYTES", chunk_rows * 8 * height * width)
+        monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", chunk_rows)
     path = tmp_path / "run.gid"
     write_dataset(random_dataset(rng, n, height, width), path)
     ds = read_dataset(path)  # the frames as the container stores them
@@ -181,6 +181,100 @@ def test_every_route_gives_the_same_bytes(tmp_path, monkeypatch, rng, mode, shif
     for result in (pushed.snapshot(), cut.snapshot(), from_file):
         assert result.count == expected.count
         assert _image_bytes(result) == _image_bytes(expected)
+
+
+def _bucket_columns(buckets, k):
+    """K = 1: the buckets; K = 3: the buckets and two columns made from them."""
+    return buckets if k == 1 else np.stack((buckets, 0.5 * buckets - 1.0, buckets + 3.0), axis=1)
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, (1, 2, 3)])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("shift, close_loop", [(1, False), (1, True), (5, False), (11, False)])
+def test_block_views_and_staged_chunks_give_the_same_bits(tmp_path, monkeypatch, rng, modes, k, shift, close_loop):
+    # Chunks of 8 records; shift 11 reaches back past a whole chunk. A chunk
+    # that arrives whole in a block is summed from the block's rows; one
+    # that blocks cut is staged; both give the same bytes.
+    height, width, n, chunk = 5, 6, 61, 8
+    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", chunk)
+    path = tmp_path / "run.gid"
+    write_dataset(random_dataset(rng, n, height, width), path)
+    ds = read_dataset(path)  # the frames as the container stores them
+    staged = []  # (route, first record, rows) of every staging
+    stage = SgiAccumulator._stage
+
+    def staging(acc, at, rows):
+        staged.append((route, acc.records_seen - len(rows), len(rows)))
+        stage(acc, at, rows)
+
+    monkeypatch.setattr(SgiAccumulator, "_stage", staging)
+
+    def cut(bounds):
+        return [(lo, ds.buckets[lo:hi], ds.frame_matrix[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def image_bytes(blocks):
+        acc = SgiAccumulator(mode=modes, shift=shift, close_loop=close_loop)
+        for start, buckets, frames in blocks:
+            acc.push_block(start, _bucket_columns(buckets, k), frames.reshape(len(frames), height, width))
+        return [image.data.tobytes() for results in acc.snapshots_by_mode().values()
+                for result in results for image in result.images]
+
+    def container(rows=None):
+        """The container's blocks, of ``rows`` records or at the default size."""
+        block_bytes = rows * (8 + 4 * height * width) if rows else gikit.fileio._GRID_BYTES
+        monkeypatch.setattr(gikit.fileio, "_BLOCK_BYTES", block_bytes)
+        return open_container(path).blocks()
+
+    routes = {
+        "grid": lambda: cut([*range(0, n, 2 * chunk), n]),
+        "off the grid": lambda: cut([0, 3, 4, 11, 13, 20, 29, 37, 38, 50, n]),
+        "one record at a time": lambda: cut([*range(n), n]),
+        "container": container,
+        "container, 5-record blocks": lambda: container(5),
+        "container, 16-record blocks": lambda: container(16),
+    }
+    results = {}
+    for route, blocks in routes.items():  # staging() reads the route
+        results[route] = image_bytes(blocks())
+    assert all(result == results["grid"] for result in results.values())
+    # Whole chunks came from views: on the grid only the run's end, records 56..60, was staged.
+    tail = [(56, n - 56)]
+    for route in ("grid", "container", "container, 16-record blocks"):
+        assert [(first, rows) for name, first, rows in staged if name == route] == tail
+    assert len([name for name, _, _ in staged if name == "off the grid"]) > len(tail)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("shift, close_loop", [(1, False), (1, True), (5, False), (11, False)])
+def test_several_modes_equal_their_single_mode_runs(monkeypatch, rng, k, shift, close_loop):
+    # One product of the stacked weight rows per chunk; BLAS may split a
+    # one-row product otherwise than a five-row one, so 1e-12, not bits.
+    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", 8)
+    ds = random_dataset(rng, 61, 5, 6)
+    buckets, frames = _bucket_columns(ds.buckets, k), ds.frame_matrix.reshape(61, 5, 6)
+    several = SgiAccumulator(mode=(3, 1, 2), shift=shift, close_loop=close_loop)
+    for lo, hi in [(0, 3), (3, 16), (16, 29), (29, 61)]:
+        several.push_block(lo, buckets[lo:hi], frames[lo:hi])
+    results = several.snapshots_by_mode()
+    assert list(results) == [3, 1, 2]
+    with pytest.raises(ValueError):
+        several.snapshots()  # three modes give a list each
+    for mode, columns in results.items():
+        single = SgiAccumulator(mode=mode, shift=shift, close_loop=close_loop)
+        single.push_block(0, buckets, frames)
+        expected = single.snapshots()
+        assert len(columns) == len(expected) == k
+        for got, want in zip(columns, expected):
+            assert got.method == want.method and got.count == want.count
+            assert len(got.images) == len(want.images)
+            for a, b in zip(got.images, want.images):
+                assert_images_close(a.data, b.data, 1e-12)
+
+
+@pytest.mark.parametrize("mode", [0, 4, (), (1, 1), (1, 4)])
+def test_modes_are_checked(mode):
+    with pytest.raises(ValueError):
+        SgiAccumulator(mode=mode)
 
 
 class _CountingSource:
@@ -237,7 +331,7 @@ def test_routes_reject_a_non_finite_bucket_alike(rng):
 
 
 def test_rejected_block_adds_nothing(monkeypatch, rng):
-    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_BYTES", 2 * 8 * 3 * 3)  # record 4 starts a chunk
+    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", 2)  # record 4 starts a chunk
     ds = random_dataset(rng, 10, 3, 3)
     frames = ds.frame_matrix.reshape(10, 3, 3)
     acc = SgiAccumulator(mode=3, shift=2, close_loop=False)
@@ -261,7 +355,7 @@ def test_rejected_block_adds_nothing(monkeypatch, rng):
 def test_bucket_columns_match_their_single_column_runs(monkeypatch, rng, mode, shift, close_loop):
     # K bucket columns over one set of frames: each column's images are those
     # of an accumulator fed that column alone, across chunks and block cuts.
-    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_BYTES", 4 * 8 * 5 * 6)
+    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", 4)
     n, k = 37, 4
     frames = rng.random((n, 5, 6))
     columns = rng.normal(5.0, 2.0, size=(n, k))
