@@ -469,22 +469,27 @@ class SgiAccumulator:
                 with np.errstate(over="ignore", invalid="ignore"):  # a snapshot checks the sums
                     self._sum.add(self._chunk_term(chunk, chunk_rows))
                 self._carry(chunk_rows)
-                self._staged = None
+                self._staged = chunk_rows = None
 
     def _stage(self, at: int, rows: np.ndarray) -> None:
         """Copy ``rows`` into the staged rows of the cut chunk after its
         first ``at``. The buffer holds just the rows that have arrived, so
         the cut end of a stream costs its own rows; when more arrive it
         grows in place to a whole chunk, so no second buffer is held while
-        it grows. It is dropped once its chunk is summed."""
+        it grows. Where something else still refers to it, numpy will not
+        move it; the rows are then copied to a new buffer, and the old one
+        stays valid for its holder. It is dropped once its chunk is summed."""
         end = at + len(rows)
         if self._staged is None:
             self._staged = np.empty((end, rows.shape[1]))
         elif len(self._staged) < end:
-            # Keeps the first rows. Every view of the buffer is a temporary of
-            # one method call, so none outlives the move; a profiler may hold
-            # the array itself, which would fail numpy's reference check.
-            self._staged.resize((self._chunk, rows.shape[1]), refcheck=False)
+            staged, self._staged = self._staged, None  # numpy resizes only an array held once
+            try:  # in place, keeping the first rows
+                staged.resize((self._chunk, rows.shape[1]))
+            except ValueError:  # a view or a profiler holds it too: copy the rows instead
+                staged, old = np.empty((self._chunk, rows.shape[1])), staged
+                staged[:at] = old[:at]
+            self._staged = staged
         self._staged[at:end] = rows
 
     def _carry(self, rows: np.ndarray) -> None:

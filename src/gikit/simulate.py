@@ -28,12 +28,13 @@ buffer, scales them by the drift gains, integrates the buckets and adds the
 noise. ``gikit simulate`` writes each block straight into the container, so
 it holds one block (about 1 MB of stored records, twice that as float64
 frames) and never the whole run; :func:`simulate` copies the same blocks
-into one in-memory stack, so both give the same bytes. A block's noise
-is one draw of standard normals per record from its stream (2, i),
-:func:`_noise_draws`, scaled by the noise model (:func:`_scaled_noise`).
-``gikit sweep`` streams a run's blocks without noise and scales the same
-draws by each of its points' noise models, so every point's buckets are
-those that :class:`Simulation` gives with that model.
+into one in-memory stack, so both give the same bytes. Noise comes from
+:func:`_block_noise` alone: one draw of standard normals per record from
+its stream (2, i), scaled by each noise model asked for. :func:`apply_noise`
+asks it for one record, :class:`Simulation` for a block, and ``gikit
+sweep``, which streams a run's blocks without noise, for a block under
+every noise model of its points, so every point's buckets are those that
+:class:`Simulation` gives with that model.
 
 Correlated speckle needs NumPy alone. :func:`_wrap_blur` is SciPy's
 wrap-mode ``gaussian_filter`` reproduced bit for bit, and a block of speckle
@@ -385,47 +386,45 @@ def drift_gains(profile: DriftProfile, n: int, seed: int = 0) -> np.ndarray:
     return gains
 
 
-def _bucket_noise(rng: np.random.Generator, pixels: int, model: NoiseModel) -> float:
-    """The noise of one record, drawn from the start of its stream ``rng``."""
-    if model.target == "bucket":
-        return float(rng.normal(model.mean, model.std))
-    # Independent per-pixel noise on the field reaching the detector,
-    # integrated over the full collection area. A sum too large for float64
-    # is inf or NaN, which the bucket check rejects, so it is not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(rng.normal(model.mean, model.std, size=pixels).sum())
+_NOISE_GROUP_BYTES = 64 * 1024  # the normals that _block_noise draws at once
 
 
-def _noise_draws(seed: int, start: int, count: int, size: int) -> np.ndarray:
-    """Standard normals of shape (count, size): row r holds the first
-    ``size`` draws of the noise stream (2, i) of record i = start + r."""
-    draws = np.empty((count, size))
-    for row, rng in zip(draws, _record_rngs(seed, _NOISE_KEY, start, count)):
-        rng.standard_normal(out=row)
-    return draws
-
-
-def _scaled_noise(draws: np.ndarray, model: NoiseModel, out: np.ndarray | None = None) -> np.ndarray:
-    """The noise of ``model`` on each record of ``draws`` (:func:`_noise_draws`,
-    ``pixels`` columns for an object-field model): ``mean + std * z`` of the
-    first draw, or of every draw summed over the row, the object field
-    worked out in ``out``. NumPy's ``normal`` is ``loc + scale * z`` of the
-    same standard normals, so this equals :func:`_bucket_noise` bit for bit,
-    and like ``normal`` it does not warn when a value overflows: the bucket
-    check rejects the inf or NaN."""
+def _scaled_noise(draws: np.ndarray, model: NoiseModel, out: np.ndarray) -> np.ndarray:
+    """The noise of ``model`` on each record of ``draws``, one row of
+    standard normals per record from its stream (2, i), ``pixels`` columns
+    for an object-field model: ``mean + std * z`` of the first draw, or of
+    every draw summed over the row, the object field worked out in ``out``.
+    This is NumPy's ``normal`` of the same normals, bit for bit, and like
+    ``normal`` it does not warn when a value overflows: the bucket check
+    rejects the inf or NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
         if model.target == "bucket":
             return model.mean + model.std * draws[:, 0]
+        # Independent per-pixel noise on the field reaching the detector,
+        # integrated over the full collection area.
         field = np.multiply(draws, model.std, out=out)
         field += model.mean
         return field.sum(axis=1)
 
 
-def _block_noise(seed: int, start: int, count: int, pixels: int, model: NoiseModel) -> np.ndarray:
-    """The noise of records ``start`` to ``start + count - 1``, each drawn
-    from its own stream (2, i) of the run seed."""
-    draws = _noise_draws(seed, start, count, 1 if model.target == "bucket" else pixels)
-    return _scaled_noise(draws, model, out=draws)
+def _block_noise(seed: int, start: int, count: int, pixels: int, models: list) -> np.ndarray:
+    """The noise of records ``start`` to ``start + count - 1`` under each of
+    ``models``, shape (len(models), count). Each record's normals are drawn
+    once from its stream (2, i) and scaled by every model, a group of
+    records at a time: about 64 KB of normals, or one record where its
+    frame is larger, so the draws do not grow with the block."""
+    noise = np.empty((len(models), count))
+    size = pixels if any(model.target == "object-field" for model in models) else 1
+    group = max(1, min(count, _NOISE_GROUP_BYTES // (8 * size)))
+    draws, scratch = np.empty((group, size)), np.empty((group, size))
+    rngs = _record_rngs(seed, _NOISE_KEY, start, count)  # the block's streams, derived at once
+    for lo in range(0, count, group):
+        rows = draws[: min(group, count - lo)]
+        for row, rng in zip(rows, rngs):  # the rows first: zip takes no stream past the group
+            rng.standard_normal(out=row)
+        for row, model in zip(noise, models):
+            row[lo : lo + len(rows)] = _scaled_noise(rows, model, out=scratch[: len(rows)])
+    return noise
 
 
 def apply_noise(records, model: NoiseModel, seed: int = 0) -> Iterator[MeasurementRecord]:
@@ -436,7 +435,7 @@ def apply_noise(records, model: NoiseModel, seed: int = 0) -> Iterator[Measureme
         return iter(records)
 
     def noised(rec: MeasurementRecord) -> MeasurementRecord:
-        eta = _bucket_noise(_child_rng(seed, _NOISE_KEY, rec.index), rec.frame.data.size, model)
+        eta = float(_block_noise(seed, rec.index, 1, rec.frame.data.size, [model])[0, 0])
         return MeasurementRecord(rec.index, rec.frame, rec.bucket + eta)
 
     return map(noised, records)
@@ -505,7 +504,7 @@ class Simulation:
         frames *= self._gains[start:stop, None, None]
         buckets = frames.reshape(len(frames), -1) @ self._transmission
         if self._noise.enabled:
-            buckets += _block_noise(self._seed, start, len(frames), self._transmission.size, self._noise)
+            buckets += _block_noise(self._seed, start, len(frames), self._transmission.size, [self._noise])[0]
         return buckets
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .reconstruct import SGI_METHODS, ReconResult, SgiAccumulator, _classic_weights, _weighted_sum
-from .simulate import Simulation, _noise_draws, _scaled_noise
+from .simulate import Simulation, _block_noise
 from .types import ReconImage, _bucket_report
 
 
@@ -28,22 +28,17 @@ def _first_records(blocks, stop: int):
 def _noised_blocks(run: Simulation, seed: int, noises: list, stop: int):
     """The first ``stop`` records of the noise-free ``run`` as ``(start,
     buckets, frames)`` blocks with buckets of shape (len(noises), rows): row
-    j noised by ``noises[j]``. Each record's normals are drawn once, for
-    every model, and scaled by each as the simulator scales them, so each
-    row is, byte for byte, the buckets of the run simulated with that noise
-    model."""
-    noisy = any(noise.enabled for noise in noises)
-    field = any(noise.enabled and noise.target == "object-field" for noise in noises)
-    size = run.header.width * run.header.height if field else 1
+    j noised by ``noises[j]``. Each record's normals are drawn once and
+    scaled by every model (:func:`_block_noise`), the step the simulator
+    takes, so each row is, byte for byte, the buckets of the run simulated
+    with that noise model."""
+    pixels = run.header.width * run.header.height
+    enabled = [j for j, noise in enumerate(noises) if noise.enabled]
     for start, clean, frames in _first_records(run.blocks(), stop):
         buckets = np.empty((len(noises), len(clean)))
         buckets[:] = clean
-        if noisy:
-            draws = _noise_draws(seed, start, len(clean), size)
-            scratch = np.empty_like(draws) if field else None
-            for row, noise in zip(buckets, noises):
-                if noise.enabled:
-                    row += _scaled_noise(draws, noise, out=scratch)
+        if enabled:
+            buckets[enabled] += _block_noise(seed, start, len(clean), pixels, [noises[j] for j in enabled])
         yield start, buckets, frames
 
 

@@ -3,6 +3,7 @@
 and staged rows and O(images x pixels) state, whatever the number of
 records, and a `sweep` holds O(records) vectors but never a run's frames."""
 
+import sys
 import tracemalloc
 
 import pytest
@@ -10,9 +11,10 @@ import pytest
 from conftest import random_dataset
 
 import gikit.fileio
-from gikit import ReconImage, SgiAccumulator, binary_demo_scene, export_image, open_container, write_dataset
+from gikit import NoiseModel, ReconImage, SgiAccumulator, binary_demo_scene, export_image, open_container, write_dataset
 from gikit.cli import main
 from gikit.reconstruct import _chunk_rows, _frame_blocks, reconstruct
+from gikit.simulate import _block_noise
 
 SIDE, N, SHIFT = 64, 1024, 4
 PIXELS = SIDE * SIDE
@@ -211,3 +213,15 @@ def test_sweep_memory_does_not_grow_with_its_longest_point(tmp_path):
     rows = 2 * len(methods.split(","))
     growth = peak(long) - peak(short)
     assert growth < 64 * (long - short) * rows, f"traced peak grew {growth / (long - short):.0f} B per record"
+
+
+def test_object_field_noise_draws_a_bounded_group():
+    # A 32x32 simulator block of 248 records under three noise models: the
+    # normals are drawn and scaled about 64 KB at a time, never as a
+    # (records, pixels) matrix of 2 MB. The block's generator states, worked
+    # out at once, cost a few hundred bytes a record.
+    models = [NoiseModel(0.01, 0.05, "object-field"), NoiseModel(0.0, 0.05, "object-field"), NoiseModel(0.1, 0.2)]
+    rows, pixels = 248, 32 * 32
+    noise, peak = _traced(_block_noise, 5, 0, rows, pixels, models)
+    assert noise.shape == (len(models), rows)
+    assert peak < 2 * sys.modules["gikit.simulate"]._NOISE_GROUP_BYTES + 8 * noise.size + 512 * rows + 16 * 1024

@@ -271,6 +271,26 @@ def test_several_modes_equal_their_single_mode_runs(monkeypatch, rng, k, shift, 
                 assert_images_close(a.data, b.data, 1e-12)
 
 
+def test_staged_chunk_grows_past_a_held_view(monkeypatch, rng):
+    # A staged chunk grows in place; while a view of it is alive, numpy
+    # refuses that, so its rows move to a new buffer and the view keeps the
+    # old one. Either way the image bytes are those of one whole block.
+    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", 8)
+    ds = random_dataset(rng, 21, 4, 5)
+    frames = ds.frame_matrix.reshape(21, 4, 5)
+    whole = SgiAccumulator(mode=3, shift=2)
+    whole.push_block(0, ds.buckets, frames)
+    cut = SgiAccumulator(mode=3, shift=2)
+    views = []
+    for lo, hi in [(0, 3), (3, 5), (5, 11), (11, 13), (13, 21)]:
+        cut.push_block(lo, ds.buckets[lo:hi], frames[lo:hi])
+        if cut._staged is not None:
+            views.append((cut._staged[:hi % 8], frames[hi - hi % 8 : hi].reshape(hi % 8, -1).copy()))
+    for view, rows in views:
+        assert view.tobytes() == rows.tobytes()
+    assert _image_bytes(cut.snapshot()) == _image_bytes(whole.snapshot())
+
+
 @pytest.mark.parametrize("mode", [0, 4, (), (1, 1), (1, 4)])
 def test_modes_are_checked(mode):
     with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 
 import gikit.fileio
 from gikit import DriftProfile, NoiseModel, apply_noise, binary_demo_scene, drift_gains, simulate
-from gikit.simulate import Simulation, _pcg64_states
+from gikit.simulate import Simulation, _block_noise, _pcg64_states
 
 BLOCK_ROWS = 8
 SIDE = 12
@@ -135,6 +135,18 @@ def test_apply_noise_draws_each_record_from_its_stream(seed, target):
         size = None if target == "bucket" else SIDE * SIDE
         expected.append(rec.bucket + float(np.sum(rng.normal(noise.mean, noise.std, size=size))))
     assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("group_bytes", [1, 3 * 8 * SIDE * SIDE, 1 << 20])
+def test_block_noise_is_the_same_in_any_draw_group(monkeypatch, group_bytes):
+    # The normals are drawn a group of records at a time, one record per
+    # group up to all 37; every model gets numpy's normal of its records'
+    # streams, bit for bit, wherever the groups are cut.
+    models = [NoiseModel(0.02, 0.1, "bucket"), NoiseModel(-0.5, 0.05, "object-field"), NoiseModel(0.3, 2.0)]
+    expected = [[float(np.sum(_stream(3, 2, i).normal(m.mean, m.std, size=None if m.target == "bucket" else SIDE**2)))
+                 for i in range(40, 77)] for m in models]
+    monkeypatch.setattr(sys.modules["gikit.simulate"], "_NOISE_GROUP_BYTES", group_bytes)
+    assert _block_noise(3, 40, 37, SIDE * SIDE, models).tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2**40 + 1])
