@@ -33,7 +33,7 @@ from .fileio import (
     write_manifest,
 )
 from .metrics import cnr, mask_from_scene
-from .reconstruct import METHODS, SGI_METHODS, SgiAccumulator, _frame_blocks, reconstruct, sr_diagnostics
+from .reconstruct import METHODS, SGI_METHODS, _reconstructions, reconstruct, sr_diagnostics
 from .types import DatasetHeader
 
 if TYPE_CHECKING:  # simulate and sweep load inside the commands that run them
@@ -190,19 +190,15 @@ def _progressive_reconstruct(source, method, shift, close_loop, every, prefix, r
     and the final images. Each snapshot is written under a temporary name
     beside its target and renamed into place only after the pass and the
     final export succeed, so a bad record anywhere leaves no snapshot."""
-    acc = SgiAccumulator(mode=int(method[-1]), shift=shift, close_loop=close_loop)
     staged = []  # (temporary, target) path of every snapshot file
     try:
-        for start, buckets, frames in _frame_blocks(source):
-            cuts = range(every - start % every, len(buckets), every)  # the snapshot points in the block
-            for lo, hi in zip((0, *cuts), (*cuts, len(buckets))):
-                acc.push_block(start + lo, buckets[lo:hi], frames[lo:hi])
-                if acc.records_seen % every == 0 and acc.pairs >= 1:
-                    name = f"{prefix}_snap{acc.records_seen:06d}"
-                    for export, image, path in _exports(acc.snapshot(), name, raw=False):
-                        staged.append((_temporary_path(path), path))
-                        export(image, staged[-1][0])
-        result = acc.snapshot()
+        for _, seen, result in _reconstructions(
+                lambda _: source.blocks(), (source.header.height, source.header.width), [(method, source.n, 0)],
+                shift=shift, close_loop=close_loop, every=every):
+            if seen % every == 0:  # else the final images alone
+                for export, image, path in _exports(result, f"{prefix}_snap{seen:06d}", raw=False):
+                    staged.append((_temporary_path(path), path))
+                    export(image, staged[-1][0])
         _export_result(result, prefix, raw)
         for temporary, path in staged:
             os.replace(temporary, path)
@@ -291,7 +287,7 @@ def cmd_sweep(args, parser) -> int:
     from .simulate import Simulation, _provenance
     from .sweep import _sweep_run
 
-    methods = [m for m in args.methods.split(",") if m.strip()]
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         parser.error("--methods must list at least one method")
     for m in methods:

@@ -36,29 +36,25 @@ any k. With ``close_loop`` (defined for k = 1 only, meant for stable
 sources) one extra pair is formed from the last record and the first,
 giving m = N.
 
-Every sgi route runs through one :class:`SgiAccumulator`: batch
-``reconstruct`` feeds it the source's row blocks in one pass,
-``--progressive`` the same blocks cut at its snapshots, ``gikit sweep`` the
-simulator's blocks cut at its points' counts, and ``push`` one record. It
-sums the pairs in fixed chunks of records aligned to record 0, scattering
-the pair rule into weights over a chunk and the ``shift`` rows before it.
-A chunk is one block of the grid that the container reader and the
-simulator cut a run on (``fileio._block_rows``), so a chunk that arrives
-whole is summed where its block already is, as ``W[:, shift:] @
-chunk_rows + W[:, :shift] @ carried_rows`` over copies of the ``shift``
-rows before it, and takes one Neumaier-compensated addition. Only a chunk
-that a block cuts is staged in a buffer first. The summation order depends
-only on record indices, so every route and block cut gives the same bits,
-far inside the 1e-12 contract. The buckets may also be a (rows, K) matrix:
-K runs over the same frames that differ only in their buckets, as the
-points of ``gikit sweep`` do. Several modes may share one accumulator too.
-The columns and the modes share the rows, and each chunk takes one product
-of the stacked (images * K) weight rows of every mode. A bucket vector is
-the K = 1 case.
-
-``gikit sweep`` sums its classic images the same way: it stacks the
-:func:`_classic_weights` rows of every point and method into one W, each
-point's rows zero past its record count, for one :func:`_weighted_sum` pass.
+One generator, :func:`_reconstructions`, makes the passes of every route:
+batch ``reconstruct`` is its one-job case, ``--progressive`` adds snapshot
+points, and ``gikit sweep`` gives it one job per point and method over a
+(K, n) bucket matrix, K runs over the same frames that differ only in their
+buckets. It stacks every classic job's weight rows into one W, each job's
+rows zero past its record count, and feeds every sgi job to one
+:class:`SgiAccumulator` (``push`` feeds it one record), cutting the blocks
+at the sgi jobs' counts. The accumulator sums the pairs in fixed chunks of
+records aligned to record 0, scattering the pair rule into weights over a
+chunk and the ``shift`` rows before it. A chunk is one block of the grid
+that the container reader and the simulator cut a run on
+(``fileio._block_rows``), so a chunk that arrives whole is summed where its
+block already is, as ``W[:, shift:] @ chunk_rows + W[:, :shift] @
+carried_rows`` over copies of the ``shift`` rows before it, and takes one
+Neumaier-compensated addition. Only a chunk that a block cuts is staged in
+a buffer first. The summation order depends only on record indices, so
+every route and block cut gives the same bits, far inside the 1e-12
+contract. The K bucket columns and the modes of all sgi jobs share the
+rows: each chunk takes one product of the stacked (images * K) weight rows.
 """
 
 from __future__ import annotations
@@ -116,14 +112,6 @@ class ReconResult:
         return self.images[1]
 
 
-def _checked_buckets(source) -> np.ndarray:
-    """The source's buckets S, given the writer's bucket check (a container
-    reads its bucket column alone and checks it as it reads)."""
-    buckets = source.buckets
-    _bucket_report(0, buckets).raise_if_failed()
-    return buckets
-
-
 def _require_no_overflow(values: np.ndarray, culprit: str, what: str) -> None:
     """Raise :class:`DatasetValidationError` if ``values``, worked out from
     finite buckets and frames, overflowed float64 to inf or NaN; the message
@@ -134,29 +122,21 @@ def _require_no_overflow(values: np.ndarray, culprit: str, what: str) -> None:
         ValidationReport((issue,)).raise_if_failed()
 
 
-def _frame_totals(source) -> np.ndarray:
-    """One pass over the frames for the frame totals R, shape (n,). A
-    container checks each block as it is read."""
-    s_r = np.empty(source.n)
-    for start, _, frames in source.blocks():
+def _frame_totals(blocks, n: int, keep_buckets: bool = False) -> tuple[np.ndarray | None, np.ndarray]:
+    """One pass over ``(start, buckets, frames)`` blocks of n records: with
+    ``keep_buckets`` their buckets as a (K, n) matrix (else None), and the
+    frame totals R, shape (n,). A container checks each block as it is read."""
+    buckets, s_r = None, np.empty(n)
+    for start, block, frames in blocks:
+        rows = slice(start, start + len(frames))
         with np.errstate(over="ignore", invalid="ignore"):
-            np.sum(frames, axis=1, out=s_r[start : start + len(frames)])
+            np.sum(frames, axis=1, out=s_r[rows])
+        if keep_buckets:
+            block = np.atleast_2d(block)
+            buckets = np.empty((len(block), n)) if buckets is None else buckets
+            buckets[:, rows] = block
     _require_no_overflow(s_r, "the frames", "the frame totals")
-    return s_r
-
-
-def _weighted_sum(blocks, weights: np.ndarray, pixels: int) -> np.ndarray:
-    """One pass over ``(start, buckets, frames)`` blocks of the frame matrix M
-    for G = W @ M, weight rows W, summed one row block of M at a time from 0
-    into one preallocated total. A container checks each block as it is
-    read, so a bad record fails the pass before any image exists."""
-    shape = (len(weights), pixels)
-    total, term = np.zeros(shape), np.empty(shape)
-    for start, _, frames in blocks:
-        with np.errstate(over="ignore", invalid="ignore"):
-            total += np.matmul(weights[:, start : start + len(frames)], frames, out=term)
-    _require_no_overflow(total, "the buckets or frames", "the weighted frame sums")
-    return total
+    return buckets, s_r
 
 
 def _classic_weights(method: str, buckets: np.ndarray, s_r: np.ndarray | None) -> np.ndarray:
@@ -206,42 +186,87 @@ def _pair_coefficients(mode: int, s_new, s_old) -> tuple[np.ndarray, np.ndarray]
     return np.array([s_new, s_old]), np.array([-s_new, -s_old])
 
 
-def _frame_blocks(source):
-    """``source.blocks()`` with each block's frames shaped (rows, height, width)."""
-    shape = (source.header.height, source.header.width)
-    for start, buckets, frames in source.blocks():
-        yield start, buckets, frames.reshape(len(frames), *shape)
+def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=False, every=None):
+    """Yield ``(job, records, result)`` for every ``(method, count, column)``
+    job: its :class:`ReconResult` over the first ``count`` records and
+    bucket column ``column``, each frame of ``shape`` (height, width).
+
+    ``blocks(read_buckets)`` starts a pass over the records as ``(start,
+    buckets, frames)`` blocks, buckets (rows,) or (K, rows) and frames
+    (rows, pixels), ending at the largest count; ``read_buckets`` is false
+    once the routine holds the (K, n) bucket matrix ``buckets``, and the
+    blocks' buckets are then not read. The classic jobs need that matrix
+    ahead of the frames, and dgi's the frame totals too: unless the caller
+    gives the matrix and no job is dgi, a first pass takes what they need
+    (:func:`_frame_totals`). The last pass sums every classic image as one
+    stacked ``W @ M`` and feeds one :class:`SgiAccumulator` with every sgi
+    job's mode and every bucket column, cut at the sgi jobs' counts and,
+    given ``every``, at each multiple of it. An sgi job's result is yielded
+    as the pass reaches its count, and before that at each multiple of
+    ``every`` that has a pair; the classic results follow the pass.
+    """
+    stop, pixels = max(count for _, count, _ in jobs), shape[0] * shape[1]
+    sgi = [(job, int(method[-1]), count, column)
+           for job, (method, count, column) in enumerate(jobs) if method in SGI_METHODS]
+    classic = [job for job, (method, _, _) in enumerate(jobs) if method not in SGI_METHODS]
+    s_r = None
+    if classic and (buckets is None or any(jobs[job][0] == "dgi" for job in classic)):
+        found, s_r = _frame_totals(blocks(buckets is None), stop, keep_buckets=buckets is None)
+        buckets = found if buckets is None else buckets
+    weights, rows = [], {}  # rows[job]: the job's rows of the stacked W
+    for job in classic:
+        method, count, column = jobs[job]
+        _bucket_report(0, buckets[column, :count]).raise_if_failed()
+        job_weights = _classic_weights(method, buckets[column, :count], None if s_r is None else s_r[:count])
+        rows[job] = slice(len(weights), len(weights) + len(job_weights))
+        weights.extend(job_weights)
+    stacked = np.zeros((len(weights), stop))  # each job's rows are zero past its count
+    for at, row in enumerate(weights):
+        stacked[at, : len(row)] = row
+    total, term = np.zeros((len(weights), pixels)), np.empty((len(weights), pixels))
+    modes = tuple(dict.fromkeys(mode for _, mode, _, _ in sgi))
+    acc = SgiAccumulator(mode=modes, shift=shift, close_loop=close_loop) if modes else None
+
+    for start, block, frames in blocks(buckets is None):
+        lo = 0
+        while acc is not None and lo < len(frames):  # cut at the next count or snapshot point
+            at = start + lo  # the records pushed so far
+            hi = min([count for _, _, count, _ in sgi if count > at] + [start + len(frames)]
+                     + ([at - at % every + every] if every is not None else [])) - start
+            columns = np.atleast_2d(block)[:, lo:hi] if buckets is None else buckets[:, at : start + hi]
+            acc.push_block(at, columns.T, frames[lo:hi].reshape(hi - lo, *shape))
+            lo, seen = hi, start + hi
+            live = every is not None and seen % every == 0 and acc.pairs >= 1
+            due = [(job, mode, column) for job, mode, count, column in sgi if count == seen or live and count > seen]
+            snapshots = acc.snapshots_by_mode() if due else None
+            yield from ((job, seen, snapshots[mode][column]) for job, mode, column in due)
+        if weights:
+            with np.errstate(over="ignore", invalid="ignore"):
+                total += np.matmul(stacked[:, start : start + len(frames)], frames, out=term)
+    _require_no_overflow(total, "the buckets or frames", "the weighted frame sums")
+    for job in classic:
+        method, count, _ = jobs[job]
+        yield job, count, ReconResult(method, tuple(ReconImage(row.reshape(shape)) for row in total[rows[job]]), count)
 
 
 def reconstruct(source, method: str, *, shift: int = 1, close_loop: bool = False) -> ReconResult:
     """Batch reconstruction with any method in :data:`METHODS`.
 
     ``source`` is a :class:`~gikit.types.Dataset`, read as one block, or an
-    opened :class:`~gikit.fileio.Container`, read in blocks of the grid. The
-    sgi methods feed one pass to an :class:`SgiAccumulator`, ``shift`` and
-    ``close_loop`` choosing the pairs; it sums every whole chunk of the
-    source straight from the block that holds it and stages only the end of
-    the run, when that is no whole chunk. The classic methods ignore
-    ``shift`` and ``close_loop`` and build their weights from
-    ``source.buckets`` (a container's bucket column, read alone), then take
-    one pass over the frames that sums ``W[:, rows] @ block``; ``dgi``,
-    whose weights need the mean frame total, takes a pass for the totals
-    first.
+    opened :class:`~gikit.fileio.Container`, read in blocks of the grid: the
+    one-job case of :func:`_reconstructions`. The sgi methods take one pass,
+    ``shift`` and ``close_loop`` choosing the pairs. The classic methods
+    ignore both and build their weights from ``source.buckets`` (a
+    container's bucket column, read alone), then take one pass over the
+    frames; ``dgi``, whose weights need the mean frame total, takes a pass
+    for the totals first.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    if method in SGI_METHODS:
-        acc = SgiAccumulator(mode=int(method[-1]), shift=shift, close_loop=close_loop)
-        for block in _frame_blocks(source):
-            acc.push_block(*block)
-        return acc.snapshot()
-    buckets = _checked_buckets(source)
-    s_r = _frame_totals(source) if method == "dgi" else None
-    weights = _classic_weights(method, buckets, s_r)
-    shape = (source.header.height, source.header.width)
-    total = _weighted_sum(source.blocks(), weights, shape[0] * shape[1])
-    images = tuple(ReconImage(row.reshape(shape)) for row in total)
-    return ReconResult(method, images, len(buckets))
+    buckets = None if method in SGI_METHODS else source.buckets[np.newaxis]
+    [(_, _, result)] = _reconstructions(lambda _: source.blocks(), (source.header.height, source.header.width),
+                                        [(method, source.n, 0)], buckets=buckets, shift=shift, close_loop=close_loop)
+    return result
 
 
 def recon_g2(dataset: Dataset) -> ReconResult:
@@ -290,8 +315,8 @@ def sr_diagnostics(source, shift: int = 1) -> tuple[np.ndarray, np.ndarray]:
         raise InsufficientRecordsError(
             f"diagnostics need more than shift={shift} records, got {source.n}"
         )
-    _checked_buckets(source)
-    s_r = _frame_totals(source)
+    _bucket_report(0, source.buckets).raise_if_failed()
+    _, s_r = _frame_totals(source.blocks(), source.n)
     return s_r, s_r[shift:] - s_r[: len(s_r) - shift]
 
 

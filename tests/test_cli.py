@@ -200,6 +200,18 @@ def test_reconstruct_progressive_snapshots(tmp_path, scene_pgm):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flags, seen", [
+    (["--shift", "3", "--progressive", "2"], range(4, 13, 2)),  # record 2 has no pair yet
+    (["--close-loop", "--progressive", "1"], range(2, 13)),  # nor has record 1, loop or not
+], ids=["shift", "close-loop"])
+def test_progressive_writes_a_snapshot_at_each_point_with_a_pair(tmp_path, scene_pgm, flags, seen):
+    gid = _simulate(tmp_path, scene_pgm, n=12)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["reconstruct", "--in", str(gid), "--method", "sgi1", "--out", str(tmp_path / "live")] + flags) == 0
+    snapshots = [f"live_snap{count:06d}.pgm" for count in seen]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + snapshots + ["live.pgm"])
+
+
 def test_sweep_noise_mean_cardinality(tmp_path, scene_pgm):
     out = tmp_path / "sweep"
     code = main([
@@ -514,6 +526,20 @@ def test_drift_spec_with_extra_fields_exits_2(tmp_path, scene_pgm, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.pgm"]
 
 
+def test_sweep_methods_are_stripped(tmp_path, scene_pgm):
+    rows = []
+    for name, methods in (("plain", "g2,sgi1"), ("spaced", "g2, sgi1 ")):
+        out = tmp_path / name
+        assert main(["sweep", "--scene", str(scene_pgm), "--axis", "noise-mean", "--values", "0,0.1",
+                     "--noise-std", "0.05", "--methods", methods, "--n", "16", "--out", str(out)]) == 0
+        entries = json.loads(out.with_suffix(".json").read_text())
+        for entry in entries:
+            del entry["row"]["wall_time_ms"]
+        rows.append(entries)
+    assert [entry["settings"]["method"] for entry in rows[0]] == ["g2", "sgi1", "g2", "sgi1"]
+    assert rows[1] == rows[0]
+
+
 def test_sweep_values_are_stripped(tmp_path, scene_pgm):
     assert main(["sweep", "--scene", str(scene_pgm), "--axis", "drift-kind", "--values", "none, linear",
                  "--drift", "linear:0.3", "--methods", "g2", "--n", "16", "--out", str(tmp_path / "s")]) == 0
@@ -594,7 +620,7 @@ def test_sweep_buckets_equal_each_points_simulation(monkeypatch, target):
     drift = gikit.DriftProfile("linear", 0.3)
     noises = [gikit.NoiseModel(mean, 0.05, target) for mean in (0.0, 0.012, -0.5)] + [gikit.NoiseModel()]
     run = gikit.Simulation(scene, n=70, seed=4, drift=drift)
-    buckets, s_r = gikit.sweep._sweep_buckets(run, 4, noises, 70)
+    buckets, s_r = gikit.reconstruct._frame_totals(gikit.sweep._noised_blocks(run, 4, noises, 70, True), 70, True)
     for row, noise in zip(buckets, noises):
         expected = gikit.simulate(scene, n=70, seed=4, drift=drift, noise=noise)
         assert row.tobytes() == expected.buckets.tobytes()
@@ -616,8 +642,28 @@ def test_sweep_draws_each_records_noise_once(monkeypatch):
     run = gikit.Simulation(binary_demo_scene(9, 7), n=70, seed=4)
     noises = [gikit.NoiseModel(mean, 0.05, target) for mean in (0.0, 0.012, -0.5)
               for target in ("bucket", "object-field")]
-    gikit.sweep._sweep_buckets(run, 4, noises, 70)
+    gikit.reconstruct._frame_totals(gikit.sweep._noised_blocks(run, 4, noises, 70, True), 70, True)
     assert sum(drawn) == 70
+
+
+def test_mixed_sweep_noises_once_and_takes_two_passes(tmp_path, scene_pgm, monkeypatch):
+    # The bucket pass draws each record's noise; the last pass takes the
+    # run's frames alone and draws nothing again.
+    simulate = importlib.import_module("gikit.simulate")
+    drawn, passes, record_rngs, blocks = [], [], simulate._record_rngs, simulate.Simulation.blocks
+
+    def counted(seed, key, start, count):
+        if key == simulate._NOISE_KEY:
+            drawn.append(count)
+        return record_rngs(seed, key, start, count)
+
+    monkeypatch.setattr(simulate, "_record_rngs", counted)
+    monkeypatch.setattr(simulate.Simulation, "blocks", lambda self: passes.append(self) or blocks(self))
+    assert main(["sweep", "--scene", str(scene_pgm), "--axis", "noise-mean", "--values", "0.01,0.05",
+                 "--noise-std", "0.05", "--methods", "g2,dgi,sgi1,sgi3", "--n", "70",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert sum(drawn) == 70
+    assert len(passes) == 2
 
 
 SWEEP_AXES_ARGV = {

@@ -13,7 +13,7 @@ from conftest import random_dataset
 import gikit.fileio
 from gikit import NoiseModel, ReconImage, SgiAccumulator, binary_demo_scene, export_image, open_container, write_dataset
 from gikit.cli import main
-from gikit.reconstruct import _chunk_rows, _frame_blocks, reconstruct
+from gikit.reconstruct import _chunk_rows, reconstruct
 from gikit.simulate import _block_noise
 
 SIDE, N, SHIFT = 64, 1024, 4
@@ -104,7 +104,8 @@ def test_progressive_holds_one_staged_chunk_and_the_carried_rows(container):
     tracemalloc.start()
     try:
         acc, held, peaks = SgiAccumulator(mode=3, shift=SHIFT), [], []
-        for start, buckets, frames in _frame_blocks(open_container(container)):
+        for start, buckets, frames in open_container(container).blocks():
+            frames = frames.reshape(len(frames), SIDE, SIDE)
             cuts = range(every - start % every, len(buckets), every)
             for lo, hi in zip((0, *cuts), (*cuts, len(buckets))):
                 tracemalloc.reset_peak()
