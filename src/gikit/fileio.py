@@ -256,15 +256,18 @@ def _convert_checked(chunk: np.ndarray, buckets: np.ndarray, frames: np.ndarray)
     """Check stored records for non-finite values and negative pixels, then
     convert them into float64 ``buckets`` (rows,) and ``frames`` (rows, pixels).
 
-    The stored pixels take two scans: ``min() >= 0`` fails on a NaN, -inf or
-    negative pixel and ``max() < inf`` on +inf. Only then are the buckets and
-    pixels told apart, so a block with both a non-finite value and a negative
-    pixel is reported as non-finite.
+    The stored pixels take one integer scan: read as unsigned integers, a
+    float32 with its sign bit clear and below +inf is below 0x7F800000, so a
+    NaN, an infinity or a negative pixel fails it, and so does -0.0. Only a
+    block that fails takes two exact scans: ``min() >= 0`` fails on a NaN,
+    -inf or negative pixel (not on -0.0) and ``max() < inf`` on +inf. Only
+    then are the buckets and pixels told apart, so a block with both a
+    non-finite value and a negative pixel is reported as non-finite.
     """
     np.copyto(buckets, chunk["bucket"])
     _check_buckets(buckets)
     stored = chunk["frame"]
-    if not (stored.min() >= 0.0 and stored.max() < np.inf):
+    if stored.view("<u4").max() >= 0x7F800000 and not (stored.min() >= 0.0 and stored.max() < np.inf):
         if not np.isfinite(stored).all():
             raise FileFormatError("payload contains non-finite values")
         raise FileFormatError("payload contains negative frame intensities")

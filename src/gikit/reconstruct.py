@@ -15,11 +15,13 @@ where pos and neg are the 0/1 indicators of S_i >= <S> (ties go to the
 positive subset) and S_i < <S>, with subset sizes N+ and N-. Written as
 weights, the differential cancellation S - (<S>/<R>) R of dgi (Ferri et al.,
 PRL 104, 253603, 2010) runs on N scalars rather than on whole images.
-Only dgi's weights need the frames (through <R>), so g2, dgi-delta and ci
-read a container's bucket column alone and then make one pass over the
-frames; dgi makes a pass for the frame totals R first. The estimators return
-images only: the frame totals and their deviations, the drift diagnostics,
-come from :func:`sr_diagnostics`.
+g2, dgi-delta and ci read a container's bucket column alone and then make
+one pass over the frames. dgi's weights need <R>, known only after that
+pass, so it sums two rows in it, (S - c0 R) / N and R / N, with each R_i
+taken from its block and c0 the S/R ratio of the first block, and forms
+G = row0 - (<S>/<R> - c0) row1 after it: the cancellation stays on scalars.
+The estimators return images only: the frame totals and their deviations,
+the drift diagnostics, come from :func:`sr_diagnostics`.
 
 The successive-deviation estimators replace the ensemble means with the
 record a fixed shift k earlier, over pairs (i+k, i), i = 0..N-k-1. One pair
@@ -49,12 +51,14 @@ chunk and the ``shift`` rows before it. A chunk is one block of the grid
 that the container reader and the simulator cut a run on
 (``fileio._block_rows``), so a chunk that arrives whole is summed where its
 block already is, as ``W[:, shift:] @ chunk_rows + W[:, :shift] @
-carried_rows`` over copies of the ``shift`` rows before it, and takes one
-Neumaier-compensated addition. Only a chunk that a block cuts is staged in
-a buffer first. The summation order depends only on record indices, so
-every route and block cut gives the same bits, far inside the 1e-12
-contract. The K bucket columns and the modes of all sgi jobs share the
-rows: each chunk takes one product of the stacked (images * K) weight rows.
+carried_rows`` over copies of the ``shift`` rows before it. The chunks of
+a group, the fewest whole chunks of at least 64 records, add up plainly,
+and each group takes one Neumaier-compensated addition. Only a chunk that a
+block cuts is staged in a buffer first. The summation order depends only
+on record indices, so every route and block cut gives the same bits, far
+inside the 1e-12 contract. The K bucket columns and the modes of all sgi
+jobs share the rows: each chunk takes one product of the stacked
+(images * K) weight rows.
 """
 
 from __future__ import annotations
@@ -139,9 +143,10 @@ def _frame_totals(blocks, n: int, keep_buckets: bool = False) -> tuple[np.ndarra
     return buckets, s_r
 
 
-def _classic_weights(method: str, buckets: np.ndarray, s_r: np.ndarray | None) -> np.ndarray:
-    """Weight rows W, shape (images, n), of g2, dgi-delta, dgi or ci; only
-    dgi reads the frame totals ``s_r``."""
+def _classic_weights(method: str, buckets: np.ndarray) -> np.ndarray:
+    """Weight rows W, shape (rows, n), of g2, dgi-delta, dgi or ci. dgi's two
+    rows, (S - c0 R) / N and R / N, take the frame totals R: they are zeros
+    here, filled block by block in the pass (:func:`_reconstructions`)."""
     n = len(buckets)
     if method == "g2":
         return buckets[np.newaxis] / n
@@ -149,17 +154,12 @@ def _classic_weights(method: str, buckets: np.ndarray, s_r: np.ndarray | None) -
         raise InsufficientRecordsError(f"{method} needs at least 2 records, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
         s_mean = buckets.mean()
-        if method == "dgi-delta":
-            weights = (buckets - s_mean)[np.newaxis] / n
-        elif method == "dgi":
-            r_mean = s_r.mean()
-            if r_mean == 0.0:
-                raise DegenerateDivisorError("mean frame total is zero (all-dark reference frames)")
-            weights = (buckets - (s_mean / r_mean) * s_r)[np.newaxis] / n
+        weights = (buckets - s_mean)[np.newaxis] / n
     _require_no_overflow(s_mean, "the buckets", "the bucket sum")
-    if method != "ci":
-        culprit = "the buckets or frames" if method == "dgi" else "the buckets"  # dgi's weights scale R
-        _require_no_overflow(weights, culprit, f"the {method} weights")
+    if method == "dgi":
+        return np.zeros((2, n))
+    if method == "dgi-delta":
+        _require_no_overflow(weights, "the buckets", "the dgi-delta weights")
         return weights
     positive = buckets >= s_mean
     n_pos = int(np.count_nonzero(positive))
@@ -196,11 +196,11 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
     (rows, pixels), ending at the largest count; ``read_buckets`` is false
     once the routine holds the (K, n) bucket matrix ``buckets``, and the
     blocks' buckets are then not read. The classic jobs need that matrix
-    ahead of the frames, and dgi's the frame totals too: unless the caller
-    gives the matrix and no job is dgi, a first pass takes what they need
+    ahead of the frames: unless the caller gives it, a first pass takes it
     (:func:`_frame_totals`). The last pass sums every classic image as one
-    stacked ``W @ M`` and feeds one :class:`SgiAccumulator` with every sgi
-    job's mode and every bucket column, cut at the sgi jobs' counts and,
+    stacked ``W @ M``, dgi's two rows per job filled from each block's frame
+    totals as it arrives, and feeds one :class:`SgiAccumulator` with every
+    sgi job's mode and every bucket column, cut at the sgi jobs' counts and,
     given ``every``, at each multiple of it. An sgi job's result is yielded
     as the pass reaches its count, and before that at each multiple of
     ``every`` that has a pair; the classic results follow the pass.
@@ -209,21 +209,22 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
     sgi = [(job, int(method[-1]), count, column)
            for job, (method, count, column) in enumerate(jobs) if method in SGI_METHODS]
     classic = [job for job, (method, _, _) in enumerate(jobs) if method not in SGI_METHODS]
-    s_r = None
-    if classic and (buckets is None or any(jobs[job][0] == "dgi" for job in classic)):
-        found, s_r = _frame_totals(blocks(buckets is None), stop, keep_buckets=buckets is None)
-        buckets = found if buckets is None else buckets
-    weights, rows = [], {}  # rows[job]: the job's rows of the stacked W
+    if classic and buckets is None:
+        buckets, _ = _frame_totals(blocks(True), stop, keep_buckets=True)
+    weights, rows, dgi = [], {}, []  # rows[job]: the job's image rows of the stacked W
     for job in classic:
         method, count, column = jobs[job]
         _bucket_report(0, buckets[column, :count]).raise_if_failed()
-        job_weights = _classic_weights(method, buckets[column, :count], None if s_r is None else s_r[:count])
-        rows[job] = slice(len(weights), len(weights) + len(job_weights))
+        job_weights = _classic_weights(method, buckets[column, :count])
+        rows[job] = slice(len(weights), len(weights) + (1 if method == "dgi" else len(job_weights)))
+        if method == "dgi":  # its rows (S - c0 R) / N and R / N
+            dgi.append((len(weights), count, column))
         weights.extend(job_weights)
     stacked = np.zeros((len(weights), stop))  # each job's rows are zero past its count
     for at, row in enumerate(weights):
         stacked[at, : len(row)] = row
     total, term = np.zeros((len(weights), pixels)), np.empty((len(weights), pixels))
+    s_r, c0 = np.empty(stop if dgi else 0), {}  # the frame totals R; c0[row], a provisional <S>/<R>
     modes = tuple(dict.fromkeys(mode for _, mode, _, _ in sgi))
     acc = SgiAccumulator(mode=modes, shift=shift, close_loop=close_loop) if modes else None
 
@@ -241,8 +242,28 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
             snapshots = acc.snapshots_by_mode() if due else None
             yield from ((job, seen, snapshots[mode][column]) for job, mode, column in due)
         if weights:
-            with np.errstate(over="ignore", invalid="ignore"):
-                total += np.matmul(stacked[:, start : start + len(frames)], frames, out=term)
+            end = start + len(frames)
+            with np.errstate(all="ignore"):  # the sums are checked after the pass
+                if dgi:
+                    np.sum(frames, axis=1, out=s_r[start:end])
+                for row, count, column in dgi:
+                    s, r = buckets[column, start : min(end, count)], s_r[start : min(end, count)]
+                    if start == 0:  # from the first block; 0 if its frames are dark
+                        ratio = s.sum() / r.sum()
+                        c0[row] = ratio if np.isfinite(ratio) else 0.0
+                    stacked[row, start : start + len(s)] = (s - c0[row] * r) / count
+                    stacked[row + 1, start : start + len(s)] = r / count
+                total += np.matmul(stacked[:, start:end], frames, out=term)
+    _require_no_overflow(s_r, "the frames", "the frame totals")  # empty without a dgi job
+    for row, count, column in dgi:  # G = (S - c0 R) @ M / N - (<S>/<R> - c0) R @ M / N
+        s, r = buckets[column, :count], s_r[:count]
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_mean = r.mean()
+            if r_mean == 0.0:
+                raise DegenerateDivisorError("mean frame total is zero (all-dark reference frames)")
+            ratio = s.mean() / r_mean
+            _require_no_overflow((s - ratio * r) / count, "the buckets or frames", "the dgi weights")
+            total[row] -= (ratio - c0[row]) * total[row + 1]
     _require_no_overflow(total, "the buckets or frames", "the weighted frame sums")
     for job in classic:
         method, count, _ = jobs[job]
@@ -258,8 +279,7 @@ def reconstruct(source, method: str, *, shift: int = 1, close_loop: bool = False
     ``shift`` and ``close_loop`` choosing the pairs. The classic methods
     ignore both and build their weights from ``source.buckets`` (a
     container's bucket column, read alone), then take one pass over the
-    frames; ``dgi``, whose weights need the mean frame total, takes a pass
-    for the totals first.
+    frames; ``dgi`` takes the frame totals in that pass too.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -352,17 +372,18 @@ class _CompensatedSum:
 
     def value(self, *pending: np.ndarray) -> np.ndarray:
         """The compensated total plus ``pending`` terms, overwriting those
-        terms and changing nothing else."""
-        total, comp = self.total.copy(), self.comp.copy()
-        spare, error = np.empty_like(total), np.empty_like(total)
+        terms and the scratch buffers and changing nothing else: each sum
+        goes into the buffer that the term before it has freed."""
+        total, comp, free = self.total, self.comp.copy(), self._spare
         for values in pending:
-            _two_sum(total, values, spare, error)
-            total, spare = spare, total
-            comp += error
+            _two_sum(total, values, free, self._error)
+            total, free = free, values
+            comp += self._error
         return total + comp
 
 
 _CHUNK_ROWS: int | None = None  # records per summation chunk; None: one block of the grid
+_GROUP_RECORDS = 64  # a compensation group is the fewest whole chunks of at least this many records
 
 
 def _chunk_rows(pixels: int) -> int:
@@ -391,18 +412,21 @@ class SgiAccumulator:
     arrives whole inside one block is summed straight from that block's
     rows: its term is ``W[:, shift:] @ chunk_rows + W[:, :shift] @
     carried_rows``, where the carried rows are copies of the ``shift``
-    records before the chunk, and it takes one compensated addition. Only a
-    chunk that a block cuts (one-record pushes, snapshot points, the end of
-    the stream) is staged, its rows copied into a buffer until it is whole
-    or a snapshot sums the part that has arrived. The term depends on the
-    record indices alone, so every route and block cut gives the same bits.
+    records before the chunk. The chunks of a group, the fewest whole
+    chunks of at least 64 records, add up plainly in a group buffer, which
+    takes one compensated addition when the group closes. Only a chunk that
+    a block cuts (one-record pushes, snapshot points, the end of the
+    stream) is staged, its rows copied into a buffer until it is whole or a
+    snapshot adds the part that has arrived to the open group. The term
+    depends on the record indices alone, so every route and block cut gives
+    the same bits.
 
     The state is the carried rows, the rows of a cut chunk while it fills
-    (at most one chunk), the chunk's bucket, weight, term and compensation
-    buffers and a copy of the first record when ``close_loop`` is set. It is
-    allocated with the first block and reused, so pushing allocates no
-    (images, pixels) array and the state does not grow with the number of
-    records. A snapshot never mutates the
+    (at most one chunk), the chunk's bucket, weight, term and group buffers,
+    the compensation buffers and a copy of the first record when
+    ``close_loop`` is set. It is allocated with the first block and reused,
+    so pushing allocates no (images, pixels) array and the state does not
+    grow with the number of records. A snapshot never mutates the
     accumulator, so periodic snapshots give real-time reconstruction.
     Single-writer: push from one thread.
     """
@@ -429,8 +453,9 @@ class SgiAccumulator:
         self._staged: np.ndarray | None = None  # (rows, pixels): the arrived rows of a cut chunk
         self._buckets: np.ndarray | None = None  # (K, shift + chunk): the carried records', then the chunk's
         self._weights: np.ndarray | None = None  # flat room for the (images, K, shift + chunk) weights
-        self._term: np.ndarray | None = None  # (images * K, pixels): a chunk's summed terms
-        self._carried_term: np.ndarray | None = None  # the same shape: the part from the carried rows
+        self._group_rows = 0  # records per compensation group, a whole number of chunks
+        self._term: np.ndarray | None = None  # (images * K, pixels): a product of a chunk's rows
+        self._group: np.ndarray | None = None  # the same shape: the plain sum of the open group's chunks
         self._sum: _CompensatedSum | None = None
         self._first: tuple[np.ndarray, np.ndarray] | None = None
         self._seen = 0
@@ -471,13 +496,14 @@ class SgiAccumulator:
         rows = frames.reshape(len(frames), -1)
         if self._shape is None:
             self._shape, self._chunk = frames.shape[1:], _chunk_rows(rows.shape[1])
+            self._group_rows = self._chunk * -(-_GROUP_RECORDS // self._chunk)
             self._columns = len(columns)
             # Zeros: the rows before record 0 take weight 0, and 0 * NaN would be NaN.
             self._carried = np.zeros((self.shift, rows.shape[1]))
             self._buckets = np.zeros((self._columns, self.shift + self._chunk))
             self._weights = np.empty(self._images * self._columns * (self.shift + self._chunk))
             self._term = np.empty((self._images * self._columns, rows.shape[1]))
-            self._carried_term = np.empty_like(self._term)
+            self._group = np.empty_like(self._term)
             self._sum = _CompensatedSum(self._term.shape)
             self._first = (columns[:, 0].copy(), rows[0].copy()) if self.close_loop else None
         chunk = self._chunk
@@ -491,8 +517,11 @@ class SgiAccumulator:
                 self._stage(at, rows[lo:hi])
             if self._seen % chunk == 0:
                 chunk_rows = rows[lo:hi] if whole else self._staged
+                opens = (self._seen - chunk) % self._group_rows == 0
                 with np.errstate(over="ignore", invalid="ignore"):  # a snapshot checks the sums
-                    self._sum.add(self._chunk_term(chunk, chunk_rows))
+                    self._chunk_term(chunk, chunk_rows, self._group, opens)
+                    if self._seen % self._group_rows == 0:  # the group closes: one compensated addition
+                        self._sum.add(self._group)
                 self._carry(chunk_rows)
                 self._staged = chunk_rows = None
 
@@ -526,11 +555,12 @@ class SgiAccumulator:
         self._carried[shift - keep :] = rows[chunk - keep : chunk]
         self._buckets[:, :shift] = self._buckets[:, chunk:]
 
-    def _chunk_term(self, filled: int, rows: np.ndarray) -> np.ndarray:
-        """The summed terms, (images * K, pixels), of the pairs whose newer
+    def _chunk_term(self, filled: int, rows: np.ndarray, out: np.ndarray, opens: bool) -> None:
+        """Add to ``out``, or write into it if the chunk ``opens`` a group,
+        the summed terms, (images * K, pixels), of the pairs whose newer
         record is among the ``filled`` rows of the current chunk, given as
-        ``rows``, written into the term buffer; row i * K + j is image i of
-        bucket column j, the images of the modes one after another."""
+        ``rows``; row i * K + j is image i of bucket column j, the images of
+        the modes one after another. The term buffer is scratch."""
         shift, end = self.shift, self.shift + filled
         # Bucket column c holds record c + chunk start - shift, and the
         # first record with a partner is the chunk start or record ``shift``.
@@ -546,10 +576,13 @@ class SgiAccumulator:
             weights[image : image + len(c_new), :, old] += c_old
             image += len(c_new)
         weights = weights.reshape(-1, end)
-        term = np.matmul(weights[:, shift:], rows[:filled], out=self._term)
-        if chunk_start:  # the first chunk has no records before it
-            term += np.matmul(weights[:, :shift], self._carried, out=self._carried_term)
-        return term
+        if opens:
+            np.matmul(weights[:, shift:], rows[:filled], out=out)
+        else:
+            out += np.matmul(weights[:, shift:], rows[:filled], out=self._term)
+        if chunk_start:  # the first chunk has no records before it; one carried row needs no sum
+            out += (np.multiply(weights[:, :1], self._carried, out=self._term) if shift == 1
+                    else np.matmul(weights[:, :shift], self._carried, out=self._term))
 
     def snapshots_by_mode(self) -> dict[int, list[ReconResult]]:
         """Reconstruction over the pairs seen so far: for each mode, one
@@ -562,8 +595,13 @@ class SgiAccumulator:
                 f"no pairs yet: {self._seen} records pushed with shift={self.shift}"
             )
         filled = self._seen % self._chunk
+        grouped = self._seen % self._group_rows - filled  # records of the open group's whole chunks
+        pending = []
         with np.errstate(over="ignore", invalid="ignore"):
-            pending = [self._chunk_term(filled, self._staged)] if filled else []
+            if grouped or filled:  # the open group and the cut chunk, as one term
+                pending.append(self._group.copy() if grouped else np.empty_like(self._group))
+                if filled:
+                    self._chunk_term(filled, self._staged, pending[0], opens=not grouped)
             if use_loop:
                 last = self.shift + filled - 1  # the bucket column of the last record
                 row = self._staged[filled - 1] if filled else self._carried[-1]

@@ -46,13 +46,15 @@ def _sweep_run(run: Simulation, seed: int, points: list, methods: list, shift: i
     The first pass, when a method is classic, noises each block's buckets
     (:func:`_noised_blocks`) and keeps them as one bucket column per noise
     model; the last pass then takes the run's frames alone. When every
-    method is sgi, the one pass noises each block as it goes."""
+    method is sgi, the one pass noises each block as it goes. A point that
+    repeats is reconstructed once, and its repeats share the results."""
     header = run.header
     stop = max(n for n, _ in points)
-    noises = list(dict.fromkeys(noise for _, noise in points))
-    jobs = [(method, n, noises.index(noise)) for n, noise in points for method in methods]
+    distinct = list(dict.fromkeys(points))
+    noises = list(dict.fromkeys(noise for _, noise in distinct))
+    jobs = [(method, n, noises.index(noise)) for n, noise in distinct for method in methods]
     results = [None] * len(jobs)
     for job, _, result in _reconstructions(lambda noised: _noised_blocks(run, seed, noises, stop, noised),
                                            (header.height, header.width), jobs, shift=shift):
         results[job] = result
-    return [results[at : at + len(methods)] for at in range(0, len(jobs), len(methods))]
+    return [results[at : at + len(methods)] for at in (distinct.index(point) * len(methods) for point in points)]

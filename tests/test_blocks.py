@@ -296,6 +296,30 @@ def test_every_reader_names_the_defect_alike(tmp_path, scene_pgm, small_blocks, 
         assert str(failure.value) == message
 
 
+@pytest.mark.parametrize("defect", [None, "nan-pixel", "inf-pixel", "minus-inf-pixel", "negative-pixel"])
+def test_negative_zero_pixels_read(tmp_path, scene_pgm, small_blocks, defect):
+    # -0.0 has its sign bit set, so it fails the reader's one integer scan;
+    # the exact scans that follow accept it and still name a defect beside
+    # it in the same block (records 5..9).
+    gid = _simulate(tmp_path, scene_pgm, 17)
+    clean = read_dataset(gid).frame_matrix.copy()
+    clean[6, 0] = clean[16, -1] = -0.0
+    edits = [(6, 0, -0.0), (16, SIDE * SIDE - 1, -0.0)] + (DEFECTS[defect][0] if defect else [])
+    blob = _poke(gid.read_bytes(), 17, edits)
+    gid.write_bytes(blob)
+    readers = [lambda: read_dataset(gid).frame_matrix, lambda: decode_dataset(blob).frame_matrix,
+               lambda: np.concatenate([frames.copy() for _, _, frames in open_container(gid).blocks()])]
+    for read in readers:
+        if defect:
+            with pytest.raises(FileFormatError) as failure:
+                read()
+            assert str(failure.value) == DEFECTS[defect][1]
+            continue
+        frames = read()
+        assert np.signbit(frames[6, 0]) and np.signbit(frames[16, -1])
+        assert frames.tobytes() == clean.tobytes()
+
+
 def test_bucket_column_of_a_file_cut_short_after_opening(tmp_path, scene_pgm, small_blocks):
     gid = _simulate(tmp_path, scene_pgm, 17)
     container = open_container(gid)

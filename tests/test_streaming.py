@@ -183,6 +183,54 @@ def test_every_route_gives_the_same_bytes(tmp_path, monkeypatch, rng, mode, shif
         assert _image_bytes(result) == _image_bytes(expected)
 
 
+@pytest.mark.parametrize("mode", [1, 2, 3])
+@pytest.mark.parametrize("shift, close_loop", [(1, False), (1, True), (5, False)])
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+def test_routes_across_compensation_groups_give_the_same_bytes(tmp_path, monkeypatch, rng, mode, shift,
+                                                               close_loop, chunk_rows):
+    # Chunks of 1 or 3 records make groups of 64 or 66: 211 records close
+    # three groups and stop inside a fourth, so the cuts land in open groups.
+    height, width, n = 4, 5, 211
+    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "run.gid"
+    write_dataset(random_dataset(rng, n, height, width), path)
+    ds = read_dataset(path)
+    method = f"sgi{mode}"
+    expected = reconstruct(ds, method, shift=shift, close_loop=close_loop)
+    frames = ds.frame_matrix.reshape(n, height, width)
+    pushed = recon_sgi(ds.records, mode=mode, shift=shift, close_loop=close_loop)
+    cut = SgiAccumulator(mode=mode, shift=shift, close_loop=close_loop)
+    bounds = [0, 7, 63, 64, 65, 100, 131, 132, 133, 190, 197, n]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        cut.push_block(lo, ds.buckets[lo:hi], frames[lo:hi])
+        prefix = reconstruct(ds.first(hi), method, shift=shift, close_loop=close_loop)
+        assert _image_bytes(cut.snapshot()) == _image_bytes(prefix)
+    monkeypatch.setattr(gikit.fileio, "_BLOCK_BYTES", 7 * (8 + 4 * height * width))
+    from_file = reconstruct(open_container(path), method, shift=shift, close_loop=close_loop)
+    for result in (pushed, cut.snapshot(), from_file):
+        assert result.count == expected.count
+        assert _image_bytes(result) == _image_bytes(expected)
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_grouped_chunks_match_exactly_rounded_pair_sums(monkeypatch, rng, mode):
+    # 8-record chunks, compensated once per group of 64 records; the oracle
+    # rounds each pair term once and sums them exactly per pixel.
+    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", 8)
+    n, shift = 2003, 2
+    ds = random_dataset(rng, n, 6, 7)
+    frames, s = ds.frame_matrix, ds.buckets[:, np.newaxis]
+    new, old, s_new, s_old = frames[shift:], frames[:-shift], s[shift:], s[:-shift]
+    d_s = s_new - s_old
+    terms = {1: [(d_s * new, -d_s * old)], 2: [(d_s * new,), (d_s * old,)],
+             3: [(s_new * new, -s_new * old), (s_old * new, -s_old * old)]}[mode]
+    result = reconstruct(ds, f"sgi{mode}", shift=shift)
+    assert result.count == n - shift and len(result.images) == len(terms)
+    for image, parts in zip(result.images, terms):
+        reference = np.array([math.fsum(column) for column in np.concatenate(parts).T]) / (n - shift)
+        assert_images_close(image.data.ravel(), reference, 1e-13)
+
+
 def _bucket_columns(buckets, k):
     """K = 1: the buckets; K = 3: the buckets and two columns made from them."""
     return buckets if k == 1 else np.stack((buckets, 0.5 * buckets - 1.0, buckets + 3.0), axis=1)
@@ -323,7 +371,7 @@ def test_batch_sgi_reads_the_source_once(tmp_path, rng, mode):
         assert counting.passes == 1
 
 
-@pytest.mark.parametrize("method, passes", [("g2", 1), ("dgi-delta", 1), ("dgi", 2), ("ci", 1),
+@pytest.mark.parametrize("method, passes", [("g2", 1), ("dgi-delta", 1), ("dgi", 1), ("ci", 1),
                                             ("sgi1", 1), ("sgi2", 1), ("sgi3", 1)])
 def test_reconstruct_frame_passes(tmp_path, rng, method, passes):
     path = tmp_path / "run.gid"
@@ -332,6 +380,26 @@ def test_reconstruct_frame_passes(tmp_path, rng, method, passes):
         counting = _CountingSource(source)
         reconstruct(counting, method)
         assert counting.passes == passes
+
+
+@pytest.mark.parametrize("first_block", ["all dark", "far ratio"])
+def test_dgi_from_blocks_equals_the_run_in_memory(tmp_path, monkeypatch, rng, first_block):
+    # dgi centres its one pass on the S/R ratio of the first block, 0 when
+    # that block is dark; the run in memory is one block, so its ratio is
+    # the run's own. Either way the images agree.
+    height, width, n, rows = 6, 5, 97, 8
+    frames, buckets = rng.random((n, height, width)), rng.normal(5.0, 2.0, size=n)
+    if first_block == "all dark":
+        frames[:rows] = 0.0
+    else:
+        buckets[:rows] *= 40.0
+    path = tmp_path / "run.gid"
+    write_dataset(Dataset.from_arrays(frames, buckets), path)
+    monkeypatch.setattr(gikit.fileio, "_BLOCK_BYTES", rows * (8 + 4 * height * width))
+    blocks = reconstruct(open_container(path), "dgi")
+    memory = reconstruct(read_dataset(path), "dgi")
+    assert blocks.count == memory.count == n
+    assert_images_close(blocks.image.data, memory.image.data, 1e-12)
 
 
 def test_routes_reject_a_non_finite_bucket_alike(rng):
