@@ -301,7 +301,7 @@ def cmd_sweep(args, parser) -> int:
     scene = import_scene(args.scene)
 
     # Points of one drift share their frames: one run of the longest point
-    # (axis n takes every point as a prefix of it) in two streamed passes.
+    # (axis n takes every point as a prefix of it) in one streamed pass, two with ci.
     n_run = max(args.n, *(n for _, n, _, _ in points))
     runs = {}
     for index, (_, _, point_drift, _) in enumerate(points):

@@ -28,8 +28,8 @@ negative pixels) and ``max() < inf``, plus ``isfinite`` on the buckets; only
 a block that fails is scanned again to tell which error it holds.
 :attr:`Container.buckets` reads the bucket column alone, one 8-byte
 ``os.pread`` per record, a few thousand records at a time into one float64
-column, and checks it the same way, so the classic estimators can build
-their weights before they read a frame. No read maps the file: touched
+column, and checks it the same way, so ``ci`` can split the records on
+the bucket mean before it reads a frame. No read maps the file: touched
 file-backed pages would count toward the process's peak RSS.
 :func:`read_dataset` and :func:`decode_dataset` copy the same checked
 blocks into one (n, pixels) stack, as :func:`~gikit.simulate.simulate`
@@ -316,10 +316,11 @@ class Container:
 
     @property
     def buckets(self) -> np.ndarray:
-        """The first ``n`` buckets alone, read-only float64 (n,): one 8-byte
-        read per record at the record stride, joined a group of records at
-        a time into its slice of the column. A non-finite bucket or a file
-        cut short since it was opened raises :class:`FileFormatError`."""
+        """The first ``n`` buckets alone, read-only float64 (n,), which ``ci``
+        needs before it reads a frame: one 8-byte read per record at the
+        record stride, joined a group of records at a time into its slice of
+        the column. A non-finite bucket or a file cut short since it was
+        opened raises :class:`FileFormatError`."""
         stride = _record_dtype(self.header.width * self.header.height).itemsize
         starts = range(self.offset, self.offset + self.n * stride, stride)
         buckets = np.empty(self.n)

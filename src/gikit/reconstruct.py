@@ -15,11 +15,11 @@ where pos and neg are the 0/1 indicators of S_i >= <S> (ties go to the
 positive subset) and S_i < <S>, with subset sizes N+ and N-. Written as
 weights, the differential cancellation S - (<S>/<R>) R of dgi (Ferri et al.,
 PRL 104, 253603, 2010) runs on N scalars rather than on whole images.
-g2, dgi-delta and ci read a container's bucket column alone and then make
-one pass over the frames. dgi's weights need <R>, known only after that
-pass, so it sums two rows in it, (S - c0 R) / N and R / N, with each R_i
-taken from its block and c0 the S/R ratio of the first block, and forms
-G = row0 - (<S>/<R> - c0) row1 after it: the cancellation stays on scalars.
+Only ci needs <S> before it reads a frame: it reads a container's bucket
+column first. The others take one pass, filling their rows block by block.
+dgi's means are known only after it, so dgi sums (S - c0 R) / N and R / N,
+c0 the S/R ratio of the first block, and forms G = row0 - (<S>/<R> - c0)
+row1 after it: the cancellation stays on scalars. dgi-delta is dgi, R = 1.
 The estimators return images only: the frame totals and their deviations,
 the drift diagnostics, come from :func:`sr_diagnostics`.
 
@@ -126,42 +126,22 @@ def _require_no_overflow(values: np.ndarray, culprit: str, what: str) -> None:
         ValidationReport((issue,)).raise_if_failed()
 
 
-def _frame_totals(blocks, n: int, keep_buckets: bool = False) -> tuple[np.ndarray | None, np.ndarray]:
-    """One pass over ``(start, buckets, frames)`` blocks of n records: with
-    ``keep_buckets`` their buckets as a (K, n) matrix (else None), and the
-    frame totals R, shape (n,). A container checks each block as it is read."""
-    buckets, s_r = None, np.empty(n)
-    for start, block, frames in blocks:
-        rows = slice(start, start + len(frames))
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.sum(frames, axis=1, out=s_r[rows])
-        if keep_buckets:
-            block = np.atleast_2d(block)
-            buckets = np.empty((len(block), n)) if buckets is None else buckets
-            buckets[:, rows] = block
-    _require_no_overflow(s_r, "the frames", "the frame totals")
-    return buckets, s_r
-
-
-def _classic_weights(method: str, buckets: np.ndarray) -> np.ndarray:
-    """Weight rows W, shape (rows, n), of g2, dgi-delta, dgi or ci. dgi's two
-    rows, (S - c0 R) / N and R / N, take the frame totals R: they are zeros
-    here, filled block by block in the pass (:func:`_reconstructions`)."""
-    n = len(buckets)
-    if method == "g2":
-        return buckets[np.newaxis] / n
-    if n < 2:
-        raise InsufficientRecordsError(f"{method} needs at least 2 records, got {n}")
+def _bucket_mean(method: str, buckets: np.ndarray) -> float:
+    """<S> of ``method``'s buckets, once they are checked: finite, at least
+    2 of them, and with a sum that does not overflow."""
+    _bucket_report(0, buckets).raise_if_failed()
+    if len(buckets) < 2:
+        raise InsufficientRecordsError(f"{method} needs at least 2 records, got {len(buckets)}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
         s_mean = buckets.mean()
-        weights = (buckets - s_mean)[np.newaxis] / n
     _require_no_overflow(s_mean, "the buckets", "the bucket sum")
-    if method == "dgi":
-        return np.zeros((2, n))
-    if method == "dgi-delta":
-        _require_no_overflow(weights, "the buckets", "the dgi-delta weights")
-        return weights
-    positive = buckets >= s_mean
+    return s_mean
+
+
+def _ci_weights(buckets: np.ndarray) -> np.ndarray:
+    """ci's weight rows, shape (2, n): the indicators of S_i >= <S> and of
+    the rest, each over the size of its subset."""
+    n, positive = len(buckets), buckets >= _bucket_mean("ci", buckets)
     n_pos = int(np.count_nonzero(positive))
     if n_pos == 0 or n_pos == n:
         raise DegeneratePartitionError(
@@ -194,75 +174,89 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
     ``blocks(read_buckets)`` starts a pass over the records as ``(start,
     buckets, frames)`` blocks, buckets (rows,) or (K, rows) and frames
     (rows, pixels), ending at the largest count; ``read_buckets`` is false
-    once the routine holds the (K, n) bucket matrix ``buckets``, and the
-    blocks' buckets are then not read. The classic jobs need that matrix
-    ahead of the frames: unless the caller gives it, a first pass takes it
-    (:func:`_frame_totals`). The last pass sums every classic image as one
-    stacked ``W @ M``, dgi's two rows per job filled from each block's frame
-    totals as it arrives, and feeds one :class:`SgiAccumulator` with every
-    sgi job's mode and every bucket column, cut at the sgi jobs' counts and,
-    given ``every``, at each multiple of it. An sgi job's result is yielded
-    as the pass reaches its count, and before that at each multiple of
-    ``every`` that has a pair; the classic results follow the pass.
+    when the routine holds the (K, n) bucket matrix ``buckets`` ahead, which
+    only ci needs: unless the caller gives it, a first pass takes it. The
+    last pass keeps the blocks' buckets when a job is classic and sums every
+    classic image as one stacked ``W @ M``, the rows of g2, dgi and
+    dgi-delta filled from each block as it arrives. It feeds one
+    :class:`SgiAccumulator` with every sgi job's mode and every bucket
+    column, cut at the sgi jobs' counts and, given ``every``, at each
+    multiple of it. An sgi job's result is yielded as the pass reaches its
+    count, and before that at each multiple of ``every`` that has a pair;
+    the classic results follow the pass.
     """
     stop, pixels = max(count for _, count, _ in jobs), shape[0] * shape[1]
     sgi = [(job, int(method[-1]), count, column)
            for job, (method, count, column) in enumerate(jobs) if method in SGI_METHODS]
     classic = [job for job, (method, _, _) in enumerate(jobs) if method not in SGI_METHODS]
-    if classic and buckets is None:
-        buckets, _ = _frame_totals(blocks(True), stop, keep_buckets=True)
-    weights, rows, dgi = [], {}, []  # rows[job]: the job's image rows of the stacked W
-    for job in classic:
+    methods = {jobs[job][0] for job in classic}
+    if buckets is None and "ci" in methods:  # ci's partition needs <S> first
+        buckets = np.concatenate([np.array(block, ndmin=2) for _, block, _ in blocks(True)], axis=1)
+    width = sum(1 if jobs[job][0] == "g2" else 2 for job in classic)
+    stacked = np.zeros((width, stop))  # W, each job's rows zero past its count
+    total, term = np.zeros((width, pixels)), np.empty((width, pixels))
+    s_r = np.empty(stop if "dgi" in methods else 0)  # the frame totals R
+    frame_totals = {"dgi": s_r, "dgi-delta": np.ones(stop if "dgi-delta" in methods else 0)}  # R of the centred methods
+    rows, fill, c0, row = {}, [], {}, 0  # rows[job]: its image rows of W; c0[row]: a provisional ratio
+    for job in classic:  # ci's rows now, the others' (row, method, count, column) filled in the pass
         method, count, column = jobs[job]
-        _bucket_report(0, buckets[column, :count]).raise_if_failed()
-        job_weights = _classic_weights(method, buckets[column, :count])
-        rows[job] = slice(len(weights), len(weights) + (1 if method == "dgi" else len(job_weights)))
-        if method == "dgi":  # its rows (S - c0 R) / N and R / N
-            dgi.append((len(weights), count, column))
-        weights.extend(job_weights)
-    stacked = np.zeros((len(weights), stop))  # each job's rows are zero past its count
-    for at, row in enumerate(weights):
-        stacked[at, : len(row)] = row
-    total, term = np.zeros((len(weights), pixels)), np.empty((len(weights), pixels))
-    s_r, c0 = np.empty(stop if dgi else 0), {}  # the frame totals R; c0[row], a provisional <S>/<R>
+        rows[job] = slice(row, row + (2 if method == "ci" else 1))
+        if method == "ci":
+            stacked[rows[job], :count] = _ci_weights(buckets[column, :count])
+        else:
+            fill.append((row, method, count, column))
+        row += 1 if method == "g2" else 2
     modes = tuple(dict.fromkeys(mode for _, mode, _, _ in sgi))
     acc = SgiAccumulator(mode=modes, shift=shift, close_loop=close_loop) if modes else None
 
-    for start, block, frames in blocks(buckets is None):
+    read, held = buckets is None, []  # held: the blocks' buckets, kept for the classic jobs
+    for start, block, frames in blocks(read):
+        end = start + len(frames)
+        block = np.array(block, ndmin=2) if read else buckets[:, start:end]  # (K, rows), a copy if read
+        if read and classic:
+            held.append(block)
         lo = 0
         while acc is not None and lo < len(frames):  # cut at the next count or snapshot point
             at = start + lo  # the records pushed so far
-            hi = min([count for _, _, count, _ in sgi if count > at] + [start + len(frames)]
+            hi = min([count for _, _, count, _ in sgi if count > at] + [end]
                      + ([at - at % every + every] if every is not None else [])) - start
-            columns = np.atleast_2d(block)[:, lo:hi] if buckets is None else buckets[:, at : start + hi]
-            acc.push_block(at, columns.T, frames[lo:hi].reshape(hi - lo, *shape))
+            acc.push_block(at, block[:, lo:hi].T, frames[lo:hi].reshape(hi - lo, *shape))
             lo, seen = hi, start + hi
             live = every is not None and seen % every == 0 and acc.pairs >= 1
             due = [(job, mode, column) for job, mode, count, column in sgi if count == seen or live and count > seen]
             snapshots = acc.snapshots_by_mode() if due else None
             yield from ((job, seen, snapshots[mode][column]) for job, mode, column in due)
-        if weights:
-            end = start + len(frames)
+        if width:
             with np.errstate(all="ignore"):  # the sums are checked after the pass
-                if dgi:
+                if len(s_r):
                     np.sum(frames, axis=1, out=s_r[start:end])
-                for row, count, column in dgi:
-                    s, r = buckets[column, start : min(end, count)], s_r[start : min(end, count)]
+                for row, method, count, column in fill:
+                    s = block[column, : max(count - start, 0)]
+                    if method == "g2":
+                        stacked[row, start : start + len(s)] = s / count
+                        continue
+                    r = frame_totals[method][start : start + len(s)]
                     if start == 0:  # from the first block; 0 if its frames are dark
                         ratio = s.sum() / r.sum()
                         c0[row] = ratio if np.isfinite(ratio) else 0.0
                     stacked[row, start : start + len(s)] = (s - c0[row] * r) / count
                     stacked[row + 1, start : start + len(s)] = r / count
                 total += np.matmul(stacked[:, start:end], frames, out=term)
-    _require_no_overflow(s_r, "the frames", "the frame totals")  # empty without a dgi job
-    for row, count, column in dgi:  # G = (S - c0 R) @ M / N - (<S>/<R> - c0) R @ M / N
-        s, r = buckets[column, :count], s_r[:count]
+    buckets = np.concatenate(held, axis=1) if held else buckets
+    for row, method, count, column in fill:  # G = (S - c0 R) @ M / N - (<S>/<R> - c0) R @ M / N
+        s = buckets[column, :count]
+        if method == "g2":
+            _bucket_report(0, s).raise_if_failed()
+            continue
+        s_mean, r = _bucket_mean(method, s), frame_totals[method][:count]
+        _require_no_overflow(r, "the frames", "the frame totals")
         with np.errstate(over="ignore", invalid="ignore"):
             r_mean = r.mean()
             if r_mean == 0.0:
                 raise DegenerateDivisorError("mean frame total is zero (all-dark reference frames)")
-            ratio = s.mean() / r_mean
-            _require_no_overflow((s - ratio * r) / count, "the buckets or frames", "the dgi weights")
+            ratio = s_mean / r_mean
+            culprit = "the buckets" if method == "dgi-delta" else "the buckets or frames"
+            _require_no_overflow((s - ratio * r) / count, culprit, f"the {method} weights")
             total[row] -= (ratio - c0[row]) * total[row + 1]
     _require_no_overflow(total, "the buckets or frames", "the weighted frame sums")
     for job in classic:
@@ -274,16 +268,15 @@ def reconstruct(source, method: str, *, shift: int = 1, close_loop: bool = False
     """Batch reconstruction with any method in :data:`METHODS`.
 
     ``source`` is a :class:`~gikit.types.Dataset`, read as one block, or an
-    opened :class:`~gikit.fileio.Container`, read in blocks of the grid: the
-    one-job case of :func:`_reconstructions`. The sgi methods take one pass,
-    ``shift`` and ``close_loop`` choosing the pairs. The classic methods
-    ignore both and build their weights from ``source.buckets`` (a
-    container's bucket column, read alone), then take one pass over the
-    frames; ``dgi`` takes the frame totals in that pass too.
+    opened :class:`~gikit.fileio.Container`, read in blocks of the grid, in
+    one pass: the one-job case of :func:`_reconstructions`. ``shift`` and
+    ``close_loop`` choose the sgi methods' pairs; the classic methods ignore
+    both. ``ci`` reads ``source.buckets`` (a container's bucket column, read
+    alone) before the pass.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    buckets = None if method in SGI_METHODS else source.buckets[np.newaxis]
+    buckets = source.buckets[np.newaxis] if method == "ci" else None
     [(_, _, result)] = _reconstructions(lambda _: source.blocks(), (source.header.height, source.header.width),
                                         [(method, source.n, 0)], buckets=buckets, shift=shift, close_loop=close_loop)
     return result
@@ -328,15 +321,20 @@ def recon_sgi(source, mode: int = 1, shift: int = 1, close_loop: bool = False) -
 
 def sr_diagnostics(source, shift: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame totals R_i and their successive deviations R_{i+k} - R_i,
-    from a dataset or, block by block, from an opened container."""
+    from a dataset or, block by block, from an opened container, in one pass
+    that checks each block's buckets as it sums the block."""
     if shift < 1:
         raise ValueError(f"shift must be >= 1, got {shift}")
     if source.n <= shift:
         raise InsufficientRecordsError(
             f"diagnostics need more than shift={shift} records, got {source.n}"
         )
-    _bucket_report(0, source.buckets).raise_if_failed()
-    _, s_r = _frame_totals(source.blocks(), source.n)
+    s_r = np.empty(source.n)
+    for start, block, frames in source.blocks():
+        _bucket_report(start, block).raise_if_failed()
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.sum(frames, axis=1, out=s_r[start : start + len(frames)])
+    _require_no_overflow(s_r, "the frames", "the frame totals")
     return s_r, s_r[shift:] - s_r[: len(s_r) - shift]
 
 

@@ -5,9 +5,8 @@ their record count and their noise: the ``noise-mean`` points of one run,
 or the axis-``n`` points, each a prefix of the longest. :func:`_sweep_run`
 hands all of them, with every method, to the one pass routine
 (``reconstruct._reconstructions``) as one job per point and method over one
-bucket column per noise model. That takes two passes over the noise-free
-run's blocks, or one when every method is sgi, and never holds the run's
-frames.
+bucket column per noise model. That takes one pass over the noise-free
+run's blocks, or two when a method is ci, and never holds the run's frames.
 """
 
 from __future__ import annotations
@@ -43,11 +42,10 @@ def _sweep_run(run: Simulation, seed: int, points: list, methods: list, shift: i
     """Every method's :class:`ReconResult` on each ``(n, noise)`` point of
     ``run``'s frames: its first n records, noised by ``noise``.
 
-    The first pass, when a method is classic, noises each block's buckets
-    (:func:`_noised_blocks`) and keeps them as one bucket column per noise
-    model; the last pass then takes the run's frames alone. When every
-    method is sgi, the one pass noises each block as it goes. A point that
-    repeats is reconstructed once, and its repeats share the results."""
+    One pass noises each block's buckets as it goes (:func:`_noised_blocks`),
+    one bucket column per noise model. With ci, a first pass does that, and
+    the last pass takes the run's frames alone. A point that repeats is
+    reconstructed once, and its repeats share the results."""
     header = run.header
     stop = max(n for n, _ in points)
     distinct = list(dict.fromkeys(points))

@@ -620,11 +620,15 @@ def test_sweep_buckets_equal_each_points_simulation(monkeypatch, target):
     drift = gikit.DriftProfile("linear", 0.3)
     noises = [gikit.NoiseModel(mean, 0.05, target) for mean in (0.0, 0.012, -0.5)] + [gikit.NoiseModel()]
     run = gikit.Simulation(scene, n=70, seed=4, drift=drift)
-    buckets, s_r = gikit.reconstruct._frame_totals(gikit.sweep._noised_blocks(run, 4, noises, 70, True), 70, True)
-    for row, noise in zip(buckets, noises):
-        expected = gikit.simulate(scene, n=70, seed=4, drift=drift, noise=noise)
-        assert row.tobytes() == expected.buckets.tobytes()
-    assert s_r.tobytes() == expected.frame_matrix.sum(axis=1).tobytes()
+    expected = [gikit.simulate(scene, n=70, seed=4, drift=drift, noise=noise) for noise in noises]
+    starts = []
+    for start, buckets, frames in gikit.sweep._noised_blocks(run, 4, noises, 70, True):
+        records = slice(start, start + len(frames))
+        for row, simulated in zip(buckets, expected, strict=True):
+            assert row.tobytes() == simulated.buckets[records].tobytes()
+        assert frames.tobytes() == expected[0].frame_matrix[records].tobytes()
+        starts.append(start)
+    assert starts == list(range(0, 70, 8))
 
 
 def test_sweep_draws_each_records_noise_once(monkeypatch):
@@ -642,13 +646,17 @@ def test_sweep_draws_each_records_noise_once(monkeypatch):
     run = gikit.Simulation(binary_demo_scene(9, 7), n=70, seed=4)
     noises = [gikit.NoiseModel(mean, 0.05, target) for mean in (0.0, 0.012, -0.5)
               for target in ("bucket", "object-field")]
-    gikit.reconstruct._frame_totals(gikit.sweep._noised_blocks(run, 4, noises, 70, True), 70, True)
+    for _ in gikit.sweep._noised_blocks(run, 4, noises, 70, True):
+        pass
     assert sum(drawn) == 70
 
 
-def test_mixed_sweep_noises_once_and_takes_two_passes(tmp_path, scene_pgm, monkeypatch):
-    # The bucket pass draws each record's noise; the last pass takes the
-    # run's frames alone and draws nothing again.
+@pytest.mark.parametrize("methods, expected_passes", [("g2,dgi,sgi1,sgi3", 1), ("ci,sgi1", 2)], ids=["no-ci", "ci"])
+def test_mixed_sweep_noises_once_and_passes_twice_only_for_ci(tmp_path, scene_pgm, monkeypatch, methods,
+                                                              expected_passes):
+    # One pass draws each record's noise. Only ci's partition needs the
+    # buckets ahead: its bucket pass draws the noise, and the last pass
+    # takes the run's frames alone and draws nothing again.
     simulate = importlib.import_module("gikit.simulate")
     drawn, passes, record_rngs, blocks = [], [], simulate._record_rngs, simulate.Simulation.blocks
 
@@ -660,10 +668,10 @@ def test_mixed_sweep_noises_once_and_takes_two_passes(tmp_path, scene_pgm, monke
     monkeypatch.setattr(simulate, "_record_rngs", counted)
     monkeypatch.setattr(simulate.Simulation, "blocks", lambda self: passes.append(self) or blocks(self))
     assert main(["sweep", "--scene", str(scene_pgm), "--axis", "noise-mean", "--values", "0.01,0.05",
-                 "--noise-std", "0.05", "--methods", "g2,dgi,sgi1,sgi3", "--n", "70",
+                 "--noise-std", "0.05", "--methods", methods, "--n", "70",
                  "--out", str(tmp_path / "sweep")]) == 0
     assert sum(drawn) == 70
-    assert len(passes) == 2
+    assert len(passes) == expected_passes
 
 
 SWEEP_AXES_ARGV = {

@@ -402,6 +402,44 @@ def test_dgi_from_blocks_equals_the_run_in_memory(tmp_path, monkeypatch, rng, fi
     assert_images_close(blocks.image.data, memory.image.data, 1e-12)
 
 
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_dgi_delta_from_blocks_equals_a_compensated_sum(tmp_path, monkeypatch, rng, rows):
+    # dgi-delta centres its one pass on the first block's mean bucket, here
+    # about 1e6 from the run's mean, and corrects the image after the pass.
+    height, width, n = 6, 5, 97
+    frames, buckets = rng.random((n, height, width)), rng.normal(5.0, 2.0, size=n)
+    buckets[:rows] += 1e6
+    path = tmp_path / "run.gid"
+    write_dataset(Dataset.from_arrays(frames, buckets), path)
+    monkeypatch.setattr(gikit.fileio, "_BLOCK_BYTES", rows * (8 + 4 * height * width))
+    assert [len(block) for _, block, _ in open_container(path).blocks()][0] == rows
+    image = reconstruct(open_container(path), "dgi-delta").image.data.ravel()
+    stored = read_dataset(path)  # the frames as stored, rounded to float32
+    s_mean = math.fsum(stored.buckets) / n
+    expected = np.array([math.fsum((s - s_mean) * f for s, f in zip(stored.buckets, column)) / n
+                         for column in stored.frame_matrix.T])
+    assert np.abs(image - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_only_ci_reads_the_bucket_column(tmp_path, monkeypatch, rng):
+    # g2, dgi-delta and dgi fill their weights from the blocks of their one
+    # pass; ci's partition needs <S> before it reads a frame.
+    path = tmp_path / "run.gid"
+    write_dataset(random_dataset(rng, 23), path)
+    memory = read_dataset(path)
+
+    def column(self):
+        raise AssertionError("the bucket column was read")
+
+    monkeypatch.setattr(gikit.fileio.Container, "buckets", property(column))
+    for method in ("g2", "dgi-delta", "dgi"):
+        result = reconstruct(open_container(path), method)
+        assert result.count == 23
+        assert_images_close(result.image.data, reconstruct(memory, method).image.data, 1e-12)
+    with pytest.raises(AssertionError, match="bucket column"):
+        reconstruct(open_container(path), "ci")
+
+
 def test_routes_reject_a_non_finite_bucket_alike(rng):
     buckets = rng.normal(5.0, 2.0, size=12)
     buckets[7] = np.nan
