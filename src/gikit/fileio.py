@@ -16,8 +16,10 @@ exactly.
 
 Every read goes through one block reader. It checks the header and the
 payload length once, then reads the fixed-stride records a block of the
-grid at a time: the most records that fit in about 1 MB, a size that stays
-in cache, rounded down to a multiple of 8, aligned to record 0. The
+grid at a time: the most records that fit in 1 MiB of stored records, at
+most 128, rounded down to a multiple of 8, aligned to record 0. Either
+limit keeps a block's float64 frames near 1 MB: 8 records at 128x128 and
+128 at 32x32 are both 131072 pixels, 56 at 64x64 are 229376. The
 simulator produces its blocks on the same grid, and the sgi accumulator
 sums its pairs in chunks of one block, so it takes each chunk where the
 block already is. The reader converts each block into one float64 block
@@ -36,12 +38,12 @@ blocks into one (n, pixels) stack, as :func:`~gikit.simulate.simulate`
 copies the simulator's blocks; :func:`open_container` hands the blocks out
 one at a time as read-only views of the reused buffer, valid until the
 next block is asked for, which is how the CLI reads: ``reconstruct``,
-``--progressive`` and ``diagnose`` hold the 1 MB record buffer, the 2 MB
-float64 block buffer, the classic estimators' O(n) bucket and weight
-vectors, the frame totals of ``dgi`` and ``diagnose`` and the output
-images, or the sgi accumulator's ``shift`` carried rows and the rows of a
-chunk that a snapshot or the end of the run cut, never the whole frame
-matrix. With one reused buffer, rather than a fresh block per read, the
+``--progressive`` and ``diagnose`` hold the record buffer and the float64
+block buffer (at most 1 MiB and 2 MiB), the classic estimators' weight
+rows one block wide and their O(n) bucket vectors, the frame totals of
+``dgi`` and ``diagnose`` and the output images, or the sgi accumulator's
+``shift`` carried rows and the rows of a chunk that a snapshot or the end
+of the run cut, never the whole frame matrix. With one reused buffer, rather than a fresh block per read, the
 peak RSS does not depend on where the allocator puts each block.
 
 Every write goes through one block writer, :func:`write_container`, which
@@ -105,7 +107,8 @@ CONTAINER_VERSION = 1
 
 _BUCKET_BYTES = 8
 _PIXEL_BYTES = 4
-_GRID_BYTES = 2**20  # bytes of stored records per block of the grid: about the size of a core's cache
+_GRID_BYTES = 2**20  # the most bytes of stored records per block of the grid: 8 records at 128x128
+_GRID_RECORDS = 128  # the most records per block of the grid: at 32x32, as many pixels as 8 at 128x128
 _BLOCK_BYTES = _GRID_BYTES  # the reader's and the writer's blocks: the grid's, unless set apart
 _BUCKET_GROUP = 4096  # buckets per column read: about 0.6 MB of transient 8-byte reads
 
@@ -117,9 +120,11 @@ def _record_dtype(pixels: int) -> np.dtype:
 def _block_rows(pixels: int, block_bytes: int | None = None) -> int:
     """Records per block of the grid that the reader, the writer and the
     sgi accumulator cut a run on, aligned to record 0: as many stored
-    records as fit in ``block_bytes`` (default ``_BLOCK_BYTES``), rounded
-    down to a multiple of 8 once 8 fit, and at least 1."""
+    records as fit in ``block_bytes`` (default ``_BLOCK_BYTES``), at most
+    ``_GRID_RECORDS``, rounded down to a multiple of 8 once 8 fit, and at
+    least 1."""
     rows = (_BLOCK_BYTES if block_bytes is None else block_bytes) // _record_dtype(pixels).itemsize
+    rows = min(rows, _GRID_RECORDS)
     return rows - rows % 8 if rows >= 8 else max(1, rows)
 
 
@@ -169,7 +174,8 @@ def _write_container(fh, header: DatasetHeader, blocks) -> None:
     for start, buckets, frames in blocks:
         if start != written:
             raise ValueError(f"block starts at record {start}, expected {written}")
-        _bucket_report(start, buckets).raise_if_failed()
+        if not np.isfinite(buckets).all():  # the report names every bad record
+            _bucket_report(start, buckets).raise_if_failed()
         for row in range(0, len(buckets), len(records)):
             chunk = records[: len(buckets) - row]
             chunk["bucket"] = buckets[row : row + len(chunk)]

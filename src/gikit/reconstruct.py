@@ -16,10 +16,11 @@ positive subset) and S_i < <S>, with subset sizes N+ and N-. Written as
 weights, the differential cancellation S - (<S>/<R>) R of dgi (Ferri et al.,
 PRL 104, 253603, 2010) runs on N scalars rather than on whole images.
 Only ci needs <S> before it reads a frame: it reads a container's bucket
-column first. The others take one pass, filling their rows block by block.
-dgi's means are known only after it, so dgi sums (S - c0 R) / N and R / N,
-c0 the S/R ratio of the first block, and forms G = row0 - (<S>/<R> - c0)
-row1 after it: the cancellation stays on scalars. dgi-delta is dgi, R = 1.
+column first. Then all four take one pass, filling their rows block by
+block. dgi's means are known only after it, so dgi sums (S - c0 R) / N
+and R / N, c0 the S/R ratio of the first block, and forms
+G = row0 - (<S>/<R> - c0) row1 after it: the cancellation stays on
+scalars. dgi-delta is dgi, R = 1.
 The estimators return images only: the frame totals and their deviations,
 the drift diagnostics, come from :func:`sr_diagnostics`.
 
@@ -42,8 +43,10 @@ One generator, :func:`_reconstructions`, makes the passes of every route:
 batch ``reconstruct`` is its one-job case, ``--progressive`` adds snapshot
 points, and ``gikit sweep`` gives it one job per point and method over a
 (K, n) bucket matrix, K runs over the same frames that differ only in their
-buckets. It stacks every classic job's weight rows into one W, each job's
-rows zero past its record count, and feeds every sgi job to one
+buckets. It stacks every classic job's weight rows into one W one block
+wide, filled afresh from each block, each job's rows zero past its record
+count (the dgi or dgi-delta jobs of one count share their second row), so
+it holds no (rows, N) matrix. It feeds every sgi job to one
 :class:`SgiAccumulator` (``push`` feeds it one record), cutting the blocks
 at the sgi jobs' counts. The accumulator sums the pairs in fixed chunks of
 records aligned to record 0, scattering the pair rule into weights over a
@@ -138,16 +141,17 @@ def _bucket_mean(method: str, buckets: np.ndarray) -> float:
     return s_mean
 
 
-def _ci_weights(buckets: np.ndarray) -> np.ndarray:
-    """ci's weight rows, shape (2, n): the indicators of S_i >= <S> and of
-    the rest, each over the size of its subset."""
-    n, positive = len(buckets), buckets >= _bucket_mean("ci", buckets)
-    n_pos = int(np.count_nonzero(positive))
+def _ci_partition(buckets: np.ndarray) -> tuple[float, int, int]:
+    """ci's partition: the threshold <S> and the sizes of the subsets
+    S_i >= <S> and S_i < <S>, from which each block takes its weight rows,
+    the indicators of the two subsets each over the size of its subset."""
+    n, threshold = len(buckets), _bucket_mean("ci", buckets)
+    n_pos = int(np.count_nonzero(buckets >= threshold))
     if n_pos == 0 or n_pos == n:
         raise DegeneratePartitionError(
             "bucket values do not straddle their mean; positive/negative subsets degenerate"
         )
-    return np.stack((positive / n_pos, ~positive / (n - n_pos)))
+    return threshold, n_pos, n - n_pos
 
 
 def _pair_coefficients(mode: int, s_new, s_old) -> tuple[np.ndarray, np.ndarray]:
@@ -177,13 +181,17 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
     when the routine holds the (K, n) bucket matrix ``buckets`` ahead, which
     only ci needs: unless the caller gives it, a first pass takes it. The
     last pass keeps the blocks' buckets when a job is classic and sums every
-    classic image as one stacked ``W @ M``, the rows of g2, dgi and
-    dgi-delta filled from each block as it arrives. It feeds one
-    :class:`SgiAccumulator` with every sgi job's mode and every bucket
-    column, cut at the sgi jobs' counts and, given ``every``, at each
-    multiple of it. An sgi job's result is yielded as the pass reaches its
-    count, and before that at each multiple of ``every`` that has a pair;
-    the classic results follow the pass.
+    classic image as one stacked ``W @ M``, one block at a time: W is one
+    block wide, filled afresh from each block, each job's rows zero past its
+    count. g2, dgi and dgi-delta take their rows from the block's buckets,
+    ci from its threshold and subset sizes; the second rows of dgi and
+    dgi-delta, R / N and 1 / N, do not depend on the buckets, so the jobs of
+    one method and count share one. It feeds one :class:`SgiAccumulator`
+    with every sgi job's mode and every bucket column, cut at the sgi jobs'
+    counts and, given ``every``, at each multiple of it. An sgi job's result
+    is yielded as the pass reaches its count, and before that at each
+    multiple of ``every`` that has a pair; the classic results follow the
+    pass.
     """
     stop, pixels = max(count for _, count, _ in jobs), shape[0] * shape[1]
     sgi = [(job, int(method[-1]), count, column)
@@ -192,20 +200,19 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
     methods = {jobs[job][0] for job in classic}
     if buckets is None and "ci" in methods:  # ci's partition needs <S> first
         buckets = np.concatenate([np.array(block, ndmin=2) for _, block, _ in blocks(True)], axis=1)
-    width = sum(1 if jobs[job][0] == "g2" else 2 for job in classic)
-    stacked = np.zeros((width, stop))  # W, each job's rows zero past its count
-    total, term = np.zeros((width, pixels)), np.empty((width, pixels))
     s_r = np.empty(stop if "dgi" in methods else 0)  # the frame totals R
     frame_totals = {"dgi": s_r, "dgi-delta": np.ones(stop if "dgi-delta" in methods else 0)}  # R of the centred methods
-    rows, fill, c0, row = {}, [], {}, 0  # rows[job]: its image rows of W; c0[row]: a provisional ratio
-    for job in classic:  # ci's rows now, the others' (row, method, count, column) filled in the pass
+    rows, fill, seconds, c0, width = {}, [], {}, {}, 0  # rows[job]: its image rows of W; c0[row]: a provisional ratio
+    for job in classic:  # fill: (rows, method, count, column, ci's partition or the row R / N)
         method, count, column = jobs[job]
-        rows[job] = slice(row, row + (2 if method == "ci" else 1))
-        if method == "ci":
-            stacked[rows[job], :count] = _ci_weights(buckets[column, :count])
-        else:
-            fill.append((row, method, count, column))
-        row += 1 if method == "g2" else 2
+        rows[job] = image = slice(width, width + (2 if method == "ci" else 1))
+        width = image.stop
+        if method in frame_totals and (method, count) not in seconds:  # R / N: one row for the method and count
+            seconds[method, count] = width
+            width += 1
+        fill.append((image, method, count, column,
+                     _ci_partition(buckets[column, :count]) if method == "ci" else seconds.get((method, count))))
+    total, term = np.zeros((width, pixels)), np.empty((width, pixels))
     modes = tuple(dict.fromkeys(mode for _, mode, _, _ in sgi))
     acc = SgiAccumulator(mode=modes, shift=shift, close_loop=close_loop) if modes else None
 
@@ -227,25 +234,31 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
             snapshots = acc.snapshots_by_mode() if due else None
             yield from ((job, seen, snapshots[mode][column]) for job, mode, column in due)
         if width:
+            w = np.zeros((width, len(frames)))  # W, one block wide: each job's rows are 0 past its count
             with np.errstate(all="ignore"):  # the sums are checked after the pass
                 if len(s_r):
                     np.sum(frames, axis=1, out=s_r[start:end])
-                for row, method, count, column in fill:
+                for (method, count), row in seconds.items():
+                    r = frame_totals[method][start : max(start, min(count, end))]
+                    w[row, : len(r)] = r / count
+                for image, method, count, column, extra in fill:
                     s = block[column, : max(count - start, 0)]
-                    if method == "g2":
-                        stacked[row, start : start + len(s)] = s / count
-                        continue
-                    r = frame_totals[method][start : start + len(s)]
-                    if start == 0:  # from the first block; 0 if its frames are dark
-                        ratio = s.sum() / r.sum()
-                        c0[row] = ratio if np.isfinite(ratio) else 0.0
-                    stacked[row, start : start + len(s)] = (s - c0[row] * r) / count
-                    stacked[row + 1, start : start + len(s)] = r / count
-                total += np.matmul(stacked[:, start:end], frames, out=term)
+                    if method == "ci":
+                        threshold, n_pos, n_neg = extra
+                        w[image, : len(s)] = np.where(s >= threshold, [[1 / n_pos], [0.0]], [[0.0], [1 / n_neg]])
+                    elif method == "g2":
+                        w[image, : len(s)] = s / count
+                    else:
+                        r = frame_totals[method][start : start + len(s)]
+                        if start == 0:  # from the first block; 0 if its frames are dark
+                            ratio = s.sum() / r.sum()
+                            c0[image.start] = ratio if np.isfinite(ratio) else 0.0
+                        w[image, : len(s)] = (s - c0[image.start] * r) / count
+                total += np.matmul(w, frames, out=term)
     buckets = np.concatenate(held, axis=1) if held else buckets
-    for row, method, count, column in fill:  # G = (S - c0 R) @ M / N - (<S>/<R> - c0) R @ M / N
+    for image, method, count, column, second in fill:  # G = (S - c0 R) @ M / N - (<S>/<R> - c0) R @ M / N
         s = buckets[column, :count]
-        if method == "g2":
+        if method not in frame_totals:  # g2 and ci take no correction (ci's buckets were checked ahead too)
             _bucket_report(0, s).raise_if_failed()
             continue
         s_mean, r = _bucket_mean(method, s), frame_totals[method][:count]
@@ -257,7 +270,7 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
             ratio = s_mean / r_mean
             culprit = "the buckets" if method == "dgi-delta" else "the buckets or frames"
             _require_no_overflow((s - ratio * r) / count, culprit, f"the {method} weights")
-            total[row] -= (ratio - c0[row]) * total[row + 1]
+            total[image] -= (ratio - c0[image.start]) * total[second]
     _require_no_overflow(total, "the buckets or frames", "the weighted frame sums")
     for job in classic:
         method, count, _ = jobs[job]

@@ -17,18 +17,20 @@ counter-based SeedSequence splitting, namespaced as (0, i) for pattern i,
 not overlap, per-frame generation is order-independent (parallel and serial
 agree bit for bit), and the first n frames of a longer run equal an n-frame
 run exactly. The seed must be a non-negative integer. The per-record streams
-(0, i) and (2, i) are derived in bulk, a block of records at a time, by
-:func:`_pcg64_states`, and equal the SeedSequence splitting bit for bit;
-:func:`_child_rng`, which builds one record's generator the plain way, is
-the reference.
+(0, i) and (2, i) are derived in bulk by :func:`_pcg64_states`, in
+:class:`Simulation` for the fewest whole blocks of at least 64 records at
+a time (8 blocks at 128x128, 1 at 32x32; :class:`_RecordStreams`), and
+equal the SeedSequence splitting bit for bit; :func:`_child_rng`, which
+builds one record's generator the plain way, is the reference.
 
 A run is produced a block of consecutive records at a time by
 :class:`Simulation`, which fills each block's frames into one reused
 buffer, scales them by the drift gains, integrates the buckets and adds the
 noise. ``gikit simulate`` writes each block straight into the container, so
-it holds one block (about 1 MB of stored records, twice that as float64
-frames) and never the whole run; :func:`simulate` copies the same blocks
-into one in-memory stack, so both give the same bytes. Noise comes from
+it holds one block of the grid (at most 1 MiB of stored records and 128
+records, about twice that as float64 frames) and never the whole run;
+:func:`simulate` copies the same blocks into one in-memory stack, so both
+give the same bytes. Noise comes from
 :func:`_block_noise` alone: one draw of standard normals per record from
 its stream (2, i), scaled by each noise model asked for. :func:`apply_noise`
 asks it for one record, :class:`Simulation` for a block, and ``gikit
@@ -161,6 +163,29 @@ def _record_rngs(seed: int, key: int, start: int, count: int) -> Iterator[np.ran
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
         yield rng
+
+
+_STATE_RECORDS = 64  # states are derived for the fewest whole requests of at least this many records
+
+
+class _RecordStreams:
+    """The generators of :func:`_record_rngs` for records i < ``n`` of the
+    streams (key, i), asked for as ``(start, count)`` runs of consecutive
+    records; take exactly ``count`` generators from each answer. The states
+    are derived for a group of records at once, the fewest whole requests of
+    at least ``_STATE_RECORDS`` records, so the small blocks of a large
+    frame share the fixed cost of a derivation. A request that does not
+    follow the last one, or that passes the group, starts a new group."""
+
+    def __init__(self, seed, key, n):
+        self._args, self._n, self._next, self._left = (seed, key), n, 0, 0
+
+    def __call__(self, start, count):
+        if start != self._next or count > self._left:
+            self._left = min(self._n - start, -(-_STATE_RECORDS // count) * count)
+            self._rngs = _record_rngs(*self._args, start, self._left)
+        self._next, self._left = start + count, self._left - count
+        return self._rngs
 
 
 def _run_seed(seed) -> int:
@@ -298,8 +323,10 @@ def _pattern_filler(width: int, height: int, n: int, model: PatternModel, seed: 
         raise ValueError(f"measurement count must be >= 1, got {n}")
 
     if model.kind == "iid-uniform":
+        streams = _RecordStreams(seed, _PATTERN_KEY, n)
+
         def fill_iid(start: int, out: np.ndarray) -> None:
-            for frame, rng in zip(out, _record_rngs(seed, _PATTERN_KEY, start, len(out))):
+            for frame, rng in zip(out, streams(start, len(out))):
                 rng.random(out=frame)
 
         return fill_iid
@@ -407,17 +434,18 @@ def _scaled_noise(draws: np.ndarray, model: NoiseModel, out: np.ndarray) -> np.n
         return field.sum(axis=1)
 
 
-def _block_noise(seed: int, start: int, count: int, pixels: int, models: list) -> np.ndarray:
+def _block_noise(seed: int, start: int, count: int, pixels: int, models: list, rngs=None) -> np.ndarray:
     """The noise of records ``start`` to ``start + count - 1`` under each of
     ``models``, shape (len(models), count). Each record's normals are drawn
-    once from its stream (2, i) and scaled by every model, a group of
-    records at a time: about 64 KB of normals, or one record where its
-    frame is larger, so the draws do not grow with the block."""
+    once from its stream (2, i), its generator taken from ``rngs`` when
+    given, and scaled by every model, a group of records at a time: about
+    64 KB of normals, or one record where its frame is larger, so the draws
+    do not grow with the block."""
     noise = np.empty((len(models), count))
     size = pixels if any(model.target == "object-field" for model in models) else 1
     group = max(1, min(count, _NOISE_GROUP_BYTES // (8 * size)))
     draws, scratch = np.empty((group, size)), np.empty((group, size))
-    rngs = _record_rngs(seed, _NOISE_KEY, start, count)  # the block's streams, derived at once
+    rngs = rngs or _record_rngs(seed, _NOISE_KEY, start, count)  # the block's streams, derived at once
     for lo in range(0, count, group):
         rows = draws[: min(group, count - lo)]
         for row, rng in zip(rows, rngs):  # the rows first: zip takes no stream past the group
@@ -486,6 +514,7 @@ class Simulation:
         self._gains = drift_gains(drift, n, seed)
         self._transmission = scene.transmission.ravel()
         self._noise = noise
+        self._noise_streams = _RecordStreams(seed, _NOISE_KEY, n)
         self._seed = seed
         self.header = DatasetHeader(
             width=scene.width,
@@ -504,7 +533,8 @@ class Simulation:
         frames *= self._gains[start:stop, None, None]
         buckets = frames.reshape(len(frames), -1) @ self._transmission
         if self._noise.enabled:
-            buckets += _block_noise(self._seed, start, len(frames), self._transmission.size, [self._noise])[0]
+            buckets += _block_noise(self._seed, start, len(frames), self._transmission.size, [self._noise],
+                                    self._noise_streams(start, len(frames)))[0]
         return buckets
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
