@@ -5,11 +5,20 @@ Exit codes: 0 success, 2 flag/validation errors (before any real work), 1
 runtime failures (I/O, degenerate data, a run too large to allocate). All
 outputs are deterministic given the same flags and seed, except the
 wall_time_ms manifest column.
+
+Each command ends at its last write: :func:`entry` runs the atexit
+callbacks, flushes stdout and stderr and leaves with ``os._exit``, which
+skips the interpreter's teardown (clearing every module, the collector's
+last passes). Every file a command writes is closed before :func:`main`
+returns, and no command starts a thread. The normal exit is kept when a
+tracer, profiler or coverage tool watches the process, when a flush fails,
+for argparse's own exits (``--help``, exit 2) and for an uncaught exception.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
 import sys
@@ -85,7 +94,8 @@ def _add_simulation_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gikit", description=__doc__)
+    # --help shows the docstring's first two paragraphs: the commands and the exit codes
+    parser = argparse.ArgumentParser(prog="gikit", description="\n\n".join(__doc__.split("\n\n")[:2]))
     subs = parser.add_subparsers(dest="command", required=True)
 
     sim = subs.add_parser("simulate", help="generate a synthetic dataset container")
@@ -362,8 +372,37 @@ def main(argv=None) -> int:
         return 1
 
 
+def _watched() -> bool:
+    """Whether a debugger, profiler or coverage tool watches the process:
+    one set through ``sys.settrace`` or ``sys.setprofile``, or, on Python
+    3.12 and later, a ``sys.monitoring`` tool (cProfile is one there)."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or monitoring is not None and any(monitoring.get_tool(tool) is not None for tool in range(6)))
+
+
 def entry() -> None:
-    sys.exit(main())
+    """The ``gikit`` console script and ``python -m gikit.cli``: exit with
+    :func:`main`'s code, without the interpreter's teardown.
+
+    Unless :func:`_watched`, it runs the atexit callbacks, flushes stdout and
+    stderr (either may be None) and calls ``os._exit``. A flush that fails, as
+    on a closed stdout pipe, falls back to ``sys.exit``, whose own flush then
+    reports it (exit 120). Library callers use :func:`main`, which returns
+    the code and never exits.
+    """
+    code = main()
+    if not _watched():
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except OSError:
+            pass  # the normal exit flushes again and reports the failure
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -170,6 +170,27 @@ def _pair_coefficients(mode: int, s_new, s_old) -> tuple[np.ndarray, np.ndarray]
     return np.array([s_new, s_old]), np.array([-s_new, -s_old])
 
 
+def _hold(matrix, stop: int, start: int, block) -> np.ndarray:
+    """The (K, stop) bucket ``matrix``, made at the first block if None,
+    with the block's buckets, (rows,) or (K, rows), written into its
+    columns from ``start``: a pass holds the matrix once, never its blocks
+    beside it."""
+    block = np.atleast_2d(block)
+    if matrix is None:
+        matrix = np.empty((len(block), stop))
+    matrix[:, start : start + block.shape[1]] = block
+    return matrix
+
+
+def _bucket_matrix(blocks, stop: int) -> np.ndarray:
+    """The (K, stop) bucket matrix of a pass over ``blocks``. The loop lives
+    here so that no block's frames outlive the pass."""
+    matrix = None
+    for start, block, _ in blocks:
+        matrix = _hold(matrix, stop, start, block)
+    return matrix
+
+
 def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=False, every=None):
     """Yield ``(job, records, result)`` for every ``(method, count, column)``
     job: its :class:`ReconResult` over the first ``count`` records and
@@ -179,8 +200,9 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
     buckets, frames)`` blocks, buckets (rows,) or (K, rows) and frames
     (rows, pixels), ending at the largest count; ``read_buckets`` is false
     when the routine holds the (K, n) bucket matrix ``buckets`` ahead, which
-    only ci needs: unless the caller gives it, a first pass takes it. The
-    last pass keeps the blocks' buckets when a job is classic and sums every
+    only ci needs: unless the caller gives it, a first pass fills it block
+    by block (:func:`_bucket_matrix`). The last pass fills it the same way
+    when a job is classic and nothing gave it ahead, and sums every
     classic image as one stacked ``W @ M``, one block at a time: W is one
     block wide, filled afresh from each block, each job's rows zero past its
     count. g2, dgi and dgi-delta take their rows from the block's buckets,
@@ -199,7 +221,7 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
     classic = [job for job, (method, _, _) in enumerate(jobs) if method not in SGI_METHODS]
     methods = {jobs[job][0] for job in classic}
     if buckets is None and "ci" in methods:  # ci's partition needs <S> first
-        buckets = np.concatenate([np.array(block, ndmin=2) for _, block, _ in blocks(True)], axis=1)
+        buckets = _bucket_matrix(blocks(True), stop)
     s_r = np.empty(stop if "dgi" in methods else 0)  # the frame totals R
     frame_totals = {"dgi": s_r, "dgi-delta": np.ones(stop if "dgi-delta" in methods else 0)}  # R of the centred methods
     rows, fill, seconds, c0, width = {}, [], {}, {}, 0  # rows[job]: its image rows of W; c0[row]: a provisional ratio
@@ -216,12 +238,12 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
     modes = tuple(dict.fromkeys(mode for _, mode, _, _ in sgi))
     acc = SgiAccumulator(mode=modes, shift=shift, close_loop=close_loop) if modes else None
 
-    read, held = buckets is None, []  # held: the blocks' buckets, kept for the classic jobs
+    read = buckets is None
     for start, block, frames in blocks(read):
         end = start + len(frames)
-        block = np.array(block, ndmin=2) if read else buckets[:, start:end]  # (K, rows), a copy if read
-        if read and classic:
-            held.append(block)
+        if read and classic:  # the bucket matrix, kept for the classic jobs
+            buckets = _hold(buckets, stop, start, block)
+        block = np.array(block, ndmin=2) if read and not classic else buckets[:, start:end]  # (K, rows), a copy if read
         lo = 0
         while acc is not None and lo < len(frames):  # cut at the next count or snapshot point
             at = start + lo  # the records pushed so far
@@ -255,7 +277,6 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
                             c0[image.start] = ratio if np.isfinite(ratio) else 0.0
                         w[image, : len(s)] = (s - c0[image.start] * r) / count
                 total += np.matmul(w, frames, out=term)
-    buckets = np.concatenate(held, axis=1) if held else buckets
     for image, method, count, column, second in fill:  # G = (S - c0 R) @ M / N - (<S>/<R> - c0) R @ M / N
         s = buckets[column, :count]
         if method not in frame_totals:  # g2 and ci take no correction (ci's buckets were checked ahead too)

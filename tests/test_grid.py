@@ -57,3 +57,28 @@ def test_classic_weights_do_not_grow_with_the_run():
     short, long = 2048, 8192
     growth = _classic_pass_peak(long) - _classic_pass_peak(short)
     assert growth < 12 * 8 * (long - short), f"traced peak grew {growth / (long - short):.0f} B per record"
+
+
+@pytest.mark.parametrize("method", ["ci", "g2"])
+def test_a_pass_holds_the_bucket_matrix_once(method):
+    # ci's first pass, and the last pass of a classic job without it, fill
+    # one (K, n) bucket matrix block by block: 8 K bytes per record. Joining
+    # a list of the blocks' copies held it twice, 50-52 B per record at K = 3.
+    def peak(n):
+        frames, buckets = np.random.default_rng(7).random((n, 16)), np.ones((3, n))
+        buckets[:, ::2] = 2.0
+
+        def blocks(read_buckets):
+            for start in range(0, n, 64):
+                yield start, buckets[:, start : start + 64] if read_buckets else None, frames[start : start + 64]
+
+        tracemalloc.start()
+        try:
+            assert len(list(_reconstructions(blocks, (4, 4), [(method, n, column) for column in range(3)]))) == 3
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = 2048, 8192
+    growth = (peak(long) - peak(short)) / (long - short)
+    assert growth < 8 * 3 + 8, f"traced peak grew {growth:.0f} B per record"
