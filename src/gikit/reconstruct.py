@@ -66,6 +66,7 @@ jobs share the rows: each chunk takes one product of the stacked
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,19 @@ def _require_no_overflow(values: np.ndarray, culprit: str, what: str) -> None:
         ValidationReport((issue,)).raise_if_failed()
 
 
+def _mean(values: np.ndarray) -> float:
+    """The mean of the 1-D ``values`` from their exactly rounded sum
+    (``math.fsum``, read through a memoryview: no list of the values). A
+    pairwise ``mean()`` can be off by more than one unit in the last place
+    of a mean far from 0, and dgi and dgi-delta subtract <S> from buckets
+    close to it. Where fsum overflows on the way, ``mean()`` gives the inf
+    or NaN that callers check for; they run under ``np.errstate``."""
+    try:
+        return math.fsum(memoryview(values)) / len(values)
+    except OverflowError:
+        return float(values.mean())
+
+
 def _bucket_mean(method: str, buckets: np.ndarray) -> float:
     """<S> of ``method``'s buckets, once they are checked: finite, at least
     2 of them, and with a sum that does not overflow."""
@@ -136,7 +150,7 @@ def _bucket_mean(method: str, buckets: np.ndarray) -> float:
     if len(buckets) < 2:
         raise InsufficientRecordsError(f"{method} needs at least 2 records, got {len(buckets)}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
-        s_mean = buckets.mean()
+        s_mean = _mean(buckets)
     _require_no_overflow(s_mean, "the buckets", "the bucket sum")
     return s_mean
 
@@ -285,7 +299,7 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
         s_mean, r = _bucket_mean(method, s), frame_totals[method][:count]
         _require_no_overflow(r, "the frames", "the frame totals")
         with np.errstate(over="ignore", invalid="ignore"):
-            r_mean = r.mean()
+            r_mean = _mean(r)
             if r_mean == 0.0:
                 raise DegenerateDivisorError("mean frame total is zero (all-dark reference frames)")
             ratio = s_mean / r_mean

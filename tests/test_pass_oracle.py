@@ -128,3 +128,20 @@ def test_every_job_matches_its_formula_under_any_cut(run):
             for image, reference in zip(images, references):
                 scale = max(np.abs(reference).max(), np.abs(image).max())
                 assert np.abs(image - reference).max() <= TOLERANCE * scale, (method, records)
+
+
+def test_dgi_delta_takes_the_exactly_rounded_mean_bucket():
+    # Buckets about 1e3 above zero over an image of 0.059: a pairwise mean
+    # one unit in the last place off moved the image by 6.2e-14 from the
+    # formula, past the 1e-12 tolerance; the mean from math.fsum keeps it.
+    s = np.array([999.8300945410629, 1000.4572398939536, 1000.0302233891738, 1000.8029542271872,
+                  1000.5302698630014, 1000.0501667179826, 1000.1949559176003, 1000.7465858360467])
+    frames = np.array([0.1667883474319528, 0.2005868836682451, 0.15231926354518607, 0.8398500414745677,
+                       0.4154986273096517, 0.6766845621349274, 0.9311171773708969, 0.9786901909902955])[:, np.newaxis]
+    assert s.mean() != math.fsum(s) / len(s)  # the case that needs it
+    for cut in ([1], []):
+        run = {"frames": frames, "buckets": s[np.newaxis], "jobs": [("dgi-delta", 8, 0)], "shape": (1, 1),
+               "shift": 1, "close_loop": False, "every": None, "held": False, "chunk_rows": None}
+        [(_, _, _, [image])] = _results(run, cut)
+        [reference] = _classic("dgi-delta", s, frames)
+        assert abs(image[0] - reference[0]) <= TOLERANCE * abs(reference[0]), cut
