@@ -6,6 +6,10 @@ runtime failures (I/O, degenerate data, a run too large to allocate). All
 outputs are deterministic given the same flags and seed, except the
 wall_time_ms manifest column.
 
+``reconstruct`` has one route into the pass routine
+(``reconstruct._one_job``): batch is ``--progressive`` with no snapshot
+points, and only ``ci`` reads the bucket column ahead of its frame pass.
+
 Each command ends at its last write: :func:`entry` runs the atexit
 callbacks, flushes stdout and stderr and leaves with ``os._exit``, which
 skips the interpreter's teardown (clearing every module, the collector's
@@ -42,8 +46,7 @@ from .fileio import (
     write_manifest,
 )
 from .metrics import cnr, mask_from_scene
-from .reconstruct import METHODS, SGI_METHODS, _reconstructions, reconstruct, sr_diagnostics
-from .types import DatasetHeader
+from .reconstruct import METHODS, SGI_METHODS, _one_job, sr_diagnostics
 
 if TYPE_CHECKING:  # simulate and sweep load inside the commands that run them
     from .simulate import DriftProfile, NoiseModel, PatternModel
@@ -151,31 +154,25 @@ def _exports(result, prefix: str, raw: bool) -> list:
     return exports
 
 
-def _export_result(result, prefix: str, raw: bool) -> None:
-    for export, image, path in _exports(result, prefix, raw):
-        export(image, path)
-
-
 def _provenance_fields(header) -> tuple[str, float | None]:
+    """The drift kind and noise mean of a container header's provenance, or
+    ``("", None)`` where they do not parse: bad JSON (a ValueError), deep
+    nesting, missing keys or a mean that overflows a float."""
     try:
         settings = json.loads(header.provenance)
         return settings["drift"]["kind"], float(settings["noise"]["mean"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
         return "", None
 
 
-def _manifest_row(result, header, shift, scene, wall_ms, settings) -> ManifestRow:
-    drift_kind, noise_mean = _provenance_fields(header)
-    cnr_value = None
-    if scene is not None:
-        cnr_value = cnr(result.images[0], mask_from_scene(scene)).cnr
+def _manifest_row(result, n, drift_kind, noise_mean, shift, mask, wall_ms, settings) -> ManifestRow:
     return ManifestRow(
         method=result.method,
-        n=header.n,
+        n=n,
         k=shift if result.method in SGI_METHODS else None,
         drift_kind=drift_kind,
         noise_mean=noise_mean,
-        cnr=cnr_value,
+        cnr=cnr(result.images[0], mask).cnr if mask is not None else None,
         pair_count=result.count,
         wall_time_ms=round(wall_ms, 3),
         settings=settings,
@@ -195,21 +192,22 @@ def cmd_simulate(args, parser) -> int:
     return 0
 
 
-def _progressive_reconstruct(source, method, shift, close_loop, every, prefix, raw):
-    """One pass over ``source`` that exports a snapshot every ``every`` records
-    and the final images. Each snapshot is written under a temporary name
-    beside its target and renamed into place only after the pass and the
-    final export succeed, so a bad record anywhere leaves no snapshot."""
+def _export_pass(results, every, prefix, raw):
+    """Export the final images of a one-job pass, ``results`` from
+    :func:`~gikit.reconstruct._one_job`, and, unless ``every`` is None, a
+    snapshot at each multiple of ``every`` records. Each snapshot is written
+    under a temporary name beside its target and renamed into place only
+    after the pass and the final export succeed, so a bad record anywhere
+    leaves no snapshot. Returns the final result."""
     staged = []  # (temporary, target) path of every snapshot file
     try:
-        for _, seen, result in _reconstructions(
-                lambda _: source.blocks(), (source.header.height, source.header.width), [(method, source.n, 0)],
-                shift=shift, close_loop=close_loop, every=every):
-            if seen % every == 0:  # else the final images alone
+        for _, seen, result in results:
+            if every is not None and seen % every == 0:  # else the final images alone
                 for export, image, path in _exports(result, f"{prefix}_snap{seen:06d}", raw=False):
                     staged.append((_temporary_path(path), path))
                     export(image, staged[-1][0])
-        _export_result(result, prefix, raw)
+        for export, image, path in _exports(result, prefix, raw):
+            export(image, path)
         for temporary, path in staged:
             os.replace(temporary, path)
     except BaseException:
@@ -244,13 +242,8 @@ def cmd_reconstruct(args, parser) -> int:
         _read_sidecar(args.manifest)  # a bad sidecar fails before the pass, not after it
 
     start = time.perf_counter()
-    if args.progressive is not None:
-        result = _progressive_reconstruct(
-            source, args.method, args.shift, args.close_loop, args.progressive, args.out, args.raw
-        )
-    else:
-        result = reconstruct(source, args.method, shift=args.shift, close_loop=args.close_loop)
-        _export_result(result, args.out, args.raw)
+    passes = _one_job(source, args.method, shift=args.shift, close_loop=args.close_loop, every=args.progressive)
+    result = _export_pass(passes, args.progressive, args.out, args.raw)
     wall_ms = (time.perf_counter() - start) * 1000.0
 
     settings = {
@@ -262,7 +255,8 @@ def cmd_reconstruct(args, parser) -> int:
         "progressive": args.progressive,
         "seed": source.header.seed,
     }
-    row = _manifest_row(result, source.header, args.shift, scene, wall_ms, settings)
+    mask = mask_from_scene(scene) if scene is not None else None
+    row = _manifest_row(result, source.n, *_provenance_fields(header), args.shift, mask, wall_ms, settings)
     if args.manifest:
         append_manifest_row(row, args.manifest)
     print(f"{result.method}: n={source.n}, pairs={result.count}" +
@@ -326,10 +320,9 @@ def cmd_sweep(args, parser) -> int:
         for index, point_results in zip(indices, run_results):
             results[index], wall_ms[index] = point_results, each_ms
 
-    rows = []
+    rows, mask = [], mask_from_scene(scene)
     for (value, n, point_drift, point_noise), point_results, ms in zip(points, results, wall_ms):
         provenance = _provenance(scene, pattern, point_drift, point_noise, n_run, args.seed)
-        header = DatasetHeader(scene.width, scene.height, n, args.seed, provenance)
         for method, result in zip(methods, point_results):
             settings = {
                 "axis": args.axis,
@@ -339,7 +332,7 @@ def cmd_sweep(args, parser) -> int:
                 "seed": args.seed,
                 "provenance": provenance,
             }
-            rows.append(_manifest_row(result, header, args.shift, scene, ms, settings))
+            rows.append(_manifest_row(result, n, point_drift.kind, point_noise.mean, args.shift, mask, ms, settings))
     csv_path, json_path = write_manifest(rows, args.out)
     print(f"wrote {csv_path} and {json_path}: {len(rows)} rows")
     return 0

@@ -40,28 +40,28 @@ sources) one extra pair is formed from the last record and the first,
 giving m = N.
 
 One generator, :func:`_reconstructions`, makes the passes of every route:
-batch ``reconstruct`` is its one-job case, ``--progressive`` adds snapshot
-points, and ``gikit sweep`` gives it one job per point and method over a
-(K, n) bucket matrix, K runs over the same frames that differ only in their
-buckets. It stacks every classic job's weight rows into one W one block
-wide, filled afresh from each block, each job's rows zero past its record
-count (the dgi or dgi-delta jobs of one count share their second row), so
-it holds no (rows, N) matrix. It feeds every sgi job to one
-:class:`SgiAccumulator` (``push`` feeds it one record), cutting the blocks
-at the sgi jobs' counts. The accumulator sums the pairs in fixed chunks of
-records aligned to record 0, scattering the pair rule into weights over a
-chunk and the ``shift`` rows before it. A chunk is one block of the grid
-that the container reader and the simulator cut a run on
-(``fileio._block_rows``), so a chunk that arrives whole is summed where its
-block already is, as ``W[:, shift:] @ chunk_rows + W[:, :shift] @
-carried_rows`` over copies of the ``shift`` rows before it. The chunks of
-a group, the fewest whole chunks of at least 64 records, add up plainly,
-and each group takes one Neumaier-compensated addition. Only a chunk that a
-block cuts is staged in a buffer first. The summation order depends only
-on record indices, so every route and block cut gives the same bits, far
-inside the 1e-12 contract. The K bucket columns and the modes of all sgi
-jobs share the rows: each chunk takes one product of the stacked
-(images * K) weight rows.
+batch ``reconstruct`` is its one-job case (:func:`_one_job`),
+``--progressive`` adds snapshot points, and ``gikit sweep`` gives it one
+job per point and method over a (K, n) bucket matrix, K runs over the same
+frames that differ only in their buckets. It stacks every classic job's
+weight rows into one W one block wide, filled afresh from each block, each
+job's rows zero past its record count (the dgi or dgi-delta jobs of one
+count share their second row), so it holds no (rows, N) matrix. It feeds
+every sgi job to one :class:`SgiAccumulator` (``push`` feeds it one
+record), cutting the blocks at the sgi jobs' counts. The accumulator sums
+the pairs in fixed chunks of records aligned to record 0, scattering the
+pair rule into weights over a chunk and the ``shift`` rows before it. A
+chunk is one block of the grid that the container reader and the simulator
+cut a run on (``fileio._block_rows``), so a chunk that arrives whole is
+summed where its block already is, as
+``W[:, shift:] @ chunk_rows + W[:, :shift] @ carried_rows`` over copies of
+the ``shift`` rows before it. The chunks of a group, the fewest whole
+chunks of at least 64 records, add up plainly, and each group takes one
+Neumaier-compensated addition. Only a chunk that a block cuts is staged in
+a buffer first. The summation order depends only on record indices, so
+every route and block cut gives the same bits, far inside the 1e-12
+contract. The K bucket columns and the modes of all sgi jobs share the
+rows: each chunk takes one product of the stacked (images * K) weight rows.
 """
 
 from __future__ import annotations
@@ -312,21 +312,27 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
         yield job, count, ReconResult(method, tuple(ReconImage(row.reshape(shape)) for row in total[rows[job]]), count)
 
 
+def _one_job(source, method: str, *, shift: int = 1, close_loop: bool = False, every=None):
+    """:func:`_reconstructions` with one job, ``method`` over every record of
+    ``source``, a :class:`~gikit.types.Dataset` or an opened
+    :class:`~gikit.fileio.Container`, in one frame pass. Only ``ci`` reads
+    ``source.buckets`` (a container's bucket column, read alone) before it."""
+    buckets = source.buckets[np.newaxis] if method == "ci" else None
+    return _reconstructions(lambda _: source.blocks(), (source.header.height, source.header.width),
+                            [(method, source.n, 0)], buckets=buckets, shift=shift, close_loop=close_loop, every=every)
+
+
 def reconstruct(source, method: str, *, shift: int = 1, close_loop: bool = False) -> ReconResult:
     """Batch reconstruction with any method in :data:`METHODS`.
 
     ``source`` is a :class:`~gikit.types.Dataset`, read as one block, or an
     opened :class:`~gikit.fileio.Container`, read in blocks of the grid, in
-    one pass: the one-job case of :func:`_reconstructions`. ``shift`` and
-    ``close_loop`` choose the sgi methods' pairs; the classic methods ignore
-    both. ``ci`` reads ``source.buckets`` (a container's bucket column, read
-    alone) before the pass.
+    one pass (:func:`_one_job`). ``shift`` and ``close_loop`` choose the sgi
+    methods' pairs; the classic methods ignore both.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    buckets = source.buckets[np.newaxis] if method == "ci" else None
-    [(_, _, result)] = _reconstructions(lambda _: source.blocks(), (source.header.height, source.header.width),
-                                        [(method, source.n, 0)], buckets=buckets, shift=shift, close_loop=close_loop)
+    [(_, _, result)] = _one_job(source, method, shift=shift, close_loop=close_loop)
     return result
 
 

@@ -58,8 +58,32 @@ def _check_pixels(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains negative intensities")
 
 
+class _Plane:
+    """A frozen dataclass holding one non-empty 2-D array, in the field that
+    ``_field`` names, with its ``width`` and ``height``."""
+
+    _field = "data"
+
+    def _freeze(self, dtype, what: str) -> np.ndarray:
+        """Freeze the array field as ``dtype`` in place and return it; raise
+        ``ValueError`` unless it is 2-D and non-empty."""
+        arr = _frozen_array(getattr(self, self._field), dtype)
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValueError(f"{what} must be a non-empty 2-D array, got shape {arr.shape}")
+        object.__setattr__(self, self._field, arr)
+        return arr
+
+    @property
+    def width(self) -> int:
+        return getattr(self, self._field).shape[1]
+
+    @property
+    def height(self) -> int:
+        return getattr(self, self._field).shape[0]
+
+
 @dataclass(frozen=True, eq=False)
-class Frame:
+class Frame(_Plane):
     """One reference-arm intensity pattern.
 
     ``data`` is a (height, width) float64 array of raw intensities: every
@@ -70,19 +94,7 @@ class Frame:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.data, np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"frame data must be a non-empty 2-D array, got shape {arr.shape}")
-        _check_pixels(arr, "frame")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
+        _check_pixels(self._freeze(np.float64, "frame data"), "frame")
 
 
 def _frame_unchecked(arr: np.ndarray) -> Frame:
@@ -276,28 +288,18 @@ def _stacked_dataset(header: DatasetHeader, blocks) -> Dataset:
 
 
 @dataclass(frozen=True, eq=False)
-class ObjectScene:
+class ObjectScene(_Plane):
     """Transmission function of the object, values in [0, 1]."""
 
     transmission: np.ndarray
+    _field = "transmission"
 
     def __post_init__(self):
-        arr = _frozen_array(self.transmission, np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"transmission must be a non-empty 2-D array, got shape {arr.shape}")
+        arr = self._freeze(np.float64, "transmission")
         if not np.isfinite(arr).all():
             raise ValueError("transmission contains non-finite values")
         if (arr < 0.0).any() or (arr > 1.0).any():
             raise ValueError("transmission values must lie in [0, 1]")
-        object.__setattr__(self, "transmission", arr)
-
-    @property
-    def width(self) -> int:
-        return self.transmission.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.transmission.shape[0]
 
     @property
     def binary(self) -> bool:
@@ -306,30 +308,18 @@ class ObjectScene:
 
 
 @dataclass(frozen=True, eq=False)
-class ReconImage:
+class ReconImage(_Plane):
     """Real-valued 2-D reconstruction; negative pixels are expected and kept."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.data, np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"image data must be a non-empty 2-D array, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        if not np.isfinite(self._freeze(np.float64, "image data")).all():
             raise ValueError("image contains non-finite values")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
-class ObjectMask:
+class ObjectMask(_Plane):
     """Boolean ground-truth mask: True inside the transmitting region.
 
     Both classes must be populated, otherwise contrast-to-noise is undefined.
@@ -338,24 +328,9 @@ class ObjectMask:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.dtype != np.bool_:
-            arr = arr.astype(bool)
-        arr = _frozen_array(arr, np.bool_)
-        if arr.ndim != 2:
-            raise ValueError(f"mask must be 2-D, got shape {arr.shape}")
-        inside = int(np.count_nonzero(arr))
-        if inside == 0 or inside == arr.size:
+        arr = self._freeze(np.bool_, "mask")
+        if arr.all() or not arr.any():
             raise ValueError("mask must contain at least one inside and one outside pixel")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
 
     @property
     def n_in(self) -> int:

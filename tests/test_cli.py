@@ -1,5 +1,6 @@
 """Black-box checks of the command-line surface: flags, exit codes, outputs."""
 
+import csv
 import importlib
 import json
 import os
@@ -721,3 +722,49 @@ def test_all_sgi_sweep_makes_one_pass(tmp_path, scene_pgm, monkeypatch):
     assert main(["sweep", "--scene", str(scene_pgm), "--axis", "noise-mean", "--values", "0,0.1",
                  "--methods", "sgi1,sgi3", "--n", "64", "--out", str(tmp_path / "sweep")]) == 0
     assert len(passes) == 1
+
+
+SWEEP_POINT_COLUMNS = {  # (n, drift_kind, noise_mean) of each point of SWEEP_AXES_ARGV[axis] at --n 200
+    "noise-mean": [(200, "none", mean) for mean in (0.012, 0.06, 0.012, -0.3)],
+    "drift-kind": [(200, kind, 0.0) for kind in ("none", "random-walk", "step", "none")],
+    "n": [(n, "sinusoidal", 0.1) for n in (250, 37, 120)],
+}
+
+
+@pytest.mark.parametrize("axis", sorted(SWEEP_AXES_ARGV))
+def test_sweep_manifest_columns_are_each_points(tmp_path, scene_pgm, axis):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scene", str(scene_pgm), "--methods", "g2,sgi1", "--n", "200", "--shift", "2",
+                 "--out", str(out)] + SWEEP_AXES_ARGV[axis]) == 0
+    rows = list(csv.DictReader(out.with_suffix(".csv").read_text().splitlines()))
+    expected = [(str(n), k, kind, mean) for n, kind, mean in SWEEP_POINT_COLUMNS[axis] for k in ("", "2")]
+    assert [(row["n"], row["k"], row["drift_kind"], float(row["noise_mean"])) for row in rows] == expected
+
+
+@pytest.mark.parametrize("flags", [["--method", method] for method in gikit.reconstruct.METHODS]
+                         + [["--method", "sgi1", "--progressive", "8"]], ids=" ".join)
+def test_reconstruct_makes_one_frame_pass(tmp_path, scene_pgm, monkeypatch, flags):
+    # Only ci reads the bucket column, and it does so before its one pass:
+    # a second pass over a lab-size container would read it all again.
+    gid = _simulate(tmp_path, scene_pgm)
+    container = gikit.fileio.Container
+    passes, columns, blocks, buckets = [], [], container.blocks, container.buckets
+    monkeypatch.setattr(container, "blocks", lambda self: passes.append(self.path) or blocks(self))
+    monkeypatch.setattr(container, "buckets", property(lambda self: columns.append(self.path) or buckets.fget(self)))
+    assert main(["reconstruct", "--in", str(gid), "--out", str(tmp_path / "rec")] + flags) == 0
+    assert passes == [gid]
+    assert columns == ([gid] if flags[1] == "ci" else [])
+
+
+@pytest.mark.parametrize("provenance", [
+    pytest.param("[" * 200000, id="deeply-nested"),
+    pytest.param('{"drift": {"kind": "none"}, "noise": {"mean": 1' + "0" * 400 + "}}", id="overflowing-mean"),
+])
+def test_reconstruct_of_an_unparseable_provenance_leaves_its_columns_empty(tmp_path, provenance):
+    gid, rng = tmp_path / "run.gid", np.random.default_rng(1)
+    gikit.write_dataset(gikit.Dataset.from_arrays(rng.random((8, 4, 4)), rng.random(8), seed=1,
+                                                  provenance=provenance), gid)
+    assert main(["reconstruct", "--in", str(gid), "--method", "g2", "--manifest", str(tmp_path / "log"),
+                 "--out", str(tmp_path / "rec")]) == 0
+    [row] = csv.DictReader((tmp_path / "log.csv").read_text().splitlines())
+    assert (row["n"], row["drift_kind"], row["noise_mean"]) == ("8", "", "")
