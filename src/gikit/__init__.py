@@ -45,7 +45,6 @@ _EXPORTS = {
     ),
     "reconstruct": (
         "ReconResult",
-        "SgiAccumulator",
         "recon_ci",
         "recon_delta_gi",
         "recon_dgi",
@@ -53,6 +52,7 @@ _EXPORTS = {
         "recon_sgi",
         "sr_diagnostics",
     ),
+    "sgi": ("SgiAccumulator",),
     "metrics": ("CnrReport", "cnr", "mask_from_scene", "normalize_minmax", "pearson"),
     "fileio": (
         "Container",

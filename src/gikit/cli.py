@@ -17,6 +17,7 @@ last passes). Every file a command writes is closed before :func:`main`
 returns, and no command starts a thread. The normal exit is kept when a
 tracer, profiler or coverage tool watches the process, when a flush fails,
 for argparse's own exits (``--help``, exit 2) and for an uncaught exception.
+A closed stdout ends in exit 120, buffered or not (``PYTHONUNBUFFERED``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -278,10 +278,10 @@ def _sweep_points(args, parser, drift: DriftProfile, noise: NoiseModel) -> list:
                 points.append((value, value, drift, noise))
             elif args.axis == "noise-mean":
                 value = float(value)
-                points.append((value, args.n, drift, replace(noise, mean=value)))
+                points.append((value, args.n, drift, noise._replace(mean=value)))
             else:  # a none point has no amplitude; every other kind takes --drift's
                 amplitude = drift.amplitude if value != "none" else 0.0
-                points.append((value, args.n, replace(drift, kind=value, amplitude=amplitude), noise))
+                points.append((value, args.n, drift._replace(kind=value, amplitude=amplitude), noise))
         except (ValueError, argparse.ArgumentTypeError) as exc:
             parser.error(f"bad sweep value {value!r} on axis {args.axis}: {exc}")
     return points
@@ -360,6 +360,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:  # each command's own exit-2 checks report through its subparser: "gikit <command>: error:"
         return args.run(args, args.parser)
+    except BrokenPipeError as exc:  # an unbuffered stdout's reader has gone: the summary line, after every write
+        print(f"Exception ignored in: {sys.stdout!r}\n{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 120  # as a buffered stdout ends, whose flush at exit fails
     except (GikitError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -65,10 +65,10 @@ import csv
 import io
 import json
 import os
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -303,8 +303,7 @@ def _read_blocks(fh, offset: int, header: DatasetHeader) -> Iterator[tuple[int, 
         yield start, block_buckets, block_frames
 
 
-@dataclass(frozen=True)
-class Container:
+class Container(NamedTuple):
     """A container file whose header and payload length have been checked;
     the records are read from disk block by block on each pass.
 
@@ -345,7 +344,7 @@ class Container:
         """The same file, read only up to its first ``count`` records."""
         if count < 1 or count > self.n:
             raise ValueError(f"count must be in [1, {self.n}], got {count}")
-        return replace(self, header=replace(self.header, n=count))
+        return self._replace(header=self.header._replace(n=count))
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """One pass over the records as ``(start, buckets, frames)`` blocks:
@@ -463,27 +462,23 @@ def export_raw(image: ReconImage, path) -> None:
 # ---------------------------------------------------------------------------
 # Run manifests: one CSV row per reconstruction plus a JSON settings sidecar.
 
-@dataclass
-class ManifestRow:
-    """One manifest row: every field but ``settings``, in order, is a CSV
-    column, and ``settings`` goes to the JSON sidecar."""
+MANIFEST_COLUMNS = ("method", "n", "k", "drift_kind", "noise_mean", "cnr", "pair_count", "wall_time_ms")
 
-    method: str
-    n: int
-    k: int | None
-    drift_kind: str
-    noise_mean: float | None
-    cnr: float | None
-    pair_count: int
-    wall_time_ms: float
-    settings: dict = field(default_factory=dict)
+
+class ManifestRow(namedtuple("ManifestRow", (*MANIFEST_COLUMNS, "settings"))):
+    """One manifest row: every field but ``settings``, in order, is a CSV
+    column, and ``settings``, a new ``{}`` unless given, goes to the JSON
+    sidecar."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        if len(args) < len(cls._fields) and "settings" not in kwargs:
+            kwargs["settings"] = {}
+        return super().__new__(cls, *args, **kwargs)
 
     def csv_values(self) -> list:
-        values = (getattr(self, name) for name in MANIFEST_COLUMNS)
-        return ["" if v is None else v for v in values]
-
-
-MANIFEST_COLUMNS = tuple(f.name for f in fields(ManifestRow) if f.name != "settings")
+        return ["" if v is None else v for v in self[: len(MANIFEST_COLUMNS)]]
 
 
 def _manifest_paths(path) -> tuple[Path, Path]:

@@ -11,7 +11,7 @@ the image, so reconstructions can be compared without normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .types import ObjectMask, ObjectScene, ReconImage
 __all__ = ["CnrReport", "cnr", "mask_from_scene", "pearson", "normalize_minmax"]
 
 
-@dataclass(frozen=True)
-class CnrReport:
+class CnrReport(NamedTuple):
     cnr: float
     mean_in: float
     mean_out: float

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from typing import Iterator
 
 import numpy as np
@@ -60,6 +60,7 @@ from .types import (
     Frame,
     MeasurementRecord,
     ObjectScene,
+    _Checked,
     _frame_unchecked,
     _stacked_dataset,
 )
@@ -207,8 +208,8 @@ def _require_finite(model, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PatternModel:
+class PatternModel(_Checked, namedtuple("PatternModel", "kind grain_radius step_shift jitter",
+                                        defaults=("iid-uniform", 2.0, 1.0, 0.0))):
     """Illumination pattern law.
 
     iid-uniform draws every pixel independently uniform on [0, 1).
@@ -224,12 +225,9 @@ class PatternModel:
     rolls preserve the frame total exactly.
     """
 
-    kind: str = "iid-uniform"
-    grain_radius: float = 2.0
-    step_shift: float = 1.0
-    jitter: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in PATTERN_KINDS:
             raise ValueError(f"unknown pattern kind {self.kind!r}, expected one of {PATTERN_KINDS}")
         _require_finite(self, "grain_radius", "step_shift", "jitter")
@@ -237,8 +235,8 @@ class PatternModel:
             raise ValueError("grain_radius, step_shift, and jitter must be >= 0")
 
 
-@dataclass(frozen=True)
-class DriftProfile:
+class DriftProfile(_Checked, namedtuple("DriftProfile", "kind amplitude period_or_knots",
+                                        defaults=("none", 0.0, None))):
     """Per-shot multiplicative source gain d_i > 0.
 
     Parametric families (i = 0..n-1):
@@ -249,11 +247,9 @@ class DriftProfile:
       random-walk  d_i = clamp(d_{i-1} * exp(eps_i)), eps_i ~ N(0, amplitude^2), d_0 = 1
     """
 
-    kind: str = "none"
-    amplitude: float = 0.0
-    period_or_knots: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in DRIFT_KINDS:
             raise ValueError(f"unknown drift kind {self.kind!r}, expected one of {DRIFT_KINDS}")
         _require_finite(self, "amplitude")
@@ -270,8 +266,7 @@ class DriftProfile:
                 )
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(_Checked, namedtuple("NoiseModel", "mean std target", defaults=(0.0, 0.0, "bucket"))):
     """Additive Gaussian detector noise N(mean, std^2).
 
     target="bucket" perturbs the single collected scalar per shot.
@@ -280,11 +275,9 @@ class NoiseModel:
     shift with mean ``mean * pixels`` and std ``std * sqrt(pixels)``.
     """
 
-    mean: float = 0.0
-    std: float = 0.0
-    target: str = "bucket"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite(self, "mean", "std")
         if self.std < 0:
             raise ValueError("noise std must be >= 0")
@@ -477,9 +470,9 @@ def _provenance(scene: ObjectScene, pattern: PatternModel, drift: DriftProfile,
         "width": scene.width,
         "height": scene.height,
         "scene_binary": scene.binary,
-        "pattern": asdict(pattern),
-        "drift": asdict(drift),
-        "noise": asdict(noise),
+        "pattern": pattern._asdict(),
+        "drift": drift._asdict(),
+        "noise": noise._asdict(),
     }
     return json.dumps(settings, sort_keys=True, separators=(",", ":"))
 

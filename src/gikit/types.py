@@ -9,12 +9,19 @@ arrays every estimator works on, the buckets and the frame matrix; its
 Arrays are float64 internally regardless of on-disk precision (correlation
 sums over tens of thousands of records need the headroom) and are frozen
 after construction, so they are safe to share read-only across workers.
+
+gikit's data classes are written out, not generated at import. Those
+compared by value are named tuples (here :class:`DatasetHeader`,
+:class:`ValidationIssue` and :class:`ValidationReport`), whose checked
+fields are checked in ``_replace`` too (:class:`_Checked`); those holding
+arrays are compared by identity and refuse assignment (:class:`_Frozen`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,31 +65,63 @@ def _check_pixels(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains negative intensities")
 
 
-class _Plane:
-    """A frozen dataclass holding one non-empty 2-D array, in the field that
-    ``_field`` names, with its ``width`` and ``height``."""
+class _Frozen:
+    """Base of the classes compared by identity. Each names its fields in
+    ``_fields``, which its constructor sets once, through ``__dict__``;
+    assigning or deleting an attribute raises ``AttributeError``."""
 
-    _field = "data"
+    _fields: tuple[str, ...] = ()
 
-    def _freeze(self, dtype, what: str) -> np.ndarray:
-        """Freeze the array field as ``dtype`` in place and return it; raise
-        ``ValueError`` unless it is 2-D and non-empty."""
-        arr = _frozen_array(getattr(self, self._field), dtype)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Checked:
+    """The first base of a named tuple whose fields are checked: its
+    ``_check`` runs on every instance that the constructor, ``_make`` or
+    ``_replace`` builds."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        self._check()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _Plane(_Frozen):
+    """A class holding one non-empty 2-D array, its one field, with the
+    array's ``width`` and ``height``."""
+
+    _fields = ("data",)
+
+    def _freeze(self, values, dtype, what: str) -> np.ndarray:
+        """Freeze ``values`` as ``dtype`` into the field and return them;
+        raise ``ValueError`` unless they are 2-D and non-empty."""
+        arr = _frozen_array(values, dtype)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"{what} must be a non-empty 2-D array, got shape {arr.shape}")
-        object.__setattr__(self, self._field, arr)
+        self.__dict__[self._fields[0]] = arr
         return arr
 
     @property
     def width(self) -> int:
-        return getattr(self, self._field).shape[1]
+        return getattr(self, self._fields[0]).shape[1]
 
     @property
     def height(self) -> int:
-        return getattr(self, self._field).shape[0]
+        return getattr(self, self._fields[0]).shape[0]
 
 
-@dataclass(frozen=True, eq=False)
 class Frame(_Plane):
     """One reference-arm intensity pattern.
 
@@ -91,17 +130,15 @@ class Frame(_Plane):
     lives in :class:`ReconImage` instead.
     """
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        _check_pixels(self._freeze(np.float64, "frame data"), "frame")
+    def __init__(self, data):
+        _check_pixels(self._freeze(data, np.float64, "frame data"), "frame")
 
 
 def _frame_unchecked(arr: np.ndarray) -> Frame:
     # Fast path for stacks validated as a whole; arr must already be a
     # read-only float64 (h, w) view.
     frame = object.__new__(Frame)
-    object.__setattr__(frame, "data", arr)
+    frame.__dict__["data"] = arr
     return frame
 
 
@@ -114,8 +151,7 @@ def frame_sum(frame: Frame) -> float:
     return float(frame.data.sum())
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementRecord:
+class MeasurementRecord(_Frozen):
     """One synchronized (frame, bucket) pair with its sequence position.
 
     The bucket may be negative or non-finite at construction time (noise
@@ -123,32 +159,26 @@ class MeasurementRecord:
     non-finite buckets, and reconstruction and writing reject them.
     """
 
-    index: int
-    frame: Frame
-    bucket: float
+    _fields = ("index", "frame", "bucket")
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", int(self.index))
-        object.__setattr__(self, "bucket", float(self.bucket))
+    def __init__(self, index: int, frame: Frame, bucket: float):
+        self.__dict__.update(index=int(index), frame=frame, bucket=float(bucket))
 
 
-@dataclass(frozen=True)
-class DatasetHeader:
-    width: int
-    height: int
-    n: int
-    seed: int | None = None
-    provenance: str = ""
+class DatasetHeader(_Checked, namedtuple("DatasetHeader", "width height n seed provenance", defaults=(None, ""))):
+    """A run's frame ``width`` and ``height``, its record count ``n``, its
+    seed (None if unknown) and its provenance JSON (``""`` if none)."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def _check(self):
         if self.width < 1 or self.height < 1:
             raise ValueError(f"header dimensions must be positive, got {self.width}x{self.height}")
         if self.n < 1:
             raise ValueError(f"header measurement count must be >= 1, got {self.n}")
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
+class Dataset(_Frozen):
     """A measurement run: the header, the (n,) bucket vector and the
     (n, width*height) frame matrix whose row i is frame i, row-major.
 
@@ -159,12 +189,10 @@ class Dataset:
     use; :meth:`from_records` stacks separate records.
     """
 
-    header: DatasetHeader
-    buckets: np.ndarray
-    frame_matrix: np.ndarray
+    _fields = ("header", "buckets", "frame_matrix")
 
-    def __post_init__(self):
-        _set_arrays(self, self.buckets, self.frame_matrix)
+    def __init__(self, header: DatasetHeader, buckets, frame_matrix):
+        _set_arrays(self, header, buckets, frame_matrix)
         _check_pixels(self.frame_matrix, "frame matrix")
 
     @classmethod
@@ -247,28 +275,26 @@ class Dataset:
             raise ValueError(f"count must be in [1, {self.n}], got {count}")
         if count == self.n:
             return self
-        header = replace(self.header, n=count)
+        header = self.header._replace(n=count)
         return _prechecked_dataset(header, self.buckets[:count], self.frame_matrix[:count])
 
 
-def _set_arrays(dataset: Dataset, buckets, frame_matrix) -> None:
-    """Freeze a dataset's arrays into place once their shapes match its header."""
-    header = dataset.header
+def _set_arrays(dataset: Dataset, header: DatasetHeader, buckets, frame_matrix) -> None:
+    """Set a dataset's header, and freeze its arrays into place once their
+    shapes match it."""
     buckets = _frozen_array(buckets, np.float64)
     frame_matrix = _frozen_array(frame_matrix, np.float64)
     n, pixels = header.n, header.width * header.height
     if buckets.shape != (n,) or frame_matrix.shape != (n, pixels):
         raise ValueError(f"buckets {buckets.shape} and frame matrix {frame_matrix.shape} "
                          f"do not match n={n} frames of {header.width}x{header.height}")
-    object.__setattr__(dataset, "buckets", buckets)
-    object.__setattr__(dataset, "frame_matrix", frame_matrix)
+    dataset.__dict__.update(header=header, buckets=buckets, frame_matrix=frame_matrix)
 
 
 def _prechecked_dataset(header: DatasetHeader, buckets, frame_matrix) -> Dataset:
     """The constructor without its pixel scan, for frames already checked."""
     dataset = object.__new__(Dataset)
-    object.__setattr__(dataset, "header", header)
-    _set_arrays(dataset, buckets, frame_matrix)
+    _set_arrays(dataset, header, buckets, frame_matrix)
     return dataset
 
 
@@ -287,15 +313,13 @@ def _stacked_dataset(header: DatasetHeader, blocks) -> Dataset:
     return _prechecked_dataset(header, buckets, frame_matrix)
 
 
-@dataclass(frozen=True, eq=False)
 class ObjectScene(_Plane):
     """Transmission function of the object, values in [0, 1]."""
 
-    transmission: np.ndarray
-    _field = "transmission"
+    _fields = ("transmission",)
 
-    def __post_init__(self):
-        arr = self._freeze(np.float64, "transmission")
+    def __init__(self, transmission):
+        arr = self._freeze(transmission, np.float64, "transmission")
         if not np.isfinite(arr).all():
             raise ValueError("transmission contains non-finite values")
         if (arr < 0.0).any() or (arr > 1.0).any():
@@ -307,28 +331,22 @@ class ObjectScene(_Plane):
         return bool(((t == 0.0) | (t == 1.0)).all())
 
 
-@dataclass(frozen=True, eq=False)
 class ReconImage(_Plane):
     """Real-valued 2-D reconstruction; negative pixels are expected and kept."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        if not np.isfinite(self._freeze(np.float64, "image data")).all():
+    def __init__(self, data):
+        if not np.isfinite(self._freeze(data, np.float64, "image data")).all():
             raise ValueError("image contains non-finite values")
 
 
-@dataclass(frozen=True, eq=False)
 class ObjectMask(_Plane):
     """Boolean ground-truth mask: True inside the transmitting region.
 
     Both classes must be populated, otherwise contrast-to-noise is undefined.
     """
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = self._freeze(np.bool_, "mask")
+    def __init__(self, data):
+        arr = self._freeze(data, np.bool_, "mask")
         if arr.all() or not arr.any():
             raise ValueError("mask must contain at least one inside and one outside pixel")
 
@@ -341,15 +359,13 @@ class ObjectMask(_Plane):
         return self.data.size - self.n_in
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     index: int | None
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     issues: tuple[ValidationIssue, ...]
 
     @property

@@ -142,6 +142,35 @@ def test_a_closed_stdout_exits_120_without_a_traceback(work):
     assert (work / "g2.pgm").exists()
 
 
+@pytest.mark.parametrize("command, output", [
+    (["reconstruct", "--in", "{work}/run.gid", "--method", "g2", "--out", "{work}/g2"], "g2.pgm"),
+    (["diagnose", "--in", "{work}/run.gid", "--out", "{work}/sr.csv"], "sr.csv"),
+], ids=["reconstruct", "diagnose"])
+def test_a_closed_stdout_ends_alike_with_or_without_pythonunbuffered(work, command, output):
+    # Unbuffered, the summary line itself meets the closed pipe; buffered,
+    # the flush at exit does. Both end in exit 120 with one line naming the error.
+    ended = []
+    for unbuffered in (False, True):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(gikit.__file__).resolve().parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        (work / output).unlink(missing_ok=True)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            closed = subprocess.run([sys.executable, "-m", "gikit.cli", *(arg.format(work=work) for arg in command)],
+                                    stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (work / output).exists()
+        ended.append((closed.returncode, closed.stderr))
+    assert ended[0] == ended[1]
+    code, stderr = ended[1]
+    assert code == 120 and stderr.endswith(b"\nBrokenPipeError: [Errno 32] Broken pipe\n"), ended
+    assert b"error:" not in stderr and b"Traceback" not in stderr
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 @pytest.mark.parametrize("command, expected", [
     (["simulate", "--scene", "{work}/scene.pgm", "--n", "300", "--out", "{work}/out.gid"], 0),

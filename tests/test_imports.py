@@ -82,3 +82,29 @@ def test_gikit_simulate_is_the_function_in_any_import_order(workdir, first):
     argv = ["simulate", "--scene", workdir / "scene.pgm", "--n", "8", "--out", workdir / "names.gid"]
     subprocess.run([sys.executable, "-c", NAME_PROBE.format(first=first), *map(str, argv)],
                    env=ENV, check=True, timeout=60)
+
+
+@pytest.mark.parametrize("command, accumulator", [
+    (["reconstruct", "--in", "{work}/run.gid", "--method", "g2", "--out", "{work}/g2"], False),
+    (["reconstruct", "--in", "{work}/run.gid", "--method", "ci", "--out", "{work}/ci"], False),
+    (["diagnose", "--in", "{work}/run.gid", "--out", "{work}/dev.csv"], False),
+    (["reconstruct", "--in", "{work}/run.gid", "--method", "sgi3", "--shift", "2", "--out", "{work}/sgi3"], True),
+    (["reconstruct", "--in", "{work}/run.gid", "--method", "sgi1", "--progressive", "16", "--out", "{work}/sgi1"],
+     True),
+    (["simulate", "--scene", "{work}/scene.pgm", "--n", "16", "--out", "{work}/small.gid"], False),
+    (["sweep", "--scene", "{work}/scene.pgm", "--axis", "drift-kind", "--values", "none,linear", "--n", "16",
+      "--methods", "dgi,ci", "--out", "{work}/kinds"], False),
+    (["sweep", "--scene", "{work}/scene.pgm", "--axis", "noise-mean", "--values", "0,0.1", "--n", "16",
+      "--methods", "g2,sgi2", "--out", "{work}/means"], True),
+], ids=["g2", "ci", "diagnose", "sgi3", "progressive", "simulate", "sweep-classic", "sweep-sgi"])
+def test_only_an_sgi_job_loads_the_accumulator_and_no_command_loads_dataclasses(workdir, command, accumulator):
+    loaded = _cli_imports(*(arg.format(work=workdir) for arg in command))
+    assert "dataclasses" not in loaded
+    assert ("gikit.sgi" in loaded) == accumulator
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    done = subprocess.run([sys.executable, "-c", "import sys, gikit.cli; print(*sys.modules, sep='\\n')"],
+                          env=ENV, capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(done.stdout.splitlines())
+    assert "gikit.cli" in loaded and not loaded & {"dataclasses", "gikit.sgi", "gikit.simulate"}

@@ -193,13 +193,13 @@ def test_dataset_constructor_checks_shapes_and_pixels():
 
 def test_array_routes_build_no_records(monkeypatch, tmp_path):
     built = []
-    post_init = MeasurementRecord.__post_init__
+    init = MeasurementRecord.__init__
 
-    def counting(record):
+    def counting(record, *args):
+        init(record, *args)
         built.append(record.index)
-        post_init(record)
 
-    monkeypatch.setattr(MeasurementRecord, "__post_init__", counting)
+    monkeypatch.setattr(MeasurementRecord, "__init__", counting)
     ds = simulate(binary_demo_scene(8, 8), n=24, seed=2, noise=NoiseModel(std=0.1))
     write_dataset(ds, tmp_path / "run.gid")
     sources = [
