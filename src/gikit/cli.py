@@ -35,6 +35,7 @@ from .errors import GikitError
 from .fileio import (
     ManifestRow,
     _atomic_open,
+    _check_destination,
     _read_sidecar,
     _temporary_path,
     append_manifest_row,
@@ -238,8 +239,9 @@ def cmd_reconstruct(args, parser) -> int:
     header = source.header
     if scene is not None and (scene.width, scene.height) != (header.width, header.height):
         parser.error(f"--scene is {scene.width}x{scene.height} but the frames are {header.width}x{header.height}")
+    _check_destination(f"{args.out}.pgm")  # a missing directory fails before the pass, not after it
     if args.manifest:
-        _read_sidecar(args.manifest)  # a bad sidecar fails before the pass, not after it
+        _read_sidecar(args.manifest)  # so do a bad sidecar and the manifest's directory
 
     start = time.perf_counter()
     passes = _one_job(source, args.method, shift=args.shift, close_loop=args.close_loop, every=args.progressive)
@@ -302,6 +304,7 @@ def cmd_sweep(args, parser) -> int:
     fewest = min(n for _, n, _, _ in points)  # records in the smallest point
     if any(m in SGI_METHODS for m in methods) and fewest <= args.shift:
         parser.error(f"--shift {args.shift} needs more than {args.shift} records, a sweep point has {fewest}")
+    _check_destination(args.out)  # the directory of <out>.csv and <out>.json
     scene = import_scene(args.scene)
 
     # Points of one drift share their frames: one run of the longest point
@@ -342,6 +345,7 @@ def cmd_diagnose(args, parser) -> int:
     source = open_container(args.input)
     if source.n <= args.shift:
         parser.error(f"--shift {args.shift} needs more than {args.shift} records, dataset has {source.n}")
+    _check_destination(args.out)
     s_r, dev = sr_diagnostics(source, args.shift)
     out = Path(args.out)
     with _atomic_open(out, "w", newline="") as fh:

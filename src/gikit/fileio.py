@@ -19,32 +19,27 @@ payload length once, then reads the fixed-stride records a block of the
 grid at a time: the most records that fit in 1 MiB of stored records, at
 most 128, rounded down to a multiple of 8, aligned to record 0. Either
 limit keeps a block's float64 frames near 1 MB: 8 records at 128x128 and
-128 at 32x32 are both 131072 pixels, 56 at 64x64 are 229376. The
-simulator produces its blocks on the same grid, and the sgi accumulator
-sums its pairs in chunks of one block, so it takes each chunk where the
-block already is. The reader converts each block into one float64 block
-buffer that it allocates once and reuses, checking each block for
-non-finite values and negative pixels. The check runs on the stored
-float32 pixels in two scans, ``min() >= 0`` (false for NaN, -inf and
-negative pixels) and ``max() < inf``, plus ``isfinite`` on the buckets; only
-a block that fails is scanned again to tell which error it holds.
-:attr:`Container.buckets` reads the bucket column alone, one 8-byte
+128 at 32x32 are both 131072 pixels, 56 at 64x64 are 229376. The simulator
+produces its blocks on the same grid, and the weighted-sum engine
+(:mod:`gikit.sgi`) sums every method in chunks of one block, so it takes
+each chunk where the block already is. The reader converts each block into
+one float64 block buffer that it allocates once and reuses, checking each
+block for non-finite values and negative pixels. The check runs on the
+stored float32 pixels in two scans, ``min() >= 0`` (false for NaN, -inf
+and negative pixels) and ``max() < inf``, plus ``isfinite`` on the
+buckets; only a block that fails is scanned again to tell which error it
+holds. :attr:`Container.buckets` reads the bucket column alone, one 8-byte
 ``os.pread`` per record, a few thousand records at a time into one float64
-column, and checks it the same way, so ``ci`` can split the records on
-the bucket mean before it reads a frame. No read maps the file: touched
+column, and checks it the same way, so ``ci`` can split the records on the
+bucket mean before it reads a frame. No read maps the file: touched
 file-backed pages would count toward the process's peak RSS.
 :func:`read_dataset` and :func:`decode_dataset` copy the same checked
 blocks into one (n, pixels) stack, as :func:`~gikit.simulate.simulate`
 copies the simulator's blocks; :func:`open_container` hands the blocks out
 one at a time as read-only views of the reused buffer, valid until the
-next block is asked for, which is how the CLI reads: ``reconstruct``,
-``--progressive`` and ``diagnose`` hold the record buffer and the float64
-block buffer (at most 1 MiB and 2 MiB), the classic estimators' weight
-rows one block wide and their O(n) bucket vectors, the frame totals of
-``dgi`` and ``diagnose`` and the output images, or the sgi accumulator's
-``shift`` carried rows and the rows of a chunk that a snapshot or the end
-of the run cut, never the whole frame matrix. With one reused buffer, rather than a fresh block per read, the
-peak RSS does not depend on where the allocator puts each block.
+next block is asked for. That is how the CLI reads, so no command holds
+the whole frame matrix, and with one reused buffer its peak RSS does not
+depend on where the allocator puts each block.
 
 Every write goes through one block writer, :func:`write_container`, which
 takes a header and the same ``(start, buckets, frames)`` blocks and stores
@@ -61,7 +56,7 @@ appended to in place, one row at a time.
 
 from __future__ import annotations
 
-import csv
+import errno
 import io
 import json
 import os
@@ -134,14 +129,28 @@ def _temporary_path(path) -> Path:
     return path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
 
 
+def _check_destination(path) -> None:
+    """Raise ``OSError`` naming the directory that ``path`` is written into
+    unless it exists, so that a command fails before its work."""
+    directory = Path(path).parent
+    if not directory.is_dir():
+        code = errno.ENOTDIR if directory.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(directory))
+
+
 @contextmanager
 def _atomic_open(path, mode: str = "wb", **kwargs):
     """Open a new file beside ``path``; on a clean exit rename it over
-    ``path``, on an exception delete it and leave ``path`` untouched."""
+    ``path``, on an exception delete it and leave ``path`` untouched. A
+    temporary that cannot be made raises the error with ``path`` named."""
     path = Path(path)
     tmp = _temporary_path(path)
     try:
-        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+        fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -501,6 +510,7 @@ def write_manifest(rows, path) -> tuple[Path, Path]:
 
     Column order is fixed; an empty row list produces a header-only CSV.
     """
+    import csv  # only the manifest writers load it
     csv_path, json_path = _manifest_paths(path)
     rows = list(rows)
     with _atomic_open(csv_path, "w", newline="") as fh:
@@ -514,8 +524,10 @@ def write_manifest(rows, path) -> tuple[Path, Path]:
 
 def _read_sidecar(path) -> list:
     """The JSON settings sidecar of manifest ``path``, ``[]`` if there is none
-    yet; one that is not a JSON list raises :class:`FileFormatError`."""
+    yet; one that is not a JSON list raises :class:`FileFormatError`, and a
+    missing directory ``FileNotFoundError``."""
     json_path = _manifest_paths(path)[1]
+    _check_destination(json_path)
     try:
         sidecar = json.loads(json_path.read_text()) if json_path.exists() else []
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
@@ -528,6 +540,7 @@ def _read_sidecar(path) -> list:
 def append_manifest_row(row: ManifestRow, path) -> tuple[Path, Path]:
     """Append one row, creating the CSV/JSON pair on first use; a sidecar
     that is not a JSON list raises :class:`FileFormatError`, touching neither file."""
+    import csv
     csv_path, json_path = _manifest_paths(path)
     sidecar = _read_sidecar(path)
     new_file = not csv_path.exists()

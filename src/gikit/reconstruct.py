@@ -16,13 +16,11 @@ positive subset) and S_i < <S>, with subset sizes N+ and N-. Written as
 weights, the differential cancellation S - (<S>/<R>) R of dgi (Ferri et al.,
 PRL 104, 253603, 2010) runs on N scalars rather than on whole images.
 Only ci needs <S> before it reads a frame: it reads a container's bucket
-column first. Then all four take one pass, filling their rows block by
-block. dgi's means are known only after it, so dgi sums (S - c0 R) / N
-and R / N, c0 the S/R ratio of the first block, and forms
-G = row0 - (<S>/<R> - c0) row1 after it: the cancellation stays on
-scalars. dgi-delta is dgi, R = 1.
-The estimators return images only: the frame totals and their deviations,
-the drift diagnostics, come from :func:`sr_diagnostics`.
+column first. dgi's means are known only after its pass, so dgi sums
+(S - c0 R) / N and R / N, c0 the S/R ratio of the first chunk, and forms
+G = row0 - (<S>/<R> - c0) row1 after it. dgi-delta is dgi, R = 1. The
+drift diagnostics, the frame totals and their deviations, come from
+:func:`sr_diagnostics`.
 
 The successive-deviation estimators replace the ensemble means with the
 record a fixed shift k earlier, over pairs (i+k, i), i = 0..N-k-1. One pair
@@ -42,21 +40,12 @@ giving m = N.
 One generator, :func:`_reconstructions`, makes the passes of every route:
 batch ``reconstruct`` is its one-job case (:func:`_one_job`),
 ``--progressive`` adds snapshot points, and ``gikit sweep`` gives it one
-job per point and method over a (K, n) bucket matrix, K runs over the same
-frames that differ only in their buckets. It stacks every classic job's
-weight rows into one W one block wide, filled afresh from each block, each
-job's rows zero past its record count (the dgi or dgi-delta jobs of one
-count share their second row), so it holds no (rows, N) matrix. It feeds
-every sgi job to one :class:`~gikit.sgi.SgiAccumulator` (``push`` feeds it
-one record), cutting the blocks at the sgi jobs' counts. The accumulator
-sums the pairs in fixed chunks of records, one block of the grid each,
-scattering the pair rule into weights over a chunk and the ``shift`` rows
-before it, with one compensated addition per group of chunks
-(:class:`_CompensatedSum`). It lives in :mod:`gikit.sgi`, with the pair
-rule, and a pass loads it only when it has an sgi job, so the classic
-methods and ``diagnose`` never compile it. Its chunk and group sizes stay
-here: :func:`_chunk_rows`, ``_CHUNK_ROWS`` and ``_GROUP_RECORDS``, read
-when its first block arrives.
+job per point and method over K bucket columns, K runs over the same frames
+that differ only in their buckets. Every job's rows meet the frames in one
+engine, :class:`gikit.sgi._WeightedSum`: one weight matrix and one product
+per chunk of the grid, one compensated addition per group of chunks. The
+order of the sums depends on the record indices alone, so every route and
+block cut gives the same bits for all seven methods.
 """
 
 from __future__ import annotations
@@ -70,7 +59,6 @@ from .errors import (
     DegeneratePartitionError,
     InsufficientRecordsError,
 )
-from .fileio import _GRID_BYTES, _block_rows
 from .types import Dataset, ReconImage, ValidationIssue, ValidationReport, _bucket_report, _Frozen
 
 __all__ = [
@@ -150,7 +138,7 @@ def _bucket_mean(method: str, buckets: np.ndarray) -> float:
 
 def _ci_partition(buckets: np.ndarray) -> tuple[float, int, int]:
     """ci's partition: the threshold <S> and the sizes of the subsets
-    S_i >= <S> and S_i < <S>, from which each block takes its weight rows,
+    S_i >= <S> and S_i < <S>, from which each chunk takes its weight rows,
     the indicators of the two subsets each over the size of its subset."""
     n, threshold = len(buckets), _bucket_mean("ci", buckets)
     n_pos = int(np.count_nonzero(buckets >= threshold))
@@ -189,24 +177,18 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
 
     ``blocks(read_buckets)`` starts a pass over the records as ``(start,
     buckets, frames)`` blocks, buckets (rows,) or (K, rows) and frames
-    (rows, pixels), ending at the largest count; ``read_buckets`` is false
-    when the routine holds the (K, n) bucket matrix ``buckets`` ahead, which
-    only ci needs: unless the caller gives it, a first pass fills it block
-    by block (:func:`_bucket_matrix`). The last pass fills it the same way
-    when a job is classic and nothing gave it ahead, and sums every
-    classic image as one stacked ``W @ M``, one block at a time: W is one
-    block wide, filled afresh from each block, each job's rows zero past its
-    count. g2, dgi and dgi-delta take their rows from the block's buckets,
-    ci from its threshold and subset sizes; the second rows of dgi and
-    dgi-delta, R / N and 1 / N, do not depend on the buckets, so the jobs of
-    one method and count share one. It feeds one
-    :class:`~gikit.sgi.SgiAccumulator` with every sgi job's mode and every
-    bucket column, cut at the sgi jobs' counts and, given ``every``, at each
-    multiple of it. An sgi job's result is yielded as the pass reaches its
-    count, and before that at each multiple of ``every`` that has a pair;
-    the classic results follow the pass.
+    (rows, pixels), ending at the largest count. Only ci needs the (K, n)
+    bucket matrix ``buckets`` ahead: unless the caller gives it, a first
+    pass with ``read_buckets`` true fills it (:func:`_bucket_matrix`). The
+    last pass feeds the engine, cut at the sgi jobs' counts and at each
+    multiple of ``every``; its rule fills every classic job's rows, zero
+    past its count. An sgi result is yielded at its count, and before that
+    at each multiple of ``every`` that has a pair; the classic results
+    follow the pass.
     """
-    stop, pixels = max(count for _, count, _ in jobs), shape[0] * shape[1]
+    from .sgi import _WeightedSum
+
+    stop = max(count for _, count, _ in jobs)
     sgi = [(job, int(method[-1]), count, column)
            for job, (method, count, column) in enumerate(jobs) if method in SGI_METHODS]
     classic = [job for job, (method, _, _) in enumerate(jobs) if method not in SGI_METHODS]
@@ -215,7 +197,7 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
         buckets = _bucket_matrix(blocks(True), stop)
     s_r = np.empty(stop if "dgi" in methods else 0)  # the frame totals R
     frame_totals = {"dgi": s_r, "dgi-delta": np.ones(stop if "dgi-delta" in methods else 0)}  # R of the centred methods
-    rows, fill, seconds, c0, width = {}, [], {}, {}, 0  # rows[job]: its image rows of W; c0[row]: a provisional ratio
+    rows, fill, seconds, c0, width = {}, [], {}, {}, 0  # rows[job]: its image rows; c0[row]: a provisional ratio
     for job in classic:  # fill: (rows, method, count, column, ci's partition or the row R / N)
         method, count, column = jobs[job]
         rows[job] = image = slice(width, width + (2 if method == "ci" else 1))
@@ -225,55 +207,53 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
             width += 1
         fill.append((image, method, count, column,
                      _ci_partition(buckets[column, :count]) if method == "ci" else seconds.get((method, count))))
-    total, term = np.zeros((width, pixels)), np.empty((width, pixels))
-    modes, acc = tuple(dict.fromkeys(mode for _, mode, _, _ in sgi)), None
-    if modes:  # only a pass with an sgi job loads the accumulator
-        from .sgi import SgiAccumulator
-        acc = SgiAccumulator(mode=modes, shift=shift, close_loop=close_loop)
 
+    def rule(w, chunk, start):  # every classic job's weights over the records from start, buckets chunk
+        for (method, count), row in seconds.items():
+            r = frame_totals[method][start : start + max(0, min(count - start, w.shape[1]))]
+            w[row, : len(r)] = r / count
+        for image, method, count, column, extra in fill:
+            s = chunk[column, : max(count - start, 0)]
+            if method == "ci":
+                threshold, n_pos, n_neg = extra
+                w[image, : len(s)] = np.where(s >= threshold, [[1 / n_pos], [0.0]], [[0.0], [1 / n_neg]])
+            elif method == "g2":
+                w[image, : len(s)] = s / count
+            else:
+                r = frame_totals[method][start : start + len(s)]
+                if start == 0:  # from the first chunk; 0 if its frames are dark
+                    ratio = s.sum() / r.sum()
+                    c0[image.start] = ratio if np.isfinite(ratio) else 0.0
+                w[image, : len(s)] = (s - c0[image.start] * r) / count
+
+    engine = _WeightedSum(tuple(dict.fromkeys(mode for _, mode, _, _ in sgi)), shift, close_loop,
+                          rows=width, rule=rule, stop=stop)
     read = buckets is None
     for start, block, frames in blocks(read):
         end = start + len(frames)
         if read and classic:  # the bucket matrix, kept for the classic jobs
             buckets = _hold(buckets, stop, start, block)
         block = np.array(block, ndmin=2) if read and not classic else buckets[:, start:end]  # (K, rows), a copy if read
+        if len(s_r):  # before the rule reads them
+            with np.errstate(all="ignore"):  # the sums are checked after the pass
+                np.sum(frames, axis=1, out=s_r[start:end])
         lo = 0
-        while acc is not None and lo < len(frames):  # cut at the next count or snapshot point
+        while lo < len(frames):  # cut at the next count or snapshot point
             at = start + lo  # the records pushed so far
             hi = min([count for _, _, count, _ in sgi if count > at] + [end]
                      + ([at - at % every + every] if every is not None else [])) - start
-            acc.push_block(at, block[:, lo:hi].T, frames[lo:hi].reshape(hi - lo, *shape))
+            engine.push_block(at, block[:, lo:hi].T, frames[lo:hi].reshape(hi - lo, *shape))
             lo, seen = hi, start + hi
-            live = every is not None and seen % every == 0 and acc.pairs >= 1
+            live = every is not None and seen % every == 0 and engine.pairs >= 1
             due = [(job, mode, column) for job, mode, count, column in sgi if count == seen or live and count > seen]
-            snapshots = acc.snapshots_by_mode() if due else None
+            snapshots = engine.snapshots_by_mode() if due else None
             yield from ((job, seen, snapshots[mode][column]) for job, mode, column in due)
-        if width:
-            w = np.zeros((width, len(frames)))  # W, one block wide: each job's rows are 0 past its count
-            with np.errstate(all="ignore"):  # the sums are checked after the pass
-                if len(s_r):
-                    np.sum(frames, axis=1, out=s_r[start:end])
-                for (method, count), row in seconds.items():
-                    r = frame_totals[method][start : max(start, min(count, end))]
-                    w[row, : len(r)] = r / count
-                for image, method, count, column, extra in fill:
-                    s = block[column, : max(count - start, 0)]
-                    if method == "ci":
-                        threshold, n_pos, n_neg = extra
-                        w[image, : len(s)] = np.where(s >= threshold, [[1 / n_pos], [0.0]], [[0.0], [1 / n_neg]])
-                    elif method == "g2":
-                        w[image, : len(s)] = s / count
-                    else:
-                        r = frame_totals[method][start : start + len(s)]
-                        if start == 0:  # from the first block; 0 if its frames are dark
-                            ratio = s.sum() / r.sum()
-                            c0[image.start] = ratio if np.isfinite(ratio) else 0.0
-                        w[image, : len(s)] = (s - c0[image.start] * r) / count
-                total += np.matmul(w, frames, out=term)
+    if not classic:
+        return
+    total = engine._value(slice(-width, None))  # the classic rows, the last
     for image, method, count, column, second in fill:  # G = (S - c0 R) @ M / N - (<S>/<R> - c0) R @ M / N
         s = buckets[column, :count]
-        if method not in frame_totals:  # g2 and ci take no correction (ci's buckets were checked ahead too)
-            _bucket_report(0, s).raise_if_failed()
+        if method not in frame_totals:  # g2 and ci take no correction; the engine checked the buckets
             continue
         s_mean, r = _bucket_mean(method, s), frame_totals[method][:count]
         _require_no_overflow(r, "the frames", "the frame totals")
@@ -286,6 +266,7 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
             _require_no_overflow((s - ratio * r) / count, culprit, f"the {method} weights")
             total[image] -= (ratio - c0[image.start]) * total[second]
     _require_no_overflow(total, "the buckets or frames", "the weighted frame sums")
+    total.flags.writeable = False  # the images are views of it
     for job in classic:
         method, count, _ = jobs[job]
         yield job, count, ReconResult(method, tuple(ReconImage(row.reshape(shape)) for row in total[rows[job]]), count)
@@ -371,57 +352,3 @@ def sr_diagnostics(source, shift: int = 1) -> tuple[np.ndarray, np.ndarray]:
             np.sum(frames, axis=1, out=s_r[start : start + len(frames)])
     _require_no_overflow(s_r, "the frames", "the frame totals")
     return s_r, s_r[shift:] - s_r[: len(s_r) - shift]
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray, t: np.ndarray, error: np.ndarray) -> None:
-    """Set ``t`` to ``a + b`` and ``error`` to its exact rounding error, by
-    Knuth's branch-free TwoSum (bit for bit Neumaier's branch on magnitudes,
-    in fewer array passes), in place; ``b`` is overwritten."""
-    np.add(a, b, out=t)
-    from_b = np.subtract(t, a, out=error)
-    np.subtract(b, from_b, out=b)
-    np.subtract(t, from_b, out=error)
-    np.subtract(a, error, out=error)
-    error += b  # (a - (t - from_b)) + (b - from_b)
-
-
-class _CompensatedSum:
-    """Elementwise Neumaier-compensated accumulator. :meth:`add` works in
-    buffers allocated once, so adding a term allocates nothing."""
-
-    __slots__ = ("total", "comp", "_spare", "_error")
-
-    def __init__(self, shape):
-        self.total = np.zeros(shape)
-        self.comp = np.zeros(shape)
-        self._spare = np.empty(shape)
-        self._error = np.empty(shape)
-
-    def add(self, values: np.ndarray) -> None:
-        """Add ``values``, overwriting them."""
-        _two_sum(self.total, values, self._spare, self._error)
-        self.total, self._spare = self._spare, self.total
-        self.comp += self._error
-
-    def value(self, *pending: np.ndarray) -> np.ndarray:
-        """The compensated total plus ``pending`` terms, overwriting those
-        terms and the scratch buffers and changing nothing else: each sum
-        goes into the buffer that the term before it has freed."""
-        total, comp, free = self.total, self.comp.copy(), self._spare
-        for values in pending:
-            _two_sum(total, values, free, self._error)
-            total, free = free, values
-            comp += self._error
-        return total + comp
-
-
-_CHUNK_ROWS: int | None = None  # records per summation chunk; None: one block of the grid
-_GROUP_RECORDS = 64  # a compensation group is the fewest whole chunks of at least this many records
-
-
-def _chunk_rows(pixels: int) -> int:
-    """Records per summation chunk: ``_CHUNK_ROWS``, or one block of the
-    grid that the container reader and the simulator cut a run on, at the
-    grid's own block size, so a reader set to other blocks sums the same
-    chunks."""
-    return _CHUNK_ROWS or _block_rows(pixels, _GRID_BYTES)

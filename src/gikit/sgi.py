@@ -1,32 +1,74 @@
-"""The successive-deviation accumulator, which a pass loads only when it
-has an sgi job.
-
-:class:`SgiAccumulator` sums the pairs of the pair rule
-(:func:`_pair_coefficients`; the rule is set out in
-:mod:`gikit.reconstruct`) in fixed chunks of records aligned to record 0,
-each pair in the chunk of its newer record. A chunk is one block of the
-grid that the container reader and the simulator cut a run on, so a chunk
-that arrives whole is summed where its block already is, as
-``W[:, shift:] @ chunk_rows + W[:, :shift] @ carried_rows``. The chunks of
-a group, the fewest whole chunks of at least 64 records, add up plainly,
-and each group takes one Neumaier-compensated addition. Only a chunk that
-a block cuts is staged first. The summation order depends only on record
-indices, so every route and block cut gives the same bits. The chunk and
-group sizes and the compensated sum are read from :mod:`gikit.reconstruct`
-when the first block arrives (``_chunk_rows``, ``_CHUNK_ROWS``,
-``_GROUP_RECORDS``, ``_CompensatedSum``).
+"""The weighted-sum engine, :class:`_WeightedSum`, where the weight rows of
+every pass meet the frames, and the successive-deviation accumulator built
+on it. The formulas of the seven estimators are in :mod:`gikit.reconstruct`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import reconstruct as _reconstruct
 from .errors import InsufficientRecordsError
+from .fileio import _GRID_BYTES, _block_rows
 from .reconstruct import SGI_MODES, ReconResult, _require_no_overflow
 from .types import MeasurementRecord, ReconImage, _bucket_report
 
 __all__ = ["SgiAccumulator"]
+
+_CHUNK_ROWS: int | None = None  # records per summation chunk; None: one block of the grid
+_GROUP_RECORDS = 64  # a compensation group is the fewest whole chunks of at least this many records
+
+
+def _chunk_rows(pixels: int) -> int:
+    """Records per summation chunk: ``_CHUNK_ROWS``, or one block of the
+    grid, at the grid's own block size, so a reader set to other blocks sums
+    the same chunks."""
+    return _CHUNK_ROWS or _block_rows(pixels, _GRID_BYTES)
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray, t: np.ndarray, error: np.ndarray) -> None:
+    """Set ``t`` to ``a + b`` and ``error`` to its exact rounding error, by
+    Knuth's branch-free TwoSum (bit for bit Neumaier's branch on magnitudes,
+    in fewer array passes), in place; ``b`` is overwritten."""
+    np.add(a, b, out=t)
+    from_b = np.subtract(t, a, out=error)
+    np.subtract(b, from_b, out=b)
+    np.subtract(t, from_b, out=error)
+    np.subtract(a, error, out=error)
+    error += b  # (a - (t - from_b)) + (b - from_b)
+
+
+class _CompensatedSum:
+    """Elementwise Neumaier-compensated accumulator. :meth:`add` works in
+    buffers allocated once, so adding a term allocates nothing; the error
+    buffer may be the caller's scratch."""
+
+    __slots__ = ("total", "comp", "_spare", "_error")
+
+    def __init__(self, shape, error: np.ndarray | None = None):
+        self.total = np.zeros(shape)
+        self.comp = np.zeros(shape)
+        self._spare = np.empty(shape)
+        self._error = np.empty(shape) if error is None else error
+
+    def add(self, values: np.ndarray) -> None:
+        """Add ``values``, overwriting them and the error buffer."""
+        _two_sum(self.total, values, self._spare, self._error)
+        self.total, self._spare = self._spare, self.total
+        self.comp += self._error
+
+    def value(self, *pending: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """The compensated total of ``rows`` plus ``pending`` terms of those
+        rows, in the term last added, changing nothing but the terms and the
+        scratch buffers."""
+        total = state = self.total[rows]
+        comp, free, error = self.comp[rows], self._spare[rows], self._error[rows]
+        for values in pending:
+            if free is None:
+                free = np.empty_like(total)
+            _two_sum(total, values, free, error)
+            comp = np.add(comp, error, out=values)
+            total, free = free, (None if total is state else total)
+        return np.add(total, comp, out=comp if pending else None)
 
 
 def _pair_coefficients(mode: int, s_new, s_old) -> tuple[np.ndarray, np.ndarray]:
@@ -45,71 +87,39 @@ def _pair_coefficients(mode: int, s_new, s_old) -> tuple[np.ndarray, np.ndarray]
     return np.array([s_new, s_old]), np.array([-s_new, -s_old])
 
 
-class SgiAccumulator:
-    """Streaming state for the successive-deviation estimators.
+class _WeightedSum:
+    """The engine: weighted sums of frame rows over records pushed in order
+    (:meth:`push_block`), in fixed chunks aligned to record 0, one block of
+    the grid each, so a chunk that arrives whole is summed where its block
+    is; only one that blocks cut is staged. Each chunk takes one weight
+    matrix W and one product; the chunks of a group, at least 64 records,
+    add up plainly, and each group takes one compensated addition. The order
+    depends on the record indices alone: every route and cut gives the same
+    bits.
 
-    ``mode`` is one of :data:`SGI_MODES`, or a tuple of them: several modes
-    then share one pass, their coefficient rows stacked into one weight
-    matrix, and :meth:`snapshots_by_mode` gives each mode's results. Records
-    arrive in order, in blocks (:meth:`push_block`) or one at a time
-    (:meth:`push`). A block's buckets are a vector, or a (rows, K) matrix of
-    K bucket columns over the same frames: K runs that differ only in their
-    buckets then share one product per chunk, and :meth:`snapshots` gives
-    one result per column.
-
-    Pairs are summed in fixed chunks of records aligned to record 0, each
-    pair in the chunk of its newer record. A chunk is one block of the grid
-    that the container reader and the simulator cut on, so a chunk that
-    arrives whole inside one block is summed straight from that block's
-    rows: its term is ``W[:, shift:] @ chunk_rows + W[:, :shift] @
-    carried_rows``, where the carried rows are copies of the ``shift``
-    records before the chunk. The chunks of a group, the fewest whole
-    chunks of at least 64 records, add up plainly in a group buffer, which
-    takes one compensated addition when the group closes. Only a chunk that
-    a block cuts (one-record pushes, snapshot points, the end of the
-    stream) is staged, its rows copied into a buffer until it is whole or a
-    snapshot adds the part that has arrived to the open group. The term
-    depends on the record indices alone, so every route and block cut gives
-    the same bits.
-
-    The state is the carried rows, the rows of a cut chunk while it fills
-    (at most one chunk), the chunk's bucket, weight, term and group buffers,
-    the compensation buffers and a copy of the first record when
-    ``close_loop`` is set. It is allocated with the first block and reused,
-    so pushing allocates no (images, pixels) array and the state does not
-    grow with the number of records. A snapshot never mutates the
-    accumulator, so periodic snapshots give real-time reconstruction.
-    Single-writer: push from one thread.
+    The rows of W are the pair rows of the sgi ``modes``, one per image and
+    bucket column, then ``rows`` rows that ``rule(weights, buckets, start)``
+    fills, zero where it writes none, over the chunk's records from
+    ``start``. The pair rule also weights the ``shift`` carried rows before
+    the chunk: its term is ``W[:, shift:] @ chunk + W[:, :shift] @ carried``.
+    A pass that ends at ``stop`` sums its last chunk where it arrives.
+    Reading (:meth:`snapshots_by_mode`, :meth:`_value`) never mutates the
+    state, which does not grow with the number of records.
     """
 
-    def __init__(self, mode=1, shift: int = 1, close_loop: bool = False):
-        modes = (mode,) if np.ndim(mode) == 0 else tuple(mode)
-        if not modes or len(set(modes)) != len(modes) or any(m not in SGI_MODES for m in modes):
-            raise ValueError(f"mode must be one of {SGI_MODES} or a tuple of distinct ones, got {mode!r}")
-        if shift < 1:
+    def __init__(self, modes=(), shift: int = 1, close_loop: bool = False, *, rows: int = 0, rule=None, stop=None):
+        if modes and shift < 1:
             raise ValueError(f"shift must be >= 1, got {shift}")
-        if close_loop and shift != 1:
+        if modes and close_loop and shift != 1:
             # Open interpretation: the wrap-around pair is only defined for
             # unit shift; how it generalizes to k > 1 is unspecified.
             raise ValueError("close_loop is only defined for shift=1")
-        self.mode = mode
-        self.modes = modes
-        self.shift = shift
-        self.close_loop = close_loop
-        self._images = sum(1 if m == 1 else 2 for m in modes)  # image rows of all modes
-        self._shape: tuple[int, int] | None = None
-        self._columns: int | None = None  # K, the number of bucket columns
-        self._chunk = 0
-        self._carried: np.ndarray | None = None  # (shift, pixels): the records before the chunk
-        self._staged: np.ndarray | None = None  # (rows, pixels): the arrived rows of a cut chunk
-        self._buckets: np.ndarray | None = None  # (K, shift + chunk): the carried records', then the chunk's
-        self._weights: np.ndarray | None = None  # flat room for the (images, K, shift + chunk) weights
-        self._group_rows = 0  # records per compensation group, a whole number of chunks
-        self._term: np.ndarray | None = None  # (images * K, pixels): a product of a chunk's rows
-        self._group: np.ndarray | None = None  # the same shape: the plain sum of the open group's chunks
-        self._sum: _reconstruct._CompensatedSum | None = None
-        self._first: tuple[np.ndarray, np.ndarray] | None = None
-        self._seen = 0
+        self.modes, self.shift, self.close_loop = modes, shift, close_loop
+        self._images = sum(1 if m == 1 else 2 for m in modes)  # pair image rows per bucket column
+        self._carry = shift if modes else 0  # records carried before each chunk
+        self._rule_rows, self._rule, self._stop = rows, rule, stop
+        self._shape = self._columns = self._staged = self._first = None  # set from the first block
+        self._seen = self._summed = 0  # records pushed, and summed into the group or the total
 
     @property
     def pairs(self) -> int:
@@ -118,10 +128,6 @@ class SgiAccumulator:
     @property
     def records_seen(self) -> int:
         return self._seen
-
-    def push(self, record: MeasurementRecord) -> None:
-        """Add one record, as a one-row :meth:`push_block`."""
-        self.push_block(record.index, np.array([record.bucket]), record.frame.data[np.newaxis])
 
     def push_block(self, start: int, buckets, frames) -> None:
         """Add records ``start`` .. ``start + rows - 1`` from buckets (rows,)
@@ -146,47 +152,55 @@ class SgiAccumulator:
             return
         rows = frames.reshape(len(frames), -1)
         if self._shape is None:
-            self._shape, self._chunk = frames.shape[1:], _reconstruct._chunk_rows(rows.shape[1])
-            self._group_rows = self._chunk * -(-_reconstruct._GROUP_RECORDS // self._chunk)
-            self._columns = len(columns)
-            # Zeros: the rows before record 0 take weight 0, and 0 * NaN would be NaN.
-            self._carried = np.zeros((self.shift, rows.shape[1]))
-            self._buckets = np.zeros((self._columns, self.shift + self._chunk))
-            self._weights = np.empty(self._images * self._columns * (self.shift + self._chunk))
-            self._term = np.empty((self._images * self._columns, rows.shape[1]))
-            self._group = np.empty_like(self._term)
-            self._sum = _reconstruct._CompensatedSum(self._term.shape)
-            self._first = (columns[:, 0].copy(), rows[0].copy()) if self.close_loop else None
+            self._allocate(frames.shape[1:], columns, rows)
         chunk = self._chunk
         cuts = range(chunk - start % chunk, len(rows), chunk)  # where a chunk fills
         for lo, hi in zip((0, *cuts), (*cuts, len(rows))):
-            at = (start + lo) % chunk  # rows of the chunk that came before
-            self._buckets[:, self.shift + at : self.shift + at + hi - lo] = columns[:, lo:hi]
+            at = start + lo - self._summed  # rows of the chunk that came before
+            self._buckets[:, self._carry + at : self._carry + at + hi - lo] = columns[:, lo:hi]
             self._seen = start + hi
-            whole = hi - lo == chunk
-            if not whole:
+            ends = self._seen % chunk == 0 or self._seen == self._stop
+            if not (ends and at == 0):  # a chunk that arrives whole is summed where it is
                 self._stage(at, rows[lo:hi])
-            if self._seen % chunk == 0:
-                chunk_rows = rows[lo:hi] if whole else self._staged
-                opens = (self._seen - chunk) % self._group_rows == 0
-                with np.errstate(over="ignore", invalid="ignore"):  # a snapshot checks the sums
-                    self._chunk_term(chunk, chunk_rows, self._group, opens)
+            if ends:
+                filled, chunk_rows = self._seen - self._summed, rows[lo:hi] if at == 0 else self._staged
+                with np.errstate(all="ignore"):  # a read checks the sums
+                    self._chunk_term(filled, chunk_rows, self._group, self._summed % self._group_rows == 0)
                     if self._seen % self._group_rows == 0:  # the group closes: one compensated addition
                         self._sum.add(self._group)
-                self._carry(chunk_rows)
+                self._summed = self._seen
+                if self._carry:
+                    self._carry_rows(chunk_rows, filled)
                 self._staged = chunk_rows = None
+
+    def _allocate(self, shape: tuple[int, int], buckets: np.ndarray, rows: np.ndarray) -> None:
+        """The state, at the first block: frames of ``shape``, ``buckets``
+        (K, rows) and frame ``rows``."""
+        (columns, _), pixels = buckets.shape, rows.shape[1]
+        self._shape, self._columns, self._chunk = shape, columns, _chunk_rows(pixels)
+        self._group_rows = self._chunk * -(-_GROUP_RECORDS // self._chunk)  # whole chunks
+        self._pair_rows = self._images * columns
+        width = self._carry + self._chunk  # the carried records' columns, then the chunk's
+        # Zeros: the rows before record 0 take weight 0, and 0 * NaN would be NaN.
+        self._carried, self._buckets = np.zeros((self._carry, pixels)), np.zeros((columns, width))
+        self._weights = np.empty((self._pair_rows + self._rule_rows) * width)
+        self._term = np.empty((self._pair_rows + self._rule_rows, pixels))  # scratch, and the sum's error
+        self._group = np.empty_like(self._term)  # the plain sum of the open group's chunks
+        self._sum = _CompensatedSum(self._term.shape, error=self._term)
+        self._first = (buckets[:, 0].copy(), rows[0].copy()) if self.close_loop else None
 
     def _stage(self, at: int, rows: np.ndarray) -> None:
         """Copy ``rows`` into the staged rows of the cut chunk after its
-        first ``at``. The buffer holds just the rows that have arrived, so
-        the cut end of a stream costs its own rows; when more arrive it
-        grows in place to a whole chunk, so no second buffer is held while
-        it grows. Where something else still refers to it, numpy will not
-        move it; the rows are then copied to a new buffer, and the old one
-        stays valid for its holder. It is dropped once its chunk is summed."""
+        first ``at``. A pass, which knows its ``stop``, makes the buffer for
+        the chunk's rows up to it at once, so it never grows. A stream's
+        buffer holds just the rows that have arrived, so its cut end costs
+        its own rows, and grows in place (or, where something else refers
+        to it, into a copy) as more arrive. It is dropped once its chunk is
+        summed."""
         end = at + len(rows)
         if self._staged is None:
-            self._staged = np.empty((end, rows.shape[1]))
+            ahead = end if self._stop is None else min(self._chunk, self._stop - self._summed)
+            self._staged = np.empty((ahead, rows.shape[1]))
         elif len(self._staged) < end:
             staged, self._staged = self._staged, None  # numpy resizes only an array held once
             try:  # in place, keeping the first rows
@@ -197,71 +211,88 @@ class SgiAccumulator:
             self._staged = staged
         self._staged[at:end] = rows
 
-    def _carry(self, rows: np.ndarray) -> None:
-        """After a full chunk of ``rows``, carry the last ``shift`` records
-        into the next chunk."""
-        shift, chunk = self.shift, self._chunk
-        keep = min(shift, chunk)
+    def _carry_rows(self, rows: np.ndarray, filled: int) -> None:
+        """After a chunk of ``filled`` ``rows`` is summed, carry its last
+        ``shift`` records into the next chunk."""
+        shift = self._carry
+        keep = min(shift, filled)
         self._carried[: shift - keep] = self._carried[keep:]
-        self._carried[shift - keep :] = rows[chunk - keep : chunk]
-        self._buckets[:, :shift] = self._buckets[:, chunk:]
+        self._carried[shift - keep :] = rows[filled - keep : filled]
+        self._buckets[:, :shift] = self._buckets[:, filled : filled + shift]
 
-    def _chunk_term(self, filled: int, rows: np.ndarray, out: np.ndarray, opens: bool) -> None:
-        """Add to ``out``, or write into it if the chunk ``opens`` a group,
-        the summed terms, (images * K, pixels), of the pairs whose newer
-        record is among the ``filled`` rows of the current chunk, given as
-        ``rows``; row i * K + j is image i of bucket column j, the images of
-        the modes one after another. The term buffer is scratch."""
-        shift, end = self.shift, self.shift + filled
-        # Bucket column c holds record c + chunk start - shift, and the
-        # first record with a partner is the chunk start or record ``shift``.
-        chunk_start = self._seen - filled
-        first_new = max(shift, 2 * shift - chunk_start)
+    def _pair_weights(self, weights: np.ndarray) -> None:
+        """Add the pair rule's weights into the zeroed pair rows ``weights``,
+        (images * K, shift + filled): row i * K + j is image i of bucket
+        column j, the images of the modes one after another, and column c is
+        record c + summed - shift."""
+        shift, end = self.shift, weights.shape[1]
+        first_new = max(shift, 2 * shift - self._summed)  # the chunk start or record shift
         new, old = slice(first_new, end), slice(first_new - shift, end - shift)
-        weights = self._weights[: self._images * self._columns * end].reshape(self._images, self._columns, end)
-        weights.fill(0.0)
+        weights = weights.reshape(self._images, self._columns, end)
         image = 0
         for mode in self.modes:
             c_new, c_old = _pair_coefficients(mode, self._buckets[:, new], self._buckets[:, old])
             weights[image : image + len(c_new), :, new] += c_new
             weights[image : image + len(c_new), :, old] += c_old
             image += len(c_new)
-        weights = weights.reshape(-1, end)
+
+    def _chunk_term(self, filled: int, rows: np.ndarray, out: np.ndarray, opens: bool, part=slice(None)) -> None:
+        """Add to ``out``, or write into it if the chunk ``opens`` a group,
+        the summed terms of the weight rows ``part`` (all, the pair rows or
+        the rule's rows) over the chunk's ``filled`` rows, given as ``rows``.
+        The term buffer is scratch."""
+        carry, end, pair = self._carry, self._carry + filled, self._pair_rows
+        weights = self._weights[: len(self._term) * end].reshape(-1, end)
+        lo, hi, _ = part.indices(len(weights))
+        weights[lo:hi].fill(0.0)
+        if lo < pair:
+            self._pair_weights(weights[:pair])
+        if hi > pair:
+            self._rule(weights[pair:, carry:], self._buckets[:, carry:end], self._summed)
+        weights, term = weights[lo:hi], self._term[lo:hi]
         if opens:
-            np.matmul(weights[:, shift:], rows[:filled], out=out)
+            np.matmul(weights[:, carry:], rows[:filled], out=out)
         else:
-            out += np.matmul(weights[:, shift:], rows[:filled], out=self._term)
-        if chunk_start:  # the first chunk has no records before it; one carried row needs no sum
-            out += (np.multiply(weights[:, :1], self._carried, out=self._term) if shift == 1
-                    else np.matmul(weights[:, :shift], self._carried, out=self._term))
+            out += np.matmul(weights[:, carry:], rows[:filled], out=term)
+        if self._summed and lo < pair:  # the first chunk has no records before it; one carried row needs no sum
+            out[:pair] += (np.multiply(weights[:pair, :1], self._carried, out=term[:pair]) if carry == 1
+                           else np.matmul(weights[:pair, :carry], self._carried, out=term[:pair]))
+
+    def _value(self, part, *extra: np.ndarray) -> np.ndarray:
+        """The sums of the weight rows ``part`` over the records pushed so
+        far, plus ``extra`` terms of those rows: a new (rows, pixels) array."""
+        filled, grouped = self._seen - self._summed, self._summed % self._group_rows
+        pending = []
+        with np.errstate(all="ignore"):
+            if grouped or filled:  # the open group and the cut chunk, as one term
+                pending.append(self._group[part].copy() if grouped else np.empty_like(self._group[part]))
+                if filled:
+                    self._chunk_term(filled, self._staged, pending[0], not grouped, part)
+            return self._sum.value(*pending, *extra, rows=part)
 
     def snapshots_by_mode(self) -> dict[int, list[ReconResult]]:
         """Reconstruction over the pairs seen so far: for each mode, one
         result per bucket column, each equal to the batch result of its
-        column."""
+        column. The images are read-only views of one new array."""
         use_loop = self.close_loop and self._seen >= 2
         pairs = self.pairs + use_loop
         if pairs < 1:
             raise InsufficientRecordsError(
                 f"no pairs yet: {self._seen} records pushed with shift={self.shift}"
             )
-        filled = self._seen % self._chunk
-        grouped = self._seen % self._group_rows - filled  # records of the open group's whole chunks
-        pending = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            if grouped or filled:  # the open group and the cut chunk, as one term
-                pending.append(self._group.copy() if grouped else np.empty_like(self._group))
-                if filled:
-                    self._chunk_term(filled, self._staged, pending[0], opens=not grouped)
+        loop = []
+        with np.errstate(all="ignore"):
             if use_loop:
-                last = self.shift + filled - 1  # the bucket column of the last record
+                filled = self._seen - self._summed
                 row = self._staged[filled - 1] if filled else self._carried[-1]
-                loop = []
-                for mode in self.modes:
-                    c_new, c_old = _pair_coefficients(mode, self._buckets[:, last], self._first[0])
+                for mode in self.modes:  # the bucket column of the last record is shift + filled - 1
+                    c_new, c_old = _pair_coefficients(mode, self._buckets[:, self.shift + filled - 1], self._first[0])
                     loop.append(c_new[..., np.newaxis] * row + c_old[..., np.newaxis] * self._first[1])
-                pending.append(np.concatenate(loop).reshape(self._term.shape))
-            totals = self._sum.value(*pending).reshape(-1, self._columns, *self._shape) / pairs
+                loop = [np.concatenate(loop).reshape(self._pair_rows, -1)]
+            totals = self._value(slice(0, self._pair_rows), *loop)
+            np.divide(totals, pairs, out=totals)
+        totals.flags.writeable = False
+        totals = totals.reshape(-1, self._columns, *self._shape)
         results, image = {}, 0
         for mode in self.modes:
             images = totals[image : image + (1 if mode == 1 else 2)]
@@ -270,6 +301,30 @@ class SgiAccumulator:
             results[mode] = [ReconResult(f"sgi{mode}", tuple(map(ReconImage, images[:, j])), pairs)
                              for j in range(self._columns)]
         return results
+
+
+class SgiAccumulator(_WeightedSum):
+    """Streaming state for the successive-deviation estimators.
+
+    ``mode`` is one of :data:`SGI_MODES`, or a tuple of them that share one
+    pass (:meth:`snapshots_by_mode`). Records arrive in order, in blocks
+    (:meth:`push_block`) or one at a time (:meth:`push`). A block's buckets
+    are a vector, or a (rows, K) matrix: K runs over the same frames that
+    share one product per chunk, one result each (:meth:`snapshots`). A
+    snapshot never mutates the state, so periodic snapshots give real-time
+    reconstruction. Single-writer: push from one thread.
+    """
+
+    def __init__(self, mode=1, shift: int = 1, close_loop: bool = False):
+        modes = (mode,) if np.ndim(mode) == 0 else tuple(mode)
+        if not modes or len(set(modes)) != len(modes) or any(m not in SGI_MODES for m in modes):
+            raise ValueError(f"mode must be one of {SGI_MODES} or a tuple of distinct ones, got {mode!r}")
+        super().__init__(modes, shift, close_loop)
+        self.mode = mode
+
+    def push(self, record: MeasurementRecord) -> None:
+        """Add one record, as a one-row :meth:`push_block`."""
+        self.push_block(record.index, np.array([record.bucket]), record.frame.data[np.newaxis])
 
     def snapshots(self) -> list[ReconResult]:
         """Reconstruction over the pairs seen so far of the accumulator's

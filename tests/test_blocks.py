@@ -21,7 +21,7 @@ from gikit import (
     read_dataset,
 )
 from gikit.cli import main
-from gikit.reconstruct import reconstruct
+from gikit.reconstruct import METHODS, reconstruct
 
 BLOCK_ROWS = 5
 SIDE = 12
@@ -110,6 +110,18 @@ def test_classic_container_images_byte_equal_in_memory(tmp_path, scene_pgm, smal
     expected = reconstruct(_InMemoryBlocks(read_dataset(gid)), method)
     assert [image.data.tobytes() for image in got.images] == [image.data.tobytes() for image in expected.images]
     assert got.count == expected.count
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_read_route_gives_the_same_bits(tmp_path, scene_pgm, small_blocks, method):
+    # A whole Dataset is one block; the container comes in blocks of 5
+    # records, across the chunks of 128 that every method sums: 300 records
+    # make two whole chunks and a cut one.
+    gid = _simulate(tmp_path, scene_pgm, 300)
+    whole = reconstruct(read_dataset(gid), method)
+    blocks = reconstruct(open_container(gid), method)
+    assert [image.data.tobytes() for image in blocks.images] == [image.data.tobytes() for image in whole.images]
+    assert blocks.count == whole.count
 
 
 @pytest.mark.parametrize("n", [17, 64])

@@ -692,7 +692,7 @@ def test_sweep_rows_equal_reconstructions_of_each_point(tmp_path, scene_pgm, mon
     # reconstructed alone; blocks of 40 and chunks of 56 records cut the
     # passes at other records than the points' counts.
     monkeypatch.setattr(gikit.fileio, "_BLOCK_BYTES", 40 * (8 + 4 * 144))
-    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", 56)
+    monkeypatch.setattr(gikit.sgi, "_CHUNK_ROWS", 56)
     out = tmp_path / "sweep"
     assert main(["sweep", "--scene", str(scene_pgm), "--methods", methods,
                  "--n", "200", "--noise-std", "0.05", "--shift", "2", "--seed", "8", "--out", str(out)]
@@ -768,3 +768,44 @@ def test_reconstruct_of_an_unparseable_provenance_leaves_its_columns_empty(tmp_p
                  "--out", str(tmp_path / "rec")]) == 0
     [row] = csv.DictReader((tmp_path / "log.csv").read_text().splitlines())
     assert (row["n"], row["drift_kind"], row["noise_mean"]) == ("8", "", "")
+
+
+@pytest.mark.parametrize("out, flags", [
+    ("nodir/x", ["--method", "g2"]),
+    ("nodir/p", ["--method", "sgi1", "--progressive", "8"]),
+    ("x", ["--method", "dgi", "--manifest", "nodir/log"]),
+], ids=["batch", "progressive", "manifest"])
+def test_reconstruct_into_a_missing_directory_fails_before_reading(tmp_path, scene_pgm, monkeypatch, capsys,
+                                                                    out, flags):
+    gid = _simulate(tmp_path, scene_pgm)
+    monkeypatch.chdir(tmp_path)
+    reads = []
+    monkeypatch.setattr(gikit.fileio.Container, "blocks", lambda self: reads.append(self) or iter(()))
+    assert main(["reconstruct", "--in", str(gid), "--out", out, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 2] No such file or directory: 'nodir'\n"
+    assert reads == []
+
+
+def test_diagnose_into_a_missing_directory_names_it(tmp_path, scene_pgm, monkeypatch, capsys):
+    gid = _simulate(tmp_path, scene_pgm)
+    monkeypatch.chdir(tmp_path)
+    assert main(["diagnose", "--in", str(gid), "--out", "nodir/sr.csv"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: 'nodir'\n"
+
+
+def test_simulate_into_a_missing_directory_names_its_output(tmp_path, scene_pgm, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--scene", str(scene_pgm), "--n", "8", "--out", "nodir/r.gid"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: 'nodir/r.gid'\n"
+
+
+def test_sweep_into_a_missing_directory_fails_before_simulating(tmp_path, scene_pgm, monkeypatch, capsys):
+    simulation = importlib.import_module("gikit.simulate").Simulation
+    runs = []
+    monkeypatch.setattr(simulation, "blocks", lambda self: runs.append(self) or iter(()))
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--scene", str(scene_pgm), "--axis", "noise-mean", "--values", "0,0.1",
+                 "--methods", "g2,sgi1", "--n", "16", "--out", "nodir/s"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: 'nodir'\n"
+    assert runs == []

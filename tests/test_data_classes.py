@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-import gikit.reconstruct
+import gikit.sgi
 from gikit import (
     CnrReport,
     Dataset,
@@ -263,15 +263,15 @@ def test_sweep_points_keep_the_models_checks(tmp_path, capsys, axis, values, dri
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_the_chunk_size_is_read_from_the_reconstruct_module(monkeypatch):
-    # Several tests shrink the accumulator's chunks through these names; a
-    # patch that no longer reached it would leave them at the default size.
-    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", 8)
-    monkeypatch.setattr(gikit.reconstruct, "_GROUP_RECORDS", 16)
+def test_the_chunk_size_is_read_from_the_engine_module(monkeypatch):
+    # Several tests shrink the engine's chunks through these names; a patch
+    # that no longer reached it would leave them at the default size.
+    monkeypatch.setattr(gikit.sgi, "_CHUNK_ROWS", 8)
+    monkeypatch.setattr(gikit.sgi, "_GROUP_RECORDS", 16)
     acc = SgiAccumulator(mode=1)
     acc.push_block(0, np.ones(20), np.ones((20, 2, 2)))
     assert (acc._chunk, acc._group_rows, len(acc._staged)) == (8, 16, 4)
-    monkeypatch.setattr(gikit.reconstruct, "_chunk_rows", lambda pixels: 5)
+    monkeypatch.setattr(gikit.sgi, "_chunk_rows", lambda pixels: 5)
     acc = SgiAccumulator(mode=1)
     acc.push_block(0, np.ones(12), np.ones((12, 2, 2)))
     assert (acc._chunk, len(acc._staged)) == (5, 2)

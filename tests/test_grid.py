@@ -10,7 +10,8 @@ import pytest
 
 from gikit import binary_demo_scene, open_container, write_container
 from gikit.fileio import _block_rows
-from gikit.reconstruct import _chunk_rows, _reconstructions
+from gikit.reconstruct import _reconstructions
+from gikit.sgi import _chunk_rows
 from gikit.simulate import Simulation
 
 

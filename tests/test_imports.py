@@ -84,23 +84,25 @@ def test_gikit_simulate_is_the_function_in_any_import_order(workdir, first):
                    env=ENV, check=True, timeout=60)
 
 
-@pytest.mark.parametrize("command, accumulator", [
-    (["reconstruct", "--in", "{work}/run.gid", "--method", "g2", "--out", "{work}/g2"], False),
-    (["reconstruct", "--in", "{work}/run.gid", "--method", "ci", "--out", "{work}/ci"], False),
+@pytest.mark.parametrize("command, engine", [
+    (["reconstruct", "--in", "{work}/run.gid", "--method", "g2", "--out", "{work}/g2"], True),
+    (["reconstruct", "--in", "{work}/run.gid", "--method", "ci", "--out", "{work}/ci"], True),
     (["diagnose", "--in", "{work}/run.gid", "--out", "{work}/dev.csv"], False),
     (["reconstruct", "--in", "{work}/run.gid", "--method", "sgi3", "--shift", "2", "--out", "{work}/sgi3"], True),
     (["reconstruct", "--in", "{work}/run.gid", "--method", "sgi1", "--progressive", "16", "--out", "{work}/sgi1"],
      True),
     (["simulate", "--scene", "{work}/scene.pgm", "--n", "16", "--out", "{work}/small.gid"], False),
     (["sweep", "--scene", "{work}/scene.pgm", "--axis", "drift-kind", "--values", "none,linear", "--n", "16",
-      "--methods", "dgi,ci", "--out", "{work}/kinds"], False),
+      "--methods", "dgi,ci", "--out", "{work}/kinds"], True),
     (["sweep", "--scene", "{work}/scene.pgm", "--axis", "noise-mean", "--values", "0,0.1", "--n", "16",
       "--methods", "g2,sgi2", "--out", "{work}/means"], True),
 ], ids=["g2", "ci", "diagnose", "sgi3", "progressive", "simulate", "sweep-classic", "sweep-sgi"])
-def test_only_an_sgi_job_loads_the_accumulator_and_no_command_loads_dataclasses(workdir, command, accumulator):
+def test_only_an_sgi_job_loads_the_accumulator_and_no_command_loads_dataclasses(workdir, command, engine):
+    # gikit.sgi holds the accumulator and the engine that every pass sums
+    # with: each reconstruct and sweep loads it, diagnose and simulate never.
     loaded = _cli_imports(*(arg.format(work=workdir) for arg in command))
     assert "dataclasses" not in loaded
-    assert ("gikit.sgi" in loaded) == accumulator
+    assert ("gikit.sgi" in loaded) == engine
 
 
 def test_importing_the_cli_loads_no_dataclasses():
@@ -108,3 +110,19 @@ def test_importing_the_cli_loads_no_dataclasses():
                           env=ENV, capture_output=True, text=True, timeout=60, check=True)
     loaded = set(done.stdout.splitlines())
     assert "gikit.cli" in loaded and not loaded & {"dataclasses", "gikit.sgi", "gikit.simulate"}
+
+
+@pytest.mark.parametrize("command, writes_manifest", [
+    (["reconstruct", "--in", "{work}/run.gid", "--method", "dgi", "--out", "{work}/dgi"], False),
+    (["reconstruct", "--in", "{work}/run.gid", "--method", "sgi1", "--progressive", "16", "--out", "{work}/sgi1"],
+     False),
+    (["diagnose", "--in", "{work}/run.gid", "--out", "{work}/dev.csv"], False),
+    (["reconstruct", "--in", "{work}/run.gid", "--method", "g2", "--manifest", "{work}/csvlog", "--out", "{work}/g2"],
+     True),
+    (["sweep", "--scene", "{work}/scene.pgm", "--axis", "noise-mean", "--values", "0,0.1", "--n", "16",
+      "--methods", "g2", "--out", "{work}/csvsweep"], True),
+], ids=["reconstruct", "progressive", "diagnose", "manifest", "sweep"])
+def test_only_the_manifest_writers_load_csv(workdir, command, writes_manifest):
+    loaded = _cli_imports(*(arg.format(work=workdir) for arg in command))
+    assert ("csv" in loaded) == writes_manifest
+    assert ("_csv" in loaded) == writes_manifest

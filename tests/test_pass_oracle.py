@@ -4,8 +4,8 @@ Hypothesis draws small runs (frames of at most 6x6, up to about 300
 records, up to 3 bucket columns), a job list whose counts fall below, at and
 past the ends of randomly cut blocks, ``shift``, ``close_loop``, ``every``
 and the sgi chunk size. Every yielded result is compared with its formula,
-summed per pixel with ``math.fsum``; every sgi result must give the same
-bits under a second, independent cut of the blocks.
+summed per pixel with ``math.fsum``; every result must give the same bits
+under a second, independent cut of the blocks.
 """
 
 import math
@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gikit.reconstruct
+import gikit.sgi
 from gikit.reconstruct import METHODS, SGI_METHODS, _reconstructions
 
 TOLERANCE = 1e-12  # of the image's largest magnitude
@@ -61,7 +61,7 @@ def _results(run, cut):
             block = (buckets[0] if len(buckets) == 1 else buckets)[..., lo:hi] if read_buckets else None
             yield lo, block, frames[lo:hi]
 
-    with mock.patch.object(gikit.reconstruct, "_CHUNK_ROWS", run["chunk_rows"]):
+    with mock.patch.object(gikit.sgi, "_CHUNK_ROWS", run["chunk_rows"]):
         return [(job, records, result.count, [image.data.ravel() for image in result.images])
                 for job, records, result in _reconstructions(
                     blocks, run["shape"], run["jobs"], buckets=buckets if run["held"] else None,
@@ -111,11 +111,11 @@ def test_every_job_matches_its_formula_under_any_cut(run):
         if method in SGI_METHODS:  # the snapshots that have a pair, then the count
             expected = [at for at in range(every, count, every) if at > shift] if every else []
             assert [records for records, _, _ in points] == expected + [count]
-            again = [images for at, _, _, images in second if at == job]
-            assert [[image.tobytes() for image in images] for _, _, images in points] == \
-                [[image.tobytes() for image in images] for images in again]
         else:
             assert [records for records, _, _ in points] == [count]
+        again = [images for at, _, _, images in second if at == job]
+        assert [[image.tobytes() for image in images] for _, _, images in points] == \
+            [[image.tobytes() for image in images] for images in again]
         for records, pairs, images in points:
             s, frames = run["buckets"][column, :records], run["frames"][:records]
             if method in SGI_METHODS:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_images_close, random_dataset
 
-import gikit.reconstruct
+import gikit.sgi
 from gikit import (
     Dataset,
     DatasetValidationError,
@@ -248,7 +248,7 @@ def test_batch_sgi_matches_explicit_pair_loop(mode, shift, close_loop, rng):
 def test_chunked_sgi_matches_explicit_pair_loop(monkeypatch, rng, chunk_rows, shift, close_loop):
     # Chunks far shorter than the run, and shifts past a whole chunk: the
     # pairs that reach back into earlier chunks come from the carried rows.
-    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(gikit.sgi, "_CHUNK_ROWS", chunk_rows)
     ds = random_dataset(rng, 40)
     acc = SgiAccumulator(mode=(1, 2, 3), shift=shift, close_loop=close_loop)
     frames = ds.frame_matrix.reshape(40, 8, 8)

@@ -13,7 +13,8 @@ from conftest import random_dataset
 import gikit.fileio
 from gikit import NoiseModel, ReconImage, SgiAccumulator, binary_demo_scene, export_image, open_container, write_dataset
 from gikit.cli import main
-from gikit.reconstruct import _chunk_rows, reconstruct
+from gikit.reconstruct import reconstruct
+from gikit.sgi import _chunk_rows
 from gikit.simulate import _block_noise
 
 SIDE, N, SHIFT = 64, 1024, 4

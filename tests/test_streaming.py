@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import assert_images_close, random_dataset
 
 import gikit.fileio
-import gikit.reconstruct
+import gikit.sgi
 from gikit import (
     Dataset,
     DatasetValidationError,
@@ -137,7 +137,7 @@ def test_compensated_sum_keeps_the_bits_a_plain_sum_drops():
     # Each 2**-60 is below half an ulp of 1.0, so a plain running sum stays
     # at 1.0; the compensation carries them into the total.
     terms = [1.0] + [2.0**-60] * 4096 + [-(2.0**-62)] * 1024
-    acc = gikit.reconstruct._CompensatedSum((2,))
+    acc = gikit.sgi._CompensatedSum((2,))
     for term in terms:
         acc.add(np.array([term, -term]))
     expected = math.fsum(terms)
@@ -158,7 +158,7 @@ def _image_bytes(result):
 def test_every_route_gives_the_same_bytes(tmp_path, monkeypatch, rng, mode, shift, close_loop, chunk_rows):
     height, width, n = 5, 6, 29
     if chunk_rows is not None:  # chunk_rows 1 and 3 put shift 5 across several chunks
-        monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(gikit.sgi, "_CHUNK_ROWS", chunk_rows)
     path = tmp_path / "run.gid"
     write_dataset(random_dataset(rng, n, height, width), path)
     ds = read_dataset(path)  # the frames as the container stores them
@@ -191,7 +191,7 @@ def test_routes_across_compensation_groups_give_the_same_bytes(tmp_path, monkeyp
     # Chunks of 1 or 3 records make groups of 64 or 66: 211 records close
     # three groups and stop inside a fourth, so the cuts land in open groups.
     height, width, n = 4, 5, 211
-    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(gikit.sgi, "_CHUNK_ROWS", chunk_rows)
     path = tmp_path / "run.gid"
     write_dataset(random_dataset(rng, n, height, width), path)
     ds = read_dataset(path)
@@ -216,7 +216,7 @@ def test_routes_across_compensation_groups_give_the_same_bytes(tmp_path, monkeyp
 def test_grouped_chunks_match_exactly_rounded_pair_sums(monkeypatch, rng, mode):
     # 8-record chunks, compensated once per group of 64 records; the oracle
     # rounds each pair term once and sums them exactly per pixel.
-    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", 8)
+    monkeypatch.setattr(gikit.sgi, "_CHUNK_ROWS", 8)
     n, shift = 2003, 2
     ds = random_dataset(rng, n, 6, 7)
     frames, s = ds.frame_matrix, ds.buckets[:, np.newaxis]
@@ -244,7 +244,7 @@ def test_block_views_and_staged_chunks_give_the_same_bits(tmp_path, monkeypatch,
     # that arrives whole in a block is summed from the block's rows; one
     # that blocks cut is staged; both give the same bytes.
     height, width, n, chunk = 5, 6, 61, 8
-    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(gikit.sgi, "_CHUNK_ROWS", chunk)
     path = tmp_path / "run.gid"
     write_dataset(random_dataset(rng, n, height, width), path)
     ds = read_dataset(path)  # the frames as the container stores them
@@ -297,7 +297,7 @@ def test_block_views_and_staged_chunks_give_the_same_bits(tmp_path, monkeypatch,
 def test_several_modes_equal_their_single_mode_runs(monkeypatch, rng, k, shift, close_loop):
     # One product of the stacked weight rows per chunk; BLAS may split a
     # one-row product otherwise than a five-row one, so 1e-12, not bits.
-    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", 8)
+    monkeypatch.setattr(gikit.sgi, "_CHUNK_ROWS", 8)
     ds = random_dataset(rng, 61, 5, 6)
     buckets, frames = _bucket_columns(ds.buckets, k), ds.frame_matrix.reshape(61, 5, 6)
     several = SgiAccumulator(mode=(3, 1, 2), shift=shift, close_loop=close_loop)
@@ -323,7 +323,7 @@ def test_staged_chunk_grows_past_a_held_view(monkeypatch, rng):
     # A staged chunk grows in place; while a view of it is alive, numpy
     # refuses that, so its rows move to a new buffer and the view keeps the
     # old one. Either way the image bytes are those of one whole block.
-    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", 8)
+    monkeypatch.setattr(gikit.sgi, "_CHUNK_ROWS", 8)
     ds = random_dataset(rng, 21, 4, 5)
     frames = ds.frame_matrix.reshape(21, 4, 5)
     whole = SgiAccumulator(mode=3, shift=2)
@@ -457,7 +457,7 @@ def test_routes_reject_a_non_finite_bucket_alike(rng):
 
 
 def test_rejected_block_adds_nothing(monkeypatch, rng):
-    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", 2)  # record 4 starts a chunk
+    monkeypatch.setattr(gikit.sgi, "_CHUNK_ROWS", 2)  # record 4 starts a chunk
     ds = random_dataset(rng, 10, 3, 3)
     frames = ds.frame_matrix.reshape(10, 3, 3)
     acc = SgiAccumulator(mode=3, shift=2, close_loop=False)
@@ -481,7 +481,7 @@ def test_rejected_block_adds_nothing(monkeypatch, rng):
 def test_bucket_columns_match_their_single_column_runs(monkeypatch, rng, mode, shift, close_loop):
     # K bucket columns over one set of frames: each column's images are those
     # of an accumulator fed that column alone, across chunks and block cuts.
-    monkeypatch.setattr(gikit.reconstruct, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(gikit.sgi, "_CHUNK_ROWS", 4)
     n, k = 37, 4
     frames = rng.random((n, 5, 6))
     columns = rng.normal(5.0, 2.0, size=(n, k))
