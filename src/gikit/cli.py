@@ -36,6 +36,7 @@ from .fileio import (
     ManifestRow,
     _atomic_open,
     _check_destination,
+    _graymap,
     _read_sidecar,
     _temporary_path,
     append_manifest_row,
@@ -197,16 +198,17 @@ def _export_pass(results, every, prefix, raw):
     """Export the final images of a one-job pass, ``results`` from
     :func:`~gikit.reconstruct._one_job`, and, unless ``every`` is None, a
     snapshot at each multiple of ``every`` records. Each snapshot is written
-    under a temporary name beside its target and renamed into place only
-    after the pass and the final export succeed, so a bad record anywhere
-    leaves no snapshot. Returns the final result."""
+    to a temporary file beside its target and renamed into place only after
+    the pass and the final export succeed, so a bad record anywhere leaves
+    no snapshot. Returns the final result."""
     staged = []  # (temporary, target) path of every snapshot file
     try:
         for _, seen, result in results:
             if every is not None and seen % every == 0:  # else the final images alone
-                for export, image, path in _exports(result, f"{prefix}_snap{seen:06d}", raw=False):
+                for _, image, path in _exports(result, f"{prefix}_snap{seen:06d}", raw=False):
                     staged.append((_temporary_path(path), path))
-                    export(image, staged[-1][0])
+                    with open(staged[-1][0], "xb") as fh:
+                        fh.write(_graymap(image))
         for export, image, path in _exports(result, prefix, raw):
             export(image, path)
         for temporary, path in staged:

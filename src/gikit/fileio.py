@@ -452,14 +452,17 @@ def import_scene(path) -> ObjectScene:
     return ObjectScene(_read_graymap(Path(path).read_bytes()))
 
 
+def _graymap(image: ReconImage) -> bytes:
+    """The bytes of :func:`export_image`'s file."""
+    samples = np.rint(normalize_minmax(image).data * 65535.0).astype(">u2")
+    return f"P5\n{image.width} {image.height}\n65535\n".encode("ascii") + samples.tobytes()
+
+
 def export_image(image: ReconImage, path) -> None:
     """Write a reconstruction as a 16-bit binary graymap after min-max
     normalization (a constant image comes out mid-gray)."""
-    norm = normalize_minmax(image)
-    samples = np.rint(norm.data * 65535.0).astype(">u2")
-    header = f"P5\n{image.width} {image.height}\n65535\n".encode("ascii")
     with _atomic_open(path) as fh:
-        fh.write(header + samples.tobytes())
+        fh.write(_graymap(image))
 
 
 def export_raw(image: ReconImage, path) -> None:

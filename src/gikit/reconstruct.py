@@ -43,9 +43,9 @@ batch ``reconstruct`` is its one-job case (:func:`_one_job`),
 job per point and method over K bucket columns, K runs over the same frames
 that differ only in their buckets. Every job's rows meet the frames in one
 engine, :class:`gikit.sgi._WeightedSum`: one weight matrix and one product
-per chunk of the grid, one compensated addition per group of chunks. The
-order of the sums depends on the record indices alone, so every route and
-block cut gives the same bits for all seven methods.
+per chunk of the grid, one compensated addition per group of chunks; no
+snapshot or count cuts a block. The order of the sums depends on the record
+indices alone, so every route and block cut gives the same bits.
 """
 
 from __future__ import annotations
@@ -180,11 +180,10 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
     (rows, pixels), ending at the largest count. Only ci needs the (K, n)
     bucket matrix ``buckets`` ahead: unless the caller gives it, a first
     pass with ``read_buckets`` true fills it (:func:`_bucket_matrix`). The
-    last pass feeds the engine, cut at the sgi jobs' counts and at each
-    multiple of ``every``; its rule fills every classic job's rows, zero
-    past its count. An sgi result is yielded at its count, and before that
-    at each multiple of ``every`` that has a pair; the classic results
-    follow the pass.
+    last pass pushes each block whole into the engine, whose rule fills
+    every classic job's rows, zero past its count. An sgi result is read at
+    its count, and before that at each multiple of ``every`` that has a
+    pair, wherever it falls in a block; the classic results follow the pass.
     """
     from .sgi import _WeightedSum
 
@@ -226,8 +225,8 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
                     c0[image.start] = ratio if np.isfinite(ratio) else 0.0
                 w[image, : len(s)] = (s - c0[image.start] * r) / count
 
-    engine = _WeightedSum(tuple(dict.fromkeys(mode for _, mode, _, _ in sgi)), shift, close_loop,
-                          rows=width, rule=rule, stop=stop)
+    engine = _WeightedSum(tuple(dict.fromkeys(mode for _, mode, _, _ in sgi)), shift, close_loop, rows=width, rule=rule)
+    points = sorted({stop, *(count for _, _, count, _ in sgi), *(range(every, stop, every) if every else ())})
     read = buckets is None
     for start, block, frames in blocks(read):
         end = start + len(frames)
@@ -237,13 +236,7 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
         if len(s_r):  # before the rule reads them
             with np.errstate(all="ignore"):  # the sums are checked after the pass
                 np.sum(frames, axis=1, out=s_r[start:end])
-        lo = 0
-        while lo < len(frames):  # cut at the next count or snapshot point
-            at = start + lo  # the records pushed so far
-            hi = min([count for _, _, count, _ in sgi if count > at] + [end]
-                     + ([at - at % every + every] if every is not None else [])) - start
-            engine.push_block(at, block[:, lo:hi].T, frames[lo:hi].reshape(hi - lo, *shape))
-            lo, seen = hi, start + hi
+        for seen in engine._push(start, block.T, frames.reshape(len(frames), *shape), points):
             live = every is not None and seen % every == 0 and engine.pairs >= 1
             due = [(job, mode, column) for job, mode, count, column in sgi if count == seen or live and count > seen]
             snapshots = engine.snapshots_by_mode() if due else None

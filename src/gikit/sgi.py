@@ -5,6 +5,8 @@ on it. The formulas of the seven estimators are in :mod:`gikit.reconstruct`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .errors import InsufficientRecordsError
@@ -90,24 +92,23 @@ def _pair_coefficients(mode: int, s_new, s_old) -> tuple[np.ndarray, np.ndarray]
 class _WeightedSum:
     """The engine: weighted sums of frame rows over records pushed in order
     (:meth:`push_block`), in fixed chunks aligned to record 0, one block of
-    the grid each, so a chunk that arrives whole is summed where its block
-    is; only one that blocks cut is staged. Each chunk takes one weight
-    matrix W and one product; the chunks of a group, at least 64 records,
-    add up plainly, and each group takes one compensated addition. The order
-    depends on the record indices alone: every route and cut gives the same
-    bits.
+    the grid each. A chunk is summed, and read at a point in it, from its
+    block's own rows; only one that blocks cut is staged, in a buffer of one
+    chunk. Each chunk takes one weight matrix W and one product; the chunks
+    of a group, at least 64 records, add up plainly, and each group takes
+    one compensated addition. The order depends on the record indices
+    alone: every route and cut gives the same bits.
 
     The rows of W are the pair rows of the sgi ``modes``, one per image and
     bucket column, then ``rows`` rows that ``rule(weights, buckets, start)``
     fills, zero where it writes none, over the chunk's records from
     ``start``. The pair rule also weights the ``shift`` carried rows before
     the chunk: its term is ``W[:, shift:] @ chunk + W[:, :shift] @ carried``.
-    A pass that ends at ``stop`` sums its last chunk where it arrives.
     Reading (:meth:`snapshots_by_mode`, :meth:`_value`) never mutates the
     state, which does not grow with the number of records.
     """
 
-    def __init__(self, modes=(), shift: int = 1, close_loop: bool = False, *, rows: int = 0, rule=None, stop=None):
+    def __init__(self, modes=(), shift: int = 1, close_loop: bool = False, *, rows: int = 0, rule=None):
         if modes and shift < 1:
             raise ValueError(f"shift must be >= 1, got {shift}")
         if modes and close_loop and shift != 1:
@@ -117,7 +118,7 @@ class _WeightedSum:
         self.modes, self.shift, self.close_loop = modes, shift, close_loop
         self._images = sum(1 if m == 1 else 2 for m in modes)  # pair image rows per bucket column
         self._carry = shift if modes else 0  # records carried before each chunk
-        self._rule_rows, self._rule, self._stop = rows, rule, stop
+        self._rule_rows, self._rule = rows, rule
         self._shape = self._columns = self._staged = self._first = None  # set from the first block
         self._seen = self._summed = 0  # records pushed, and summed into the group or the total
 
@@ -137,6 +138,13 @@ class _WeightedSum:
         A block that does not fit raises ``ValueError``, and a non-finite
         bucket :class:`DatasetValidationError`; either way nothing is added.
         """
+        for _ in self._push(start, buckets, frames, ()):
+            pass
+
+    def _push(self, start: int, buckets, frames, points):
+        """:meth:`push_block` as a generator that yields each of the ascending
+        record counts ``points`` in the block once the records up to it are in
+        and every chunk they fill is summed; the last point ends the pass."""
         buckets, frames = np.asarray(buckets, dtype=np.float64), np.asarray(frames, dtype=np.float64)
         columns = buckets[np.newaxis] if buckets.ndim == 1 else buckets.T  # (K, rows)
         if (frames.ndim != 3 or columns.ndim != 2 or columns.shape[1] != len(frames)
@@ -153,25 +161,32 @@ class _WeightedSum:
         rows = frames.reshape(len(frames), -1)
         if self._shape is None:
             self._allocate(frames.shape[1:], columns, rows)
-        chunk = self._chunk
-        cuts = range(chunk - start % chunk, len(rows), chunk)  # where a chunk fills
-        for lo, hi in zip((0, *cuts), (*cuts, len(rows))):
-            at = start + lo - self._summed  # rows of the chunk that came before
-            self._buckets[:, self._carry + at : self._carry + at + hi - lo] = columns[:, lo:hi]
+        chunk, end, last = self._chunk, start + len(rows), points[-1] if points else None
+        reads = {point - start for point in points[bisect_right(points, start) : bisect_right(points, end)]}
+        # The block's pieces end where a chunk fills, at each point in it and at its end.
+        ends = sorted({*range(chunk - start % chunk, len(rows), chunk), *reads, len(rows)})
+        for lo, hi in zip((0, *ends), ends):
+            first = self._summed - start  # the block row that opened the chunk; < 0: an earlier block did
+            self._buckets[:, self._carry + lo - first : self._carry + hi - first] = columns[:, lo:hi]
             self._seen = start + hi
-            ends = self._seen % chunk == 0 or self._seen == self._stop
-            if not (ends and at == 0):  # a chunk that arrives whole is summed where it is
-                self._stage(at, rows[lo:hi])
-            if ends:
-                filled, chunk_rows = self._seen - self._summed, rows[lo:hi] if at == 0 else self._staged
+            if first < 0:
+                self._stage(lo - first, rows[lo:hi])
+            else:  # the chunk's rows are the block's own
+                self._staged = rows[first:hi]
+            if self._seen % chunk == 0 or self._seen == last:
+                filled = self._seen - self._summed
                 with np.errstate(all="ignore"):  # a read checks the sums
-                    self._chunk_term(filled, chunk_rows, self._group, self._summed % self._group_rows == 0)
+                    self._chunk_term(filled, self._staged, self._group, self._summed % self._group_rows == 0)
                     if self._seen % self._group_rows == 0:  # the group closes: one compensated addition
                         self._sum.add(self._group)
                 self._summed = self._seen
                 if self._carry:
-                    self._carry_rows(chunk_rows, filled)
-                self._staged = chunk_rows = None
+                    self._carry_rows(self._staged, filled)
+                self._staged = None
+            elif hi == len(rows) and first >= 0:  # the block cuts the chunk: its rows must outlive the block
+                self._stage(0, self._staged)
+            if hi in reads:
+                yield self._seen
 
     def _allocate(self, shape: tuple[int, int], buckets: np.ndarray, rows: np.ndarray) -> None:
         """The state, at the first block: frames of ``shape``, ``buckets``
@@ -190,26 +205,12 @@ class _WeightedSum:
         self._first = (buckets[:, 0].copy(), rows[0].copy()) if self.close_loop else None
 
     def _stage(self, at: int, rows: np.ndarray) -> None:
-        """Copy ``rows`` into the staged rows of the cut chunk after its
-        first ``at``. A pass, which knows its ``stop``, makes the buffer for
-        the chunk's rows up to it at once, so it never grows. A stream's
-        buffer holds just the rows that have arrived, so its cut end costs
-        its own rows, and grows in place (or, where something else refers
-        to it, into a copy) as more arrive. It is dropped once its chunk is
-        summed."""
-        end = at + len(rows)
-        if self._staged is None:
-            ahead = end if self._stop is None else min(self._chunk, self._stop - self._summed)
-            self._staged = np.empty((ahead, rows.shape[1]))
-        elif len(self._staged) < end:
-            staged, self._staged = self._staged, None  # numpy resizes only an array held once
-            try:  # in place, keeping the first rows
-                staged.resize((self._chunk, rows.shape[1]))
-            except ValueError:  # a view or a profiler holds it too: copy the rows instead
-                staged, old = np.empty((self._chunk, rows.shape[1])), staged
-                staged[:at] = old[:at]
-            self._staged = staged
-        self._staged[at:end] = rows
+        """Copy ``rows`` into the staged rows of a chunk that a block cuts,
+        after its first ``at``: a buffer of one chunk, made as the chunk is
+        first staged and dropped once it is summed."""
+        if not at:
+            self._staged = np.empty((self._chunk, rows.shape[1]))
+        self._staged[at : at + len(rows)] = rows
 
     def _carry_rows(self, rows: np.ndarray, filled: int) -> None:
         """After a chunk of ``filled`` ``rows`` is summed, carry its last
@@ -264,7 +265,7 @@ class _WeightedSum:
         filled, grouped = self._seen - self._summed, self._summed % self._group_rows
         pending = []
         with np.errstate(all="ignore"):
-            if grouped or filled:  # the open group and the cut chunk, as one term
+            if grouped or filled:  # the open group and the open chunk, as one term
                 pending.append(self._group[part].copy() if grouped else np.empty_like(self._group[part]))
                 if filled:
                     self._chunk_term(filled, self._staged, pending[0], not grouped, part)

@@ -103,8 +103,9 @@ class _InMemoryBlocks:
 @pytest.mark.parametrize("n", [17, 64])
 @pytest.mark.parametrize("method", ["g2", "dgi-delta", "dgi", "ci"])
 def test_classic_container_images_byte_equal_in_memory(tmp_path, scene_pgm, small_blocks, n, method):
-    # A whole Dataset is one block, a different summation order (about 1e-15
-    # apart); cut at the same blocks, the arrays in memory give the same bits.
+    # The arrays in memory, cut at the container's blocks, give the same bits
+    # as the container; so does a whole Dataset in one block
+    # (test_every_read_route_gives_the_same_bits).
     gid = _simulate(tmp_path, scene_pgm, n)
     got = reconstruct(open_container(gid), method)
     expected = reconstruct(_InMemoryBlocks(read_dataset(gid)), method)

@@ -213,6 +213,21 @@ def test_progressive_writes_a_snapshot_at_each_point_with_a_pair(tmp_path, scene
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + snapshots + ["live.pgm"])
 
 
+def test_progressive_renames_each_file_once(tmp_path, scene_pgm, monkeypatch):
+    # A snapshot is written straight to its one temporary, renamed into
+    # place after the pass: never a temporary of a temporary.
+    gid = _simulate(tmp_path, scene_pgm, n=12)
+    before = {p.name for p in tmp_path.iterdir()}
+    renames, replace = [], os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: (renames.append((Path(src), Path(dst))), replace(src, dst)))
+    assert main(["reconstruct", "--in", str(gid), "--method", "sgi2", "--progressive", "4", "--raw",
+                 "--out", str(tmp_path / "live")]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir() if p.name not in before)
+    assert len(written) == 4 + 2 * 3  # the final .pgm and .f64 pairs, and 3 snapshot pairs
+    assert sorted(dst.name for _, dst in renames) == written
+    assert all(src.name.count(".tmp") == 1 and src.parent == tmp_path for src, _ in renames)
+
+
 def test_sweep_noise_mean_cardinality(tmp_path, scene_pgm):
     out = tmp_path / "sweep"
     code = main([

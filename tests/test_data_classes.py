@@ -270,8 +270,8 @@ def test_the_chunk_size_is_read_from_the_engine_module(monkeypatch):
     monkeypatch.setattr(gikit.sgi, "_GROUP_RECORDS", 16)
     acc = SgiAccumulator(mode=1)
     acc.push_block(0, np.ones(20), np.ones((20, 2, 2)))
-    assert (acc._chunk, acc._group_rows, len(acc._staged)) == (8, 16, 4)
+    assert (acc._chunk, acc._group_rows, acc.records_seen - acc._summed) == (8, 16, 4)
     monkeypatch.setattr(gikit.sgi, "_chunk_rows", lambda pixels: 5)
     acc = SgiAccumulator(mode=1)
     acc.push_block(0, np.ones(12), np.ones((12, 2, 2)))
-    assert (acc._chunk, len(acc._staged)) == (5, 2)
+    assert (acc._chunk, acc.records_seen - acc._summed) == (5, 2)

@@ -1,7 +1,7 @@
 """The block grid and what a pass holds: blocks of at most 1 MiB of stored
 records and at most 128 records, on which the reader, the writer, the
-simulator and the sgi accumulator all cut a run, and classic weight rows one
-block wide."""
+simulator and the weighted-sum engine all cut a run, and classic weights
+made one chunk at a time, never a row of the whole run."""
 
 import tracemalloc
 

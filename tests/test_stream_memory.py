@@ -1,7 +1,7 @@
 """Memory of the streamed commands: a `reconstruct`, `--progressive` or
 `diagnose` run holds one reused read block, the sgi accumulator's carried
-and staged rows and O(images x pixels) state, whatever the number of
-records, and a `sweep` holds O(records) vectors but never a run's frames."""
+rows and O(images x pixels) state, whatever the number of records, and a
+`sweep` holds O(records) vectors but never a run's frames."""
 
 import sys
 import tracemalloc
@@ -64,16 +64,16 @@ def test_streamed_command_holds_one_block(container, tmp_path, run):
     assert code == 0
 
     # The reader's record buffer and its one float64 block buffer, the sgi
-    # accumulator's carried rows and staged rows, then the O(images x pixels)
-    # totals, terms and exports and the O(n) bucket and frame-total vectors.
-    # A batch pass stages the cut end of the run alone; --progressive stages
-    # the chunks its snapshots cut, one at a time, and peaks as one fills, when
-    # no snapshot is held: its accumulator's six (images, pixels) buffers.
-    chunk = _chunk_rows(PIXELS)
-    staged = {"sgi3": N % chunk, "progressive": chunk}.get(run)
-    accumulator = (SHIFT + staged) * (PIXELS + 1) * 8 if staged is not None else 0
+    # accumulator's carried rows, then the O(images x pixels) totals, terms
+    # and exports and the O(n) bucket and frame-total vectors. No pass stages
+    # a row: the reader's blocks are chunks of the grid, the run's last chunk
+    # is summed where it arrives, and a snapshot reads the block it falls
+    # in. --progressive peaks as a snapshot is made: its accumulator's six
+    # (images, pixels) buffers and the snapshot's own, 7.2 of them above the
+    # carried rows against a slack of 8; one staged chunk of 56 rows is 28.
+    carried = SHIFT * (PIXELS + 1) * 8 if run in ("sgi3", "progressive") else 0
     slack = 8 if run == "progressive" else 16
-    bound = _reader_bytes(N) + accumulator + slack * images * PIXELS * 8 + 64 * N
+    bound = _reader_bytes(N) + carried + slack * images * PIXELS * 8 + 64 * N
     assert peak < bound, f"{run}: traced peak {peak} bytes over {bound}"
     assert peak < N * PIXELS * 8 / 4  # far below the frame matrix
 

@@ -14,14 +14,20 @@ import gikit.sgi
 from gikit import (
     Dataset,
     DatasetValidationError,
+    DriftProfile,
     InsufficientRecordsError,
+    NoiseModel,
     SgiAccumulator,
+    Simulation,
+    binary_demo_scene,
     open_container,
     read_dataset,
     recon_sgi,
+    write_container,
     write_dataset,
 )
-from gikit.reconstruct import reconstruct
+from gikit.reconstruct import _one_job, reconstruct
+from gikit.sweep import _sweep_run
 
 
 @pytest.mark.parametrize("mode", [1, 2, 3])
@@ -292,6 +298,39 @@ def test_block_views_and_staged_chunks_give_the_same_bits(tmp_path, monkeypatch,
     assert len([name for name, _, _ in staged if name == "off the grid"]) > len(tail)
 
 
+@pytest.mark.parametrize("route", ["progressive", "sweep"])
+def test_points_inside_chunks_of_the_grid_stage_nothing(tmp_path, monkeypatch, route):
+    # At 12x12 a block of the grid, and a chunk, is 128 records. Snapshots
+    # every 100 records and the sweep's sgi counts 150 and 300 fall inside
+    # chunks; each is read from its block's own rows, so a pass on the grid
+    # stages nothing. The images are those of one record at a time, a
+    # route that stages every chunk.
+    run = Simulation(binary_demo_scene(12, 12), n=1000, seed=3, drift=DriftProfile("linear", 0.3))
+    path = tmp_path / "run.gid"
+    write_container(run.header, run.blocks(), path)
+    stages = []
+    stage = gikit.sgi._WeightedSum._stage
+    with monkeypatch.context() as patch:
+        patch.setattr(gikit.sgi._WeightedSum, "_stage", lambda acc, at, rows: (stages.append(at), stage(acc, at, rows)))
+        if route == "progressive":
+            dataset, modes = read_dataset(path), 3
+            results = [(seen, result) for _, seen, result in _one_job(open_container(path), "sgi3", shift=4, every=100)]
+            assert [seen for seen, _ in results] == list(range(100, 1001, 100))
+        else:
+            dataset, modes, counts = run.dataset(), (1, 3), [150, 300, 1000]
+            points = _sweep_run(run, 3, [(n, NoiseModel()) for n in counts], ["sgi1", "sgi3"], 4)
+            results = [(n, result) for n, point in zip(counts, points) for result in point]
+    assert stages == []
+    acc, expected = SgiAccumulator(mode=modes, shift=4), {}  # the sweep's modes share one product
+    for record in dataset.records:
+        acc.push(record)
+        if acc.records_seen in {seen for seen, _ in results}:
+            for mode, [snapshot] in acc.snapshots_by_mode().items():
+                expected[acc.records_seen, f"sgi{mode}"] = _image_bytes(snapshot)
+    for seen, result in results:
+        assert _image_bytes(result) == expected[seen, result.method]
+
+
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("shift, close_loop", [(1, False), (1, True), (5, False), (11, False)])
 def test_several_modes_equal_their_single_mode_runs(monkeypatch, rng, k, shift, close_loop):
@@ -320,9 +359,9 @@ def test_several_modes_equal_their_single_mode_runs(monkeypatch, rng, k, shift, 
 
 
 def test_staged_chunk_grows_past_a_held_view(monkeypatch, rng):
-    # A staged chunk grows in place; while a view of it is alive, numpy
-    # refuses that, so its rows move to a new buffer and the view keeps the
-    # old one. Either way the image bytes are those of one whole block.
+    # A staged chunk's buffer holds the whole chunk from the first rows
+    # staged, so a view of it held between pushes keeps the rows it saw
+    # while more arrive, and the image bytes are those of one whole block.
     monkeypatch.setattr(gikit.sgi, "_CHUNK_ROWS", 8)
     ds = random_dataset(rng, 21, 4, 5)
     frames = ds.frame_matrix.reshape(21, 4, 5)
