@@ -14,9 +14,13 @@ Each command ends at its last write: :func:`entry` runs the atexit
 callbacks, flushes stdout and stderr and leaves with ``os._exit``, which
 skips the interpreter's teardown (clearing every module, the collector's
 last passes). Every file a command writes is closed before :func:`main`
-returns, and no command starts a thread. The normal exit is kept when a
-tracer, profiler or coverage tool watches the process, when a flush fails,
-for argparse's own exits (``--help``, exit 2) and for an uncaught exception.
+returns. The one thread a command may start is the container reader's
+worker, which reads the next block while a pass sums this one when the
+process may run on more than one CPU: it is joined when its pass ends,
+fails or is closed, so it has ended before ``os._exit`` could cut it off.
+The normal exit is kept when a tracer, profiler or coverage tool watches
+the process, when a flush fails, for argparse's own exits (``--help``,
+exit 2) and for an uncaught exception.
 A closed stdout ends in exit 120, buffered or not (``PYTHONUNBUFFERED``).
 """
 

@@ -23,16 +23,26 @@ limit keeps a block's float64 frames near 1 MB: 8 records at 128x128 and
 produces its blocks on the same grid, and the weighted-sum engine
 (:mod:`gikit.sgi`) sums every method in chunks of one block, so it takes
 each chunk where the block already is. The reader converts each block into
-one float64 block buffer that it allocates once and reuses, checking each
-block for non-finite values and negative pixels. The check runs on the
-stored float32 pixels in two scans, ``min() >= 0`` (false for NaN, -inf
-and negative pixels) and ``max() < inf``, plus ``isfinite`` on the
-buckets; only a block that fails is scanned again to tell which error it
-holds. :attr:`Container.buckets` reads the bucket column alone, one 8-byte
-``os.pread`` per record, a few thousand records at a time into one float64
-column, and checks it the same way, so ``ci`` can split the records on the
-bucket mean before it reads a frame. No read maps the file: touched
-file-backed pages would count toward the process's peak RSS.
+one float64 block buffer that it allocates once and reuses, checking the
+stored records for non-finite values and negative pixels first: one
+integer scan of the float32 pixels and ``isfinite`` on the buckets, and
+only for records that fail, the scans that tell which error they hold.
+When the process may run on more than one CPU (``os.sched_getaffinity``),
+one worker thread reads the stored records into the two halves of the
+one-block record buffer in turn, half a block at a time, and scans each
+half where it has just read it, while the calling thread converts the
+other half and sums the block before it: the copy out of the page cache
+leaves the critical path, and the float64 block is made on the thread that
+sums it. The halves hold one record more than a block when the block has
+an odd number of records, never more. The worker is joined when the pass
+ends, is closed or fails, before its file closes; a block raises the error
+a whole-block read would. On one CPU the calling thread reads each block
+whole and starts no thread. :attr:`Container.buckets` reads the bucket
+column alone, one 8-byte ``os.pread`` per record, a few thousand records
+at a time into one float64 column, and checks it the same way, so ``ci``
+can split the records on the bucket mean before it reads a frame. No
+read maps the file: touched file-backed pages would count toward the
+process's peak RSS.
 :func:`read_dataset` and :func:`decode_dataset` copy the same checked
 blocks into one (n, pixels) stack, as :func:`~gikit.simulate.simulate`
 copies the simulator's blocks; :func:`open_container` hands the blocks out
@@ -60,6 +70,7 @@ import errno
 import io
 import json
 import os
+import threading
 from collections import namedtuple
 from contextlib import contextmanager
 from pathlib import Path
@@ -267,49 +278,118 @@ def _check_buckets(buckets: np.ndarray) -> None:
         raise FileFormatError("payload contains non-finite values")
 
 
-def _convert_checked(chunk: np.ndarray, buckets: np.ndarray, frames: np.ndarray) -> None:
-    """Check stored records for non-finite values and negative pixels, then
-    convert them into float64 ``buckets`` (rows,) and ``frames`` (rows, pixels).
+def _defect(pieces) -> str | None:
+    """The error of stored records, one block held in one or two pieces, or
+    None: a non-finite value, else a negative pixel.
 
     The stored pixels take one integer scan: read as unsigned integers, a
     float32 with its sign bit clear and below +inf is below 0x7F800000, so a
-    NaN, an infinity or a negative pixel fails it, and so does -0.0. Only a
-    block that fails takes two exact scans: ``min() >= 0`` fails on a NaN,
+    NaN, an infinity or a negative pixel fails it, and so does -0.0. Only
+    pixels that fail take two exact scans: ``min() >= 0`` fails on a NaN,
     -inf or negative pixel (not on -0.0) and ``max() < inf`` on +inf. Only
     then are the buckets and pixels told apart, so a block with both a
     non-finite value and a negative pixel is reported as non-finite.
     """
-    np.copyto(buckets, chunk["bucket"])
-    _check_buckets(buckets)
-    stored = chunk["frame"]
-    if stored.view("<u4").max() >= 0x7F800000 and not (stored.min() >= 0.0 and stored.max() < np.inf):
-        if not np.isfinite(stored).all():
-            raise FileFormatError("payload contains non-finite values")
-        raise FileFormatError("payload contains negative frame intensities")
-    np.copyto(frames, stored)
+    if not all(np.isfinite(piece["bucket"]).all() for piece in pieces):
+        return "payload contains non-finite values"
+    stored = [piece["frame"] for piece in pieces]
+    if any(s.view("<u4").max() >= 0x7F800000 and not (s.min() >= 0.0 and s.max() < np.inf) for s in stored):
+        finite = all(np.isfinite(s).all() for s in stored)
+        return "payload contains " + ("negative frame intensities" if finite else "non-finite values")
+    return None
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _read_ahead(pieces, free, ready) -> None:
+    """The reader's worker: each time ``free`` gives True, put the next of
+    ``pieces`` on ``ready``; end when it gives False, or at the first error,
+    which goes on ``ready`` for the caller to raise."""
+    try:
+        while free.get():
+            ready.put(next(pieces))
+    except Exception as exc:  # StopIteration past the last piece, which no caller takes
+        ready.put(exc)
 
 
 def _read_blocks(fh, offset: int, header: DatasetHeader) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(start, buckets, frames)`` for the first ``header.n`` records
     of the payload at ``offset``: read-only float64 views of shapes (rows,)
     and (rows, pixels) of one buffer that every block is converted into, so
-    a block is valid until the next one is asked for. The stored records are
-    read through one record buffer, and each block is checked before it is
-    yielded."""
+    a block is valid until the next one is asked for.
+
+    On one CPU this thread reads and scans each block whole in one record
+    buffer. On more than one, that buffer holds one half of a block in each
+    of two halves, and a worker thread reads and scans the next piece into a
+    half as soon as this thread has converted the piece in it: the next
+    block is read while this one is summed. The worker ends before the
+    generator does. A block that fails a scan raises before it is yielded,
+    with its first error: a read cut short, then a non-finite value, then a
+    negative pixel."""
     n, pixels = header.n, header.width * header.height
     rows = min(n, _block_rows(pixels))
-    records = np.empty(rows, dtype=_record_dtype(pixels))
+    ahead = _cpus() > 1
+    half = -(-rows // 2) if ahead else rows  # a one-record block fills a half: one record more
+    records = np.empty(2 * half if ahead else rows, dtype=_record_dtype(pixels))
     buckets, frames = np.empty(rows), np.empty((rows, pixels))
+
+    def read():  # (piece, bytes read, clean) for each piece of each block in file order, into the halves in turn
+        at, part, other = 0, records[:half], records[-half:]
+        while at < n:
+            piece = part[: min(half, n - at, rows - at % rows)]
+            at, part, other = at + len(piece), other, part
+            got = fh.readinto(piece)
+            yield piece, got, got == piece.nbytes and not _defect([piece])  # scanned where it was read
+
     fh.seek(offset)
-    for start in range(0, n, rows):
-        chunk = records[: n - start]
-        if fh.readinto(chunk) != chunk.nbytes:
-            raise FileFormatError(f"payload ended inside records {start}..{start + len(chunk) - 1}")
-        block_buckets, block_frames = buckets[: len(chunk)], frames[: len(chunk)]
-        _convert_checked(chunk, block_buckets, block_frames)
-        block_buckets.flags.writeable = False
-        block_frames.flags.writeable = False
-        yield start, block_buckets, block_frames
+    pieces, worker = read(), None
+    if ahead:
+        try:  # queue.SimpleQueue itself, without loading queue and heapq: about 1 ms of every reading command
+            from _queue import SimpleQueue
+        except ImportError:
+            from queue import SimpleQueue
+
+        free, ready = SimpleQueue(), SimpleQueue()
+        # A daemon: a pass that is never closed cannot hold up the interpreter's exit.
+        worker = threading.Thread(target=_read_ahead, args=(pieces, free, ready), daemon=True)
+        free.put(True)
+        free.put(True)
+        worker.start()
+
+    def take():
+        got = ready.get() if worker else next(pieces)
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    try:
+        for start in range(0, n, rows):
+            size, row, kept = min(rows, n - start), 0, []
+            while row < size:  # convert each clean piece and hand its half back, until one is kept
+                piece, got, clean = take()
+                if clean and not kept:
+                    np.copyto(buckets[row : row + len(piece)], piece["bucket"])
+                    np.copyto(frames[row : row + len(piece)], piece["frame"])
+                    if worker:
+                        free.put(True)
+                else:
+                    kept.append((piece, got))
+                row += len(piece)
+            if kept:  # a short read first; else the kept pieces' defect is the block's, the others being clean
+                short = any(got != piece.nbytes for piece, got in kept)
+                raise FileFormatError(f"payload ended inside records {start}..{start + size - 1}" if short
+                                      else _defect([piece for piece, _ in kept]))
+            block_buckets, block_frames = buckets[:size], frames[:size]
+            block_buckets.flags.writeable = False
+            block_frames.flags.writeable = False
+            yield start, block_buckets, block_frames
+    finally:
+        if worker:
+            free.put(False)
+            worker.join()
 
 
 class Container(NamedTuple):
