@@ -71,10 +71,46 @@ def _at_least(minimum: int):
     return integer
 
 
+def _secrets_stand_in():
+    """A ``secrets`` that holds only ``randbits``, the callable that the real
+    module's ``randbits`` is, and that NumPy's ``bit_generator`` imports."""
+    import random
+    from types import ModuleType
+
+    stand_in = ModuleType("secrets")
+    stand_in.randbits = random.SystemRandom().getrandbits
+    return stand_in
+
+
+def _import_numpy_random() -> None:
+    """Import ``numpy.random`` without OpenSSL. NumPy's ``bit_generator``
+    imports ``randbits`` from ``secrets``, whose ``hmac`` loads ``hashlib``
+    and libcrypto (about 4 MB), so a stand-in ``secrets`` is in
+    ``sys.modules`` during the import and removed after it; a later ``import
+    secrets`` gets the real module. Every run is seeded: only NumPy's legacy
+    global generator draws from ``randbits``, once, from the same OS entropy.
+    It does nothing if ``numpy.random`` or ``secrets`` is loaded already, and
+    imports plainly if NumPy asks the stand-in for more. Not thread-safe, so
+    the CLI alone calls it, before a simulating command's first generator."""
+    if "numpy.random" in sys.modules or "secrets" in sys.modules:
+        return
+    sys.modules["secrets"] = _secrets_stand_in()
+    try:
+        import numpy.random  # noqa: F401
+        return
+    except ImportError:
+        pass
+    finally:
+        del sys.modules["secrets"]
+    import numpy.random  # noqa: F401, F811  (with the real secrets)
+
+
 def _simulation_models(args, parser) -> tuple[PatternModel, DriftProfile, NoiseModel]:
     """The models of :func:`_add_simulation_flags`'s flags; a bad value exits 2.
     ``--drift`` is ``kind[:amplitude[:period_or_knots]]``, e.g. ``linear:0.3``."""
     from .simulate import DriftProfile, NoiseModel, PatternModel
+
+    _import_numpy_random()
 
     kind, *numbers = args.drift.split(":")
     try:

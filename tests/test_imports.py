@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, since the modules that one test
 imports stay loaded for the next.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -15,9 +16,11 @@ import gikit
 
 SRC = str(Path(gikit.__file__).resolve().parents[1])
 ENV = {**os.environ, "PYTHONPATH": SRC}
+# The real `secrets` and what it loads: hmac, hashlib and OpenSSL's libcrypto.
+OPENSSL = {"secrets", "hmac", "hashlib", "_hashlib", "ssl"}
 # Modules that a command reading a container has no use for: the simulator,
 # the sweep, NumPy's random generators, and the OpenSSL bindings.
-NOT_FOR_READING = {"gikit.simulate", "gikit.sweep", "numpy.random", "hashlib", "_hashlib", "ssl"}
+NOT_FOR_READING = {"gikit.simulate", "gikit.sweep", "numpy.random"} | OPENSSL
 
 
 def _cli_imports(*argv) -> set:
@@ -30,21 +33,79 @@ def _cli_imports(*argv) -> set:
             if line.startswith("import time:") and not line.endswith("imported package")}
 
 
+SIMULATE = ["simulate", "--scene", "{work}/scene.pgm", "--n", "64", "--drift", "linear:0.3", "--noise-std", "0.05"]
+
+
 @pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
-    """A scene, and ``run.gid`` simulated from it by the CLI."""
+def simulated(tmp_path_factory):
+    """A scene, ``run.gid`` simulated from it by the CLI, and the modules that ``simulate`` loaded."""
     work = tmp_path_factory.mktemp("imports")
     gikit.export_image(gikit.ReconImage(gikit.binary_demo_scene(8, 8).transmission), work / "scene.pgm")
-    loaded = _cli_imports("simulate", "--scene", work / "scene.pgm", "--n", "64", "--drift", "linear:0.3",
-                          "--noise-std", "0.05", "--out", work / "run.gid")
+    loaded = _cli_imports(*(arg.format(work=work) for arg in SIMULATE), "--out", work / "run.gid")
     assert {"gikit.simulate", "numpy.random"} <= loaded
-    return work
+    return work, loaded
 
 
-def test_sweep_loads_the_simulator_and_the_sweep(workdir):
+@pytest.fixture(scope="module")
+def workdir(simulated):
+    return simulated[0]
+
+
+def _skip_if_numpy_loads_random():
+    done = subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.random' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60, check=True)
+    if done.stdout.strip() == "True":
+        pytest.skip("import numpy alone loads numpy.random, and with it secrets and OpenSSL")
+
+
+def test_sweep_loads_the_simulator_and_the_sweep(simulated):
+    # Both simulating commands import numpy.random with a stand-in secrets
+    # (cli._import_numpy_random): the fixture's simulate and this sweep.
+    workdir, simulate_loaded = simulated
     loaded = _cli_imports("sweep", "--scene", workdir / "scene.pgm", "--axis", "n", "--values", "16,32",
                           "--methods", "g2,sgi1", "--n", "32", "--out", workdir / "sweep")
-    assert {"gikit.simulate", "gikit.sweep"} <= loaded
+    assert {"gikit.simulate", "gikit.sweep", "numpy.random"} <= loaded
+    _skip_if_numpy_loads_random()
+    assert not simulate_loaded & OPENSSL, sorted(simulate_loaded & OPENSSL)
+    assert not loaded & OPENSSL, sorted(loaded & OPENSSL)
+
+
+SECRETS_PROBE = """
+import json, sys
+{first}
+from gikit.cli import main
+assert main(sys.argv[1:]) == 0
+loaded = sorted(name for name in {openssl} if name in sys.modules)
+import secrets
+import numpy as np
+assert sys.modules["secrets"] is secrets and secrets.__file__ and len(secrets.token_hex(8)) == 16
+assert np.random.SeedSequence().entropy != np.random.SeedSequence().entropy
+np.random.default_rng().random()
+print(json.dumps(loaded))
+"""
+
+
+@pytest.mark.parametrize("first, openssl", [
+    ("", False),
+    ("import secrets", True),
+    ("import numpy.random", True),
+    ("import types, gikit.cli; gikit.cli._secrets_stand_in = lambda: types.ModuleType('secrets')", True),
+], ids=["stand-in", "secrets-first", "numpy-random-first", "stand-in-without-randbits"])
+def test_simulate_writes_the_same_bytes_and_leaves_the_real_secrets(simulated, first, openssl):
+    # The stand-in route, the two routes where the helper does nothing, and the
+    # fallback to a plain import when NumPy asks the stand-in for more.
+    workdir, _ = simulated
+    argv = [arg.format(work=workdir) for arg in SIMULATE] + ["--out", str(workdir / "route.gid")]
+    done = subprocess.run([sys.executable, "-c", SECRETS_PROBE.format(first=first, openssl=sorted(OPENSSL)),
+                           *argv], env=ENV, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert (workdir / "route.gid").read_bytes() == (workdir / "run.gid").read_bytes()
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    if openssl:
+        assert {"secrets", "hmac"} <= loaded
+    else:
+        _skip_if_numpy_loads_random()
+        assert not loaded, sorted(loaded)
 
 
 @pytest.mark.parametrize("command", [
