@@ -18,38 +18,40 @@ Every read goes through one block reader. It checks the header and the
 payload length once, then reads the fixed-stride records a block of the
 grid at a time: the most records that fit in 1 MiB of stored records, at
 most 128, rounded down to a multiple of 8, aligned to record 0. Either
-limit keeps a block's float64 frames near 1 MB: 8 records at 128x128 and
-128 at 32x32 are both 131072 pixels, 56 at 64x64 are 229376. The simulator
+limit keeps a block near 1 MB as float64: 8 records at 128x128 and 128 at
+32x32 are both 131072 pixels, 56 at 64x64 are 229376. The simulator
 produces its blocks on the same grid, and the weighted-sum engine
 (:mod:`gikit.sgi`) sums every method in chunks of one block, so it takes
-each chunk where the block already is. The reader converts each block into
-one float64 block buffer that it allocates once and reuses, checking the
-stored records for non-finite values and negative pixels first: one
-integer scan of the float32 pixels and ``isfinite`` on the buckets, and
-only for records that fail, the scans that tell which error they hold.
-When the process may run on more than one CPU (``os.sched_getaffinity``),
-one worker thread reads the stored records into the two halves of the
-one-block record buffer in turn, half a block at a time, and scans each
-half where it has just read it, while the calling thread converts the
-other half and sums the block before it: the copy out of the page cache
-leaves the critical path, and the float64 block is made on the thread that
-sums it. The halves hold one record more than a block when the block has
-an odd number of records, never more. The worker is joined when the pass
+each chunk where the block already is. The reader converts nothing: it
+reads each block into a record slot and hands it out as stored, float64
+buckets and float32 frames, once it has checked the records for
+non-finite values and negative pixels: one integer scan of the float32
+pixels and ``isfinite`` on the buckets, and only for records that fail,
+the scans that tell which error they hold. The frames are widened to
+float64 where they are summed, a cache-sized piece at a time: by the
+engine, a column tile of a chunk just before its product, and by the frame
+totals, whole rows before their sum. When the process may run on more
+than one CPU (``os.sched_getaffinity``), one worker thread reads and scans
+each block into one of two record slots in turn, while the calling thread
+sums the block before it: the copy out of the page cache leaves the
+critical path. A slot goes back to the worker when the block after it is
+asked for, one hand-off per block. The worker is joined when the pass
 ends, is closed or fails, before its file closes; a block raises the error
-a whole-block read would. On one CPU the calling thread reads each block
-whole and starts no thread. :attr:`Container.buckets` reads the bucket
-column alone, one 8-byte ``os.pread`` per record, a few thousand records
-at a time into one float64 column, and checks it the same way, so ``ci``
-can split the records on the bucket mean before it reads a frame. No
-read maps the file: touched file-backed pages would count toward the
-process's peak RSS.
+a read on the calling thread would. On one CPU the calling thread reads
+each block into one slot and starts no thread.
+:attr:`Container.buckets` reads the bucket column alone, one 8-byte
+``os.pread`` per record, a few thousand records at a time into one float64
+column, and checks it the same way, so ``ci`` can split the records on the
+bucket mean before it reads a frame. No read maps the file: touched
+file-backed pages would count toward the process's peak RSS.
 :func:`read_dataset` and :func:`decode_dataset` copy the same checked
-blocks into one (n, pixels) stack, as :func:`~gikit.simulate.simulate`
-copies the simulator's blocks; :func:`open_container` hands the blocks out
-one at a time as read-only views of the reused buffer, valid until the
-next block is asked for. That is how the CLI reads, so no command holds
-the whole frame matrix, and with one reused buffer its peak RSS does not
-depend on where the allocator puts each block.
+blocks into one float64 (n, pixels) stack, as
+:func:`~gikit.simulate.simulate` copies the simulator's blocks;
+:func:`open_container` hands the blocks out one at a time as read-only
+views of a record slot, valid until the next block is asked for. That is
+how the CLI reads, so no command holds the whole frame matrix, and with
+reused slots its peak RSS does not depend on where the allocator puts each
+block.
 
 Every write goes through one block writer, :func:`write_container`, which
 takes a header and the same ``(start, buckets, frames)`` blocks and stores
@@ -278,24 +280,25 @@ def _check_buckets(buckets: np.ndarray) -> None:
         raise FileFormatError("payload contains non-finite values")
 
 
-def _defect(pieces) -> str | None:
-    """The error of stored records, one block held in one or two pieces, or
-    None: a non-finite value, else a negative pixel.
+def _defect(records) -> str | None:
+    """The error of stored ``records``, or None: a non-finite value, else a
+    negative pixel.
 
     The stored pixels take one integer scan: read as unsigned integers, a
     float32 with its sign bit clear and below +inf is below 0x7F800000, so a
-    NaN, an infinity or a negative pixel fails it, and so does -0.0. Only
+    NaN, an infinity or a negative pixel fails it, and so does -0.0. The
+    scan runs row by row: NumPy takes the maximum of a record slot's frames,
+    rows apart by a bucket, up to twice as fast along the rows. Only
     pixels that fail take two exact scans: ``min() >= 0`` fails on a NaN,
     -inf or negative pixel (not on -0.0) and ``max() < inf`` on +inf. Only
     then are the buckets and pixels told apart, so a block with both a
     non-finite value and a negative pixel is reported as non-finite.
     """
-    if not all(np.isfinite(piece["bucket"]).all() for piece in pieces):
+    if not np.isfinite(records["bucket"]).all():
         return "payload contains non-finite values"
-    stored = [piece["frame"] for piece in pieces]
-    if any(s.view("<u4").max() >= 0x7F800000 and not (s.min() >= 0.0 and s.max() < np.inf) for s in stored):
-        finite = all(np.isfinite(s).all() for s in stored)
-        return "payload contains " + ("negative frame intensities" if finite else "non-finite values")
+    stored = records["frame"]
+    if stored.view("<u4").max(axis=1).max() >= 0x7F800000 and not (stored.min() >= 0.0 and stored.max() < np.inf):
+        return "payload contains " + ("negative frame intensities" if np.isfinite(stored).all() else "non-finite values")
     return None
 
 
@@ -304,48 +307,45 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _read_ahead(pieces, free, ready) -> None:
+def _read_ahead(blocks, free, ready) -> None:
     """The reader's worker: each time ``free`` gives True, put the next of
-    ``pieces`` on ``ready``; end when it gives False, or at the first error,
+    ``blocks`` on ``ready``; end when it gives False, or at the first error,
     which goes on ``ready`` for the caller to raise."""
     try:
         while free.get():
-            ready.put(next(pieces))
-    except Exception as exc:  # StopIteration past the last piece, which no caller takes
+            ready.put(next(blocks))
+    except Exception as exc:  # StopIteration past the last block, which no caller takes
         ready.put(exc)
 
 
 def _read_blocks(fh, offset: int, header: DatasetHeader) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(start, buckets, frames)`` for the first ``header.n`` records
-    of the payload at ``offset``: read-only float64 views of shapes (rows,)
-    and (rows, pixels) of one buffer that every block is converted into, so
-    a block is valid until the next one is asked for.
+    of the payload at ``offset``, as stored: read-only views of the record
+    slot the block was read into, float64 buckets (rows,) and float32
+    frames (rows, pixels), so a block is valid until the next one is asked
+    for.
 
-    On one CPU this thread reads and scans each block whole in one record
-    buffer. On more than one, that buffer holds one half of a block in each
-    of two halves, and a worker thread reads and scans the next piece into a
-    half as soon as this thread has converted the piece in it: the next
-    block is read while this one is summed. The worker ends before the
-    generator does. A block that fails a scan raises before it is yielded,
-    with its first error: a read cut short, then a non-finite value, then a
-    negative pixel."""
+    On one CPU this thread reads and scans each block into one slot. On more
+    than one, a worker thread reads and scans each block into one of two
+    slots in turn, the next block while this one is summed; a slot is handed
+    back when the block after it is asked for, one hand-off per block. The
+    worker ends before the generator does. A block that fails a scan raises
+    before it is yielded, with its first error: a read cut short, then a
+    non-finite value, then a negative pixel."""
     n, pixels = header.n, header.width * header.height
     rows = min(n, _block_rows(pixels))
     ahead = _cpus() > 1
-    half = -(-rows // 2) if ahead else rows  # a one-record block fills a half: one record more
-    records = np.empty(2 * half if ahead else rows, dtype=_record_dtype(pixels))
-    buckets, frames = np.empty(rows), np.empty((rows, pixels))
+    slots = np.empty((2 if ahead else 1, rows), dtype=_record_dtype(pixels))
 
-    def read():  # (piece, bytes read, clean) for each piece of each block in file order, into the halves in turn
-        at, part, other = 0, records[:half], records[-half:]
-        while at < n:
-            piece = part[: min(half, n - at, rows - at % rows)]
-            at, part, other = at + len(piece), other, part
-            got = fh.readinto(piece)
-            yield piece, got, got == piece.nbytes and not _defect([piece])  # scanned where it was read
+    def read():  # (slot, error or None) for each block in file order, into the slots in turn
+        for start in range(0, n, rows):
+            slot = slots[start // rows % len(slots), : min(rows, n - start)]
+            short = fh.readinto(slot) != slot.nbytes
+            yield slot, (f"payload ended inside records {start}..{start + len(slot) - 1}" if short
+                         else _defect(slot))  # scanned where it was read
 
     fh.seek(offset)
-    pieces, worker = read(), None
+    blocks, worker = read(), None
     if ahead:
         try:  # queue.SimpleQueue itself, without loading queue and heapq: about 1 ms of every reading command
             from _queue import SimpleQueue
@@ -354,38 +354,25 @@ def _read_blocks(fh, offset: int, header: DatasetHeader) -> Iterator[tuple[int, 
 
         free, ready = SimpleQueue(), SimpleQueue()
         # A daemon: a pass that is never closed cannot hold up the interpreter's exit.
-        worker = threading.Thread(target=_read_ahead, args=(pieces, free, ready), daemon=True)
+        worker = threading.Thread(target=_read_ahead, args=(blocks, free, ready), daemon=True)
         free.put(True)
         free.put(True)
         worker.start()
 
-    def take():
-        got = ready.get() if worker else next(pieces)
-        if isinstance(got, Exception):
-            raise got
-        return got
-
     try:
         for start in range(0, n, rows):
-            size, row, kept = min(rows, n - start), 0, []
-            while row < size:  # convert each clean piece and hand its half back, until one is kept
-                piece, got, clean = take()
-                if clean and not kept:
-                    np.copyto(buckets[row : row + len(piece)], piece["bucket"])
-                    np.copyto(frames[row : row + len(piece)], piece["frame"])
-                    if worker:
-                        free.put(True)
-                else:
-                    kept.append((piece, got))
-                row += len(piece)
-            if kept:  # a short read first; else the kept pieces' defect is the block's, the others being clean
-                short = any(got != piece.nbytes for piece, got in kept)
-                raise FileFormatError(f"payload ended inside records {start}..{start + size - 1}" if short
-                                      else _defect([piece for piece, _ in kept]))
-            block_buckets, block_frames = buckets[:size], frames[:size]
-            block_buckets.flags.writeable = False
-            block_frames.flags.writeable = False
-            yield start, block_buckets, block_frames
+            got = ready.get() if worker else next(blocks)
+            if isinstance(got, Exception):
+                raise got
+            slot, error = got
+            if error:
+                raise FileFormatError(error)
+            buckets, frames = slot["bucket"], slot["frame"]
+            buckets.flags.writeable = False
+            frames.flags.writeable = False
+            yield start, buckets, frames
+            if worker:  # the block is done with: its slot takes the block after next
+                free.put(True)
     finally:
         if worker:
             free.put(False)
@@ -436,18 +423,20 @@ class Container(NamedTuple):
         return self._replace(header=self.header._replace(n=count))
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """One pass over the records as ``(start, buckets, frames)`` blocks:
-        read-only float64 views, frames of shape (rows, pixels), of one
-        buffer that the pass reuses, so each block is valid until the next
-        is asked for; copy what must outlive it. A block with a non-finite
-        value or a negative pixel raises :class:`FileFormatError` before it
-        is yielded."""
+        """One pass over the records as ``(start, buckets, frames)`` blocks,
+        as stored: read-only views of the record buffers that the pass
+        reuses, float64 buckets (rows,) and float32 frames (rows, pixels),
+        so each block is valid until the next is asked for; copy what must
+        outlive it, and widen the frames to float64 before summing them. A
+        block with a non-finite value or a negative pixel raises
+        :class:`FileFormatError` before it is yielded."""
         with open(self.path, "rb") as fh:
             yield from _read_blocks(fh, self.offset, self.header)
 
 
 def open_container(path) -> Container:
-    """Check a container's header and payload length; read no records yet."""
+    """Check a container's header and payload length; read no records yet.
+    Its :meth:`~Container.blocks` hand out the stored float32 frames."""
     with open(path, "rb") as fh:
         header, offset = _read_header(fh)
     return Container(Path(path), header, offset)

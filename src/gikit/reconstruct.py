@@ -42,10 +42,14 @@ batch ``reconstruct`` is its one-job case (:func:`_one_job`),
 ``--progressive`` adds snapshot points, and ``gikit sweep`` gives it one
 job per point and method over K bucket columns, K runs over the same frames
 that differ only in their buckets. Every job's rows meet the frames in one
-engine, :class:`gikit.sgi._WeightedSum`: one weight matrix and one product
-per chunk of the grid, one compensated addition per group of chunks; no
-snapshot or count cuts a block. The order of the sums depends on the record
-indices alone, so every route and block cut gives the same bits.
+engine, :class:`gikit.sgi._WeightedSum`: one weight matrix per chunk of
+the grid and one product per column tile of it, one compensated addition
+per group of chunks; no snapshot or count cuts a block. The order of the
+sums depends on the record indices and the frame size alone, so every route
+and block cut gives the same bits. A container's frames come as stored,
+float32, and are widened to float64 only where they are summed: by the
+engine, a tile at a time, and for the frame totals R, whole rows at a time
+(:func:`_frame_totals`), so R is never summed in float32.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ __all__ = [
 SGI_MODES = (1, 2, 3)
 SGI_METHODS = tuple(f"sgi{mode}" for mode in SGI_MODES)
 METHODS = ("g2", "dgi-delta", "dgi", "ci") + SGI_METHODS
+_WIDE_BYTES = 2**19  # float32 frames are widened this many float64 bytes at a time: a tile of a chunk, or rows
 
 
 class ReconResult(_Frozen):
@@ -147,6 +152,27 @@ def _ci_partition(buckets: np.ndarray) -> tuple[float, int, int]:
             "bucket values do not straddle their mean; positive/negative subsets degenerate"
         )
     return threshold, n_pos, n - n_pos
+
+
+def _frame_totals(frames: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None) -> None:
+    """Write the frame totals R_i of the (rows, pixels) ``frames`` into
+    ``out``: float64 sums of whole rows. Stored float32 rows are widened
+    first, a group of rows at a time, into the flat float64 ``scratch`` of
+    at least one row (None: a new one of about ``_WIDE_BYTES``), so R is
+    never summed in float32 and no float64 block is made. A row's sum does
+    not depend on the rows beside it."""
+    if frames.dtype == np.float64:
+        np.sum(frames, axis=1, out=out)
+        return
+    pixels = frames.shape[1]
+    if scratch is None:
+        scratch = np.empty(min(len(frames), max(1, _WIDE_BYTES // (8 * pixels))) * pixels)
+    group = len(scratch) // pixels
+    for lo in range(0, len(frames), group):
+        rows = frames[lo : lo + group]
+        wide = scratch[: rows.size].reshape(rows.shape)
+        np.copyto(wide, rows)
+        np.sum(wide, axis=1, out=out[lo : lo + len(rows)])
 
 
 def _hold(matrix, stop: int, start: int, block) -> np.ndarray:
@@ -225,7 +251,8 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
                     c0[image.start] = ratio if np.isfinite(ratio) else 0.0
                 w[image, : len(s)] = (s - c0[image.start] * r) / count
 
-    engine = _WeightedSum(tuple(dict.fromkeys(mode for _, mode, _, _ in sgi)), shift, close_loop, rows=width, rule=rule)
+    engine = _WeightedSum(tuple(dict.fromkeys(mode for _, mode, _, _ in sgi)), shift, close_loop, rows=width, rule=rule,
+                          totals=s_r if len(s_r) else None)
     points = sorted({stop, *(count for _, _, count, _ in sgi), *(range(every, stop, every) if every else ())})
     read = buckets is None
     for start, block, frames in blocks(read):
@@ -233,9 +260,6 @@ def _reconstructions(blocks, shape, jobs, *, buckets=None, shift=1, close_loop=F
         if read and classic:  # the bucket matrix, kept for the classic jobs
             buckets = _hold(buckets, stop, start, block)
         block = np.array(block, ndmin=2) if read and not classic else buckets[:, start:end]  # (K, rows), a copy if read
-        if len(s_r):  # before the rule reads them
-            with np.errstate(all="ignore"):  # the sums are checked after the pass
-                np.sum(frames, axis=1, out=s_r[start:end])
         for seen in engine._push(start, block.T, frames.reshape(len(frames), *shape), points):
             live = every is not None and seen % every == 0 and engine.pairs >= 1
             due = [(job, mode, column) for job, mode, count, column in sgi if count == seen or live and count > seen]
@@ -342,6 +366,6 @@ def sr_diagnostics(source, shift: int = 1) -> tuple[np.ndarray, np.ndarray]:
     for start, block, frames in source.blocks():
         _bucket_report(start, block).raise_if_failed()
         with np.errstate(over="ignore", invalid="ignore"):
-            np.sum(frames, axis=1, out=s_r[start : start + len(frames)])
+            _frame_totals(frames, s_r[start : start + len(frames)])
     _require_no_overflow(s_r, "the frames", "the frame totals")
     return s_r, s_r[shift:] - s_r[: len(s_r) - shift]

@@ -1,6 +1,16 @@
 """The weighted-sum engine, :class:`_WeightedSum`, where the weight rows of
 every pass meet the frames, and the successive-deviation accumulator built
 on it. The formulas of the seven estimators are in :mod:`gikit.reconstruct`.
+
+Frames reach the engine as a container stores them, float32, and are
+widened to float64 where they are summed: each chunk's product runs over
+column tiles of the pixels, and a tile of the chunk's rows is copied into
+one reused float64 scratch of about 512 KiB just before it is multiplied,
+so the copy stays in cache for the product that reads it. Float64 frames
+(a :class:`~gikit.types.Dataset` in memory, a sweep's simulated run) take
+the same tiles without the copy. The tiles depend only on the frame size
+and the chunk, so every route still gives the same bits; at 32x32, 64x64
+and 128x128 those of one full-width product per chunk.
 """
 
 from __future__ import annotations
@@ -11,7 +21,7 @@ import numpy as np
 
 from .errors import InsufficientRecordsError
 from .fileio import _GRID_BYTES, _block_rows
-from .reconstruct import SGI_MODES, ReconResult, _require_no_overflow
+from .reconstruct import _WIDE_BYTES, SGI_MODES, ReconResult, _frame_totals, _require_no_overflow
 from .types import MeasurementRecord, ReconImage, _bucket_report
 
 __all__ = ["SgiAccumulator"]
@@ -97,7 +107,9 @@ class _WeightedSum:
     chunk. Each chunk takes one weight matrix W and one product; the chunks
     of a group, at least 64 records, add up plainly, and each group takes
     one compensated addition. The order depends on the record indices
-    alone: every route and cut gives the same bits.
+    alone: every route and cut gives the same bits. Float32 rows are
+    widened a column tile at a time as W meets them (:meth:`_chunk_term`),
+    and as they are staged or carried.
 
     The rows of W are the pair rows of the sgi ``modes``, one per image and
     bucket column, then ``rows`` rows that ``rule(weights, buckets, start)``
@@ -105,10 +117,13 @@ class _WeightedSum:
     ``start``. The pair rule also weights the ``shift`` carried rows before
     the chunk: its term is ``W[:, shift:] @ chunk + W[:, :shift] @ carried``.
     Reading (:meth:`snapshots_by_mode`, :meth:`_value`) never mutates the
-    state, which does not grow with the number of records.
+    state, which does not grow with the number of records. Given
+    ``totals``, an array over the records, the engine writes each pushed
+    record's frame total R_i into it before a chunk that holds the record is
+    summed, widening the block's float32 rows in the same scratch.
     """
 
-    def __init__(self, modes=(), shift: int = 1, close_loop: bool = False, *, rows: int = 0, rule=None):
+    def __init__(self, modes=(), shift: int = 1, close_loop: bool = False, *, rows: int = 0, rule=None, totals=None):
         if modes and shift < 1:
             raise ValueError(f"shift must be >= 1, got {shift}")
         if modes and close_loop and shift != 1:
@@ -118,8 +133,8 @@ class _WeightedSum:
         self.modes, self.shift, self.close_loop = modes, shift, close_loop
         self._images = sum(1 if m == 1 else 2 for m in modes)  # pair image rows per bucket column
         self._carry = shift if modes else 0  # records carried before each chunk
-        self._rule_rows, self._rule = rows, rule
-        self._shape = self._columns = self._staged = self._first = None  # set from the first block
+        self._rule_rows, self._rule, self._totals = rows, rule, totals
+        self._shape = self._columns = self._staged = self._first = self._wide = None  # set from the first block
         self._seen = self._summed = 0  # records pushed, and summed into the group or the total
 
     @property
@@ -145,7 +160,9 @@ class _WeightedSum:
         """:meth:`push_block` as a generator that yields each of the ascending
         record counts ``points`` in the block once the records up to it are in
         and every chunk they fill is summed; the last point ends the pass."""
-        buckets, frames = np.asarray(buckets, dtype=np.float64), np.asarray(frames, dtype=np.float64)
+        buckets, frames = np.asarray(buckets, dtype=np.float64), np.asarray(frames)
+        if frames.dtype != np.float32:  # stored frames stay float32 until they are summed
+            frames = np.asarray(frames, dtype=np.float64)
         columns = buckets[np.newaxis] if buckets.ndim == 1 else buckets.T  # (K, rows)
         if (frames.ndim != 3 or columns.ndim != 2 or columns.shape[1] != len(frames)
                 or self._shape not in (None, frames.shape[1:]) or self._columns not in (None, len(columns))):
@@ -161,6 +178,10 @@ class _WeightedSum:
         rows = frames.reshape(len(frames), -1)
         if self._shape is None:
             self._allocate(frames.shape[1:], columns, rows)
+        if self._totals is not None:  # before the rule reads them
+            with np.errstate(all="ignore"):  # the sums are checked after the pass
+                _frame_totals(rows, self._totals[start : start + len(rows)],
+                              None if rows.dtype == np.float64 else self._scratch())
         chunk, end, last = self._chunk, start + len(rows), points[-1] if points else None
         reads = {point - start for point in points[bisect_right(points, start) : bisect_right(points, end)]}
         # The block's pieces end where a chunk fills, at each point in it and at its end.
@@ -193,6 +214,13 @@ class _WeightedSum:
         (K, rows) and frame ``rows``."""
         (columns, _), pixels = buckets.shape, rows.shape[1]
         self._shape, self._columns, self._chunk = shape, columns, _chunk_rows(pixels)
+        # A chunk's rows are summed a column tile at a time, float32 rows
+        # widened first into a scratch of at most _WIDE_BYTES. A tile is a
+        # multiple of 64 columns: BLAS kernels take a product's last few
+        # columns apart and may round them otherwise, so tiles put those
+        # edges only where the full-width product has them.
+        tile = _WIDE_BYTES // (8 * self._chunk)
+        self._tile = min(pixels, tile - tile % 64 if tile >= 64 else max(1, tile))
         self._group_rows = self._chunk * -(-_GROUP_RECORDS // self._chunk)  # whole chunks
         self._pair_rows = self._images * columns
         width = self._carry + self._chunk  # the carried records' columns, then the chunk's
@@ -202,7 +230,16 @@ class _WeightedSum:
         self._term = np.empty((self._pair_rows + self._rule_rows, pixels))  # scratch, and the sum's error
         self._group = np.empty_like(self._term)  # the plain sum of the open group's chunks
         self._sum = _CompensatedSum(self._term.shape, error=self._term)
-        self._first = (buckets[:, 0].copy(), rows[0].copy()) if self.close_loop else None
+        self._first = (buckets[:, 0].copy(), rows[0].astype(np.float64)) if self.close_loop else None
+
+    def _scratch(self) -> np.ndarray:
+        """The flat float64 scratch that float32 rows are widened into: a
+        chunk's rows of one column tile, and at least one whole row for the
+        frame totals. It is made when first needed, so float64 frames take
+        none."""
+        if self._wide is None:
+            self._wide = np.empty(max(self._chunk * self._tile, self._shape[0] * self._shape[1]))
+        return self._wide
 
     def _stage(self, at: int, rows: np.ndarray) -> None:
         """Copy ``rows`` into the staged rows of a chunk that a block cuts,
@@ -240,8 +277,9 @@ class _WeightedSum:
     def _chunk_term(self, filled: int, rows: np.ndarray, out: np.ndarray, opens: bool, part=slice(None)) -> None:
         """Add to ``out``, or write into it if the chunk ``opens`` a group,
         the summed terms of the weight rows ``part`` (all, the pair rows or
-        the rule's rows) over the chunk's ``filled`` rows, given as ``rows``.
-        The term buffer is scratch."""
+        the rule's rows) over the chunk's ``filled`` rows, given as ``rows``:
+        one product per column tile, float32 rows widened into the scratch
+        first. The term buffer is scratch."""
         carry, end, pair = self._carry, self._carry + filled, self._pair_rows
         weights = self._weights[: len(self._term) * end].reshape(-1, end)
         lo, hi, _ = part.indices(len(weights))
@@ -251,10 +289,16 @@ class _WeightedSum:
         if hi > pair:
             self._rule(weights[pair:, carry:], self._buckets[:, carry:end], self._summed)
         weights, term = weights[lo:hi], self._term[lo:hi]
-        if opens:
-            np.matmul(weights[:, carry:], rows[:filled], out=out)
-        else:
-            out += np.matmul(weights[:, carry:], rows[:filled], out=term)
+        for first in range(0, rows.shape[1], self._tile):  # the same tiles for every route
+            tile = slice(first, first + self._tile)
+            wide = rows[:filled, tile]
+            if wide.dtype == np.float32:  # stored rows, widened into the scratch
+                stored, wide = wide, self._scratch()[: wide.size].reshape(wide.shape)
+                np.copyto(wide, stored)
+            if opens:
+                np.matmul(weights[:, carry:], wide, out=out[:, tile])
+            else:
+                out[:, tile] += np.matmul(weights[:, carry:], wide, out=term[:, tile])
         if self._summed and lo < pair:  # the first chunk has no records before it; one carried row needs no sum
             out[:pair] += (np.multiply(weights[:pair, :1], self._carried, out=term[:pair]) if carry == 1
                            else np.matmul(weights[:pair, :carry], self._carried, out=term[:pair]))

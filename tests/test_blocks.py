@@ -35,9 +35,9 @@ from gikit.reconstruct import METHODS, reconstruct
 BLOCK_ROWS = 5
 SIDE = 12
 RECORD_BYTES = 8 + 4 * SIDE * SIDE
-# Runs of 17 and 64 records in blocks of 5, an odd size that the reader's
-# two halves split 3 + 2, and of 17 records in blocks of one record, which
-# a byte budget below one record gives: no half can split those.
+# Runs of 17 and 64 records in blocks of 5, the last block cut short, and
+# of 17 records in blocks of one record, which a byte budget below one
+# record gives.
 SIZES = pytest.mark.parametrize("n, rows", [(17, BLOCK_ROWS), (64, BLOCK_ROWS), (17, 1)],
                                 ids=["17", "64", "17-one-record"])
 
@@ -342,27 +342,26 @@ class _FailingRead(io.BytesIO):
 
 @pytest.mark.parametrize("reads", [1, 2, 3])
 def test_a_read_error_reaches_the_block_it_falls_in(tmp_path, scene_pgm, small_blocks, reads):
-    # On more than one CPU a block of 5 records is read in two pieces, the
-    # worker's error reaching this thread as the block that needs it is
-    # taken; on one CPU each block is one read.
+    # Each block is one read. On more than one CPU the worker reads ahead,
+    # and its error reaches this thread as the block that needs it is taken.
     gid = _simulate(tmp_path, scene_pgm, 17)
-    pieces = 2 if gikit.fileio._cpus() > 1 else 1
     fh = _FailingRead(gid.read_bytes(), reads)
     header, offset = gikit.fileio._read_header(fh)
     threads, starts = threading.enumerate(), []
     with pytest.raises(OSError, match="Input/output error"):
         for start, _, _ in gikit.fileio._read_blocks(fh, offset, header):
             starts.append(start)
-    assert starts == list(range(0, (reads - 1) // pieces * BLOCK_ROWS, BLOCK_ROWS))
+    assert starts == list(range(0, (reads - 1) * BLOCK_ROWS, BLOCK_ROWS))
     assert threading.enumerate() == threads
 
 
 @SIZES
-def test_the_reader_holds_one_block_and_at_most_one_record_more(tmp_path, scene_pgm, monkeypatch, n, rows):
+def test_the_reader_holds_one_record_slot_per_thread(tmp_path, scene_pgm, monkeypatch, n, rows):
     # NumPy's buffers of a record or more that gikit.fileio holds at the
-    # first block: the float64 frames and the record buffer, which the
-    # worker's two halves may round up by one record, never more. (A scan
-    # that the worker runs meanwhile makes only smaller temporaries.)
+    # first block: a slot of one block of stored records for the calling
+    # thread, and one more for the worker on more than one CPU. No float64
+    # frame buffer: the frames are handed out as stored. (A scan that the
+    # worker runs meanwhile makes only smaller temporaries.)
     _use_blocks(monkeypatch, rows)
     container = open_container(_simulate(tmp_path, scene_pgm, n))
     tracemalloc.start()
@@ -375,9 +374,9 @@ def test_the_reader_holds_one_block_and_at_most_one_record_more(tmp_path, scene_
         tracemalloc.stop()
     held = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
     held = held.filter_traces([tracemalloc.Filter(True, gikit.fileio.__file__)])
-    records = sum(trace.size for trace in held.traces if trace.size >= RECORD_BYTES) - rows * SIDE * SIDE * 8
-    extra = 1 if gikit.fileio._cpus() > 1 and rows % 2 else 0
-    assert records == (rows + extra) * RECORD_BYTES
+    records = sum(trace.size for trace in held.traces if trace.size >= RECORD_BYTES)
+    slots = 2 if gikit.fileio._cpus() > 1 else 1
+    assert records == slots * rows * RECORD_BYTES
 
 
 SRC = str(Path(gikit.__file__).resolve().parents[1])
@@ -493,9 +492,9 @@ def test_every_reader_names_the_defect_alike(tmp_path, scene_pgm, small_blocks, 
 
 @pytest.mark.parametrize("defect", ["negative-pixel", "nan-bucket", "negative-then-nan-pixel"])
 def test_a_defect_is_named_while_the_worker_could_read_on(tmp_path, scene_pgm, small_blocks, monkeypatch, defect):
-    # A slow check gives the worker time to read on: the half that holds the
-    # defect (records 5..7) must not be handed back, though the half after
-    # it is clean, before the block's error is named.
+    # A slow check gives the worker time to read on: the slot that holds
+    # the defect (records 5..9) must not be handed back, though the block
+    # after it is clean, before the block's error is named.
     edits, message = DEFECTS[defect]
     gid = _simulate(tmp_path, scene_pgm, 17)
     gid.write_bytes(_poke(gid.read_bytes(), 17, edits))
@@ -523,7 +522,7 @@ def test_negative_zero_pixels_read(tmp_path, scene_pgm, small_blocks, defect):
     blob = _poke(gid.read_bytes(), 17, edits)
     gid.write_bytes(blob)
     readers = [lambda: read_dataset(gid).frame_matrix, lambda: decode_dataset(blob).frame_matrix,
-               lambda: np.concatenate([frames.copy() for _, _, frames in open_container(gid).blocks()])]
+               lambda: np.concatenate([frames.astype(np.float64) for _, _, frames in open_container(gid).blocks()])]
     for read in readers:
         if defect:
             with pytest.raises(FileFormatError) as failure:

@@ -1,6 +1,7 @@
 """Memory of the streamed commands: a `reconstruct`, `--progressive` or
-`diagnose` run holds one reused read block, the sgi accumulator's carried
-rows and O(images x pixels) state, whatever the number of records, and a
+`diagnose` run holds the reader's reused record slots, one float64 scratch
+to widen rows in, the sgi accumulator's carried rows and O(images x pixels)
+state, whatever the number of records, and a
 `sweep` holds O(records) vectors but never a run's frames."""
 
 import sys
@@ -13,7 +14,7 @@ from conftest import random_dataset
 import gikit.fileio
 from gikit import NoiseModel, ReconImage, SgiAccumulator, binary_demo_scene, export_image, open_container, write_dataset
 from gikit.cli import main
-from gikit.reconstruct import reconstruct
+from gikit.reconstruct import _WIDE_BYTES, reconstruct
 from gikit.sgi import _chunk_rows
 from gikit.simulate import _block_noise
 
@@ -41,10 +42,12 @@ def container(tmp_path_factory):
 
 
 def _reader_bytes(n: int) -> int:
-    """The reader's record buffer and its float64 block buffer, for n records."""
+    """The reader's record slots, one per thread, and the float64 scratch
+    that the engine or the frame totals widen rows in, for n records."""
     record_bytes = 8 + 4 * PIXELS
     rows = min(n, gikit.fileio._block_rows(PIXELS))
-    return rows * record_bytes + rows * (PIXELS + 1) * 8
+    slots = 2 if gikit.fileio._cpus() > 1 else 1
+    return slots * rows * record_bytes + _WIDE_BYTES
 
 
 def _traced(call, *args) -> tuple:
@@ -63,7 +66,7 @@ def test_streamed_command_holds_one_block(container, tmp_path, run):
     code, peak = _traced(main, argv)
     assert code == 0
 
-    # The reader's record buffer and its one float64 block buffer, the sgi
+    # The reader's record slots and the one float64 scratch, the sgi
     # accumulator's carried rows, then the O(images x pixels) totals, terms
     # and exports and the O(n) bucket and frame-total vectors. No pass stages
     # a row: the reader's blocks are chunks of the grid, the run's last chunk
@@ -118,8 +121,8 @@ def test_progressive_holds_one_staged_chunk_and_the_carried_rows(container):
                     acc.snapshot()
     finally:
         tracemalloc.stop()
-    # The reader's buffers, the carried rows and buckets, and the term and
-    # compensated-sum buffers.
+    # The reader's slots and the engine's scratch, the carried rows and
+    # buckets, and the term and compensated-sum buffers.
     state = _reader_bytes(N) + SHIFT * (PIXELS + 1) * 8 + 6 * 2 * PIXELS * 8
     row_bytes = PIXELS * 8
     assert max(held) < state + 64 * 1024
