@@ -14,10 +14,8 @@ Each command ends at its last write: :func:`entry` runs the atexit
 callbacks, flushes stdout and stderr and leaves with ``os._exit``, which
 skips the interpreter's teardown (clearing every module, the collector's
 last passes). Every file a command writes is closed before :func:`main`
-returns. The one thread a command may start is the container reader's
-worker, which reads the next block while a pass sums this one when the
-process may run on more than one CPU: it is joined when its pass ends,
-fails or is closed, so it has ended before ``os._exit`` could cut it off.
+returns. A command starts no thread (the container reader reads each
+block on the calling thread), so ``os._exit`` cuts off no work.
 The normal exit is kept when a tracer, profiler or coverage tool watches
 the process, when a flush fails, for argparse's own exits (``--help``,
 exit 2) and for an uncaught exception.

@@ -22,23 +22,16 @@ limit keeps a block near 1 MB as float64: 8 records at 128x128 and 128 at
 32x32 are both 131072 pixels, 56 at 64x64 are 229376. The simulator
 produces its blocks on the same grid, and the weighted-sum engine
 (:mod:`gikit.sgi`) sums every method in chunks of one block, so it takes
-each chunk where the block already is. The reader converts nothing: it
-reads each block into a record slot and hands it out as stored, float64
-buckets and float32 frames, once it has checked the records for
-non-finite values and negative pixels: one integer scan of the float32
-pixels and ``isfinite`` on the buckets, and only for records that fail,
-the scans that tell which error they hold. The frames are widened to
-float64 where they are summed, a cache-sized piece at a time: by the
-engine, a column tile of a chunk just before its product, and by the frame
-totals, whole rows before their sum. When the process may run on more
-than one CPU (``os.sched_getaffinity``), one worker thread reads and scans
-each block into one of two record slots in turn, while the calling thread
-sums the block before it: the copy out of the page cache leaves the
-critical path. A slot goes back to the worker when the block after it is
-asked for, one hand-off per block. The worker is joined when the pass
-ends, is closed or fails, before its file closes; a block raises the error
-a read on the calling thread would. On one CPU the calling thread reads
-each block into one slot and starts no thread.
+each chunk where the block already is. The reader starts no thread and
+converts nothing: the calling thread reads each block into one reused
+record slot and hands it out as stored, float64 buckets and float32
+frames, once it has checked the records for non-finite values and
+negative pixels: one integer scan of the float32 pixels and ``isfinite``
+on the buckets, and only for records that fail, the scans that tell which
+error they hold. The frames are widened to float64 where they are summed,
+a cache-sized piece at a time: by the engine, a column tile of a chunk
+just before its product, and by the frame totals, whole rows before their
+sum.
 :attr:`Container.buckets` reads the bucket column alone, one 8-byte
 ``os.pread`` per record, a few thousand records at a time into one float64
 column, and checks it the same way, so ``ci`` can split the records on the
@@ -48,10 +41,10 @@ file-backed pages would count toward the process's peak RSS.
 blocks into one float64 (n, pixels) stack, as
 :func:`~gikit.simulate.simulate` copies the simulator's blocks;
 :func:`open_container` hands the blocks out one at a time as read-only
-views of a record slot, valid until the next block is asked for. That is
+views of the record slot, valid until the next block is asked for. That is
 how the CLI reads, so no command holds the whole frame matrix, and with
-reused slots its peak RSS does not depend on where the allocator puts each
-block.
+one reused slot its peak RSS does not depend on where the allocator puts
+each block.
 
 Every write goes through one block writer, :func:`write_container`, which
 takes a header and the same ``(start, buckets, frames)`` blocks and stores
@@ -72,7 +65,6 @@ import errno
 import io
 import json
 import os
-import threading
 from collections import namedtuple
 from contextlib import contextmanager
 from pathlib import Path
@@ -302,81 +294,29 @@ def _defect(records) -> str | None:
     return None
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _read_ahead(blocks, free, ready) -> None:
-    """The reader's worker: each time ``free`` gives True, put the next of
-    ``blocks`` on ``ready``; end when it gives False, or at the first error,
-    which goes on ``ready`` for the caller to raise."""
-    try:
-        while free.get():
-            ready.put(next(blocks))
-    except Exception as exc:  # StopIteration past the last block, which no caller takes
-        ready.put(exc)
-
-
 def _read_blocks(fh, offset: int, header: DatasetHeader) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(start, buckets, frames)`` for the first ``header.n`` records
-    of the payload at ``offset``, as stored: read-only views of the record
-    slot the block was read into, float64 buckets (rows,) and float32
-    frames (rows, pixels), so a block is valid until the next one is asked
-    for.
-
-    On one CPU this thread reads and scans each block into one slot. On more
-    than one, a worker thread reads and scans each block into one of two
-    slots in turn, the next block while this one is summed; a slot is handed
-    back when the block after it is asked for, one hand-off per block. The
-    worker ends before the generator does. A block that fails a scan raises
-    before it is yielded, with its first error: a read cut short, then a
-    non-finite value, then a negative pixel."""
+    of the payload at ``offset``, as stored: read-only views of the one
+    record slot that every block is read into, float64 buckets (rows,) and
+    float32 frames (rows, pixels), so a block is valid until the next one is
+    asked for. A block that fails a scan raises before it is yielded, with
+    its first error: a read cut short, then a non-finite value, then a
+    negative pixel."""
     n, pixels = header.n, header.width * header.height
     rows = min(n, _block_rows(pixels))
-    ahead = _cpus() > 1
-    slots = np.empty((2 if ahead else 1, rows), dtype=_record_dtype(pixels))
-
-    def read():  # (slot, error or None) for each block in file order, into the slots in turn
-        for start in range(0, n, rows):
-            slot = slots[start // rows % len(slots), : min(rows, n - start)]
-            short = fh.readinto(slot) != slot.nbytes
-            yield slot, (f"payload ended inside records {start}..{start + len(slot) - 1}" if short
-                         else _defect(slot))  # scanned where it was read
-
+    records = np.empty(rows, dtype=_record_dtype(pixels))
     fh.seek(offset)
-    blocks, worker = read(), None
-    if ahead:
-        try:  # queue.SimpleQueue itself, without loading queue and heapq: about 1 ms of every reading command
-            from _queue import SimpleQueue
-        except ImportError:
-            from queue import SimpleQueue
-
-        free, ready = SimpleQueue(), SimpleQueue()
-        # A daemon: a pass that is never closed cannot hold up the interpreter's exit.
-        worker = threading.Thread(target=_read_ahead, args=(blocks, free, ready), daemon=True)
-        free.put(True)
-        free.put(True)
-        worker.start()
-
-    try:
-        for start in range(0, n, rows):
-            got = ready.get() if worker else next(blocks)
-            if isinstance(got, Exception):
-                raise got
-            slot, error = got
-            if error:
-                raise FileFormatError(error)
-            buckets, frames = slot["bucket"], slot["frame"]
-            buckets.flags.writeable = False
-            frames.flags.writeable = False
-            yield start, buckets, frames
-            if worker:  # the block is done with: its slot takes the block after next
-                free.put(True)
-    finally:
-        if worker:
-            free.put(False)
-            worker.join()
+    for start in range(0, n, rows):
+        slot = records[: min(rows, n - start)]
+        if fh.readinto(slot) != slot.nbytes:
+            raise FileFormatError(f"payload ended inside records {start}..{start + len(slot) - 1}")
+        error = _defect(slot)
+        if error:
+            raise FileFormatError(error)
+        buckets, frames = slot["bucket"], slot["frame"]
+        buckets.flags.writeable = False
+        frames.flags.writeable = False
+        yield start, buckets, frames
 
 
 class Container(NamedTuple):
@@ -424,7 +364,7 @@ class Container(NamedTuple):
 
     def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """One pass over the records as ``(start, buckets, frames)`` blocks,
-        as stored: read-only views of the record buffers that the pass
+        as stored: read-only views of the one record slot that the pass
         reuses, float64 buckets (rows,) and float32 frames (rows, pixels),
         so each block is valid until the next is asked for; copy what must
         outlive it, and widen the frames to float64 before summing them. A
@@ -611,16 +551,28 @@ def _read_sidecar(path) -> list:
 
 def append_manifest_row(row: ManifestRow, path) -> tuple[Path, Path]:
     """Append one row, creating the CSV/JSON pair on first use; a sidecar
-    that is not a JSON list raises :class:`FileFormatError`, touching neither file."""
+    that is not a JSON list raises :class:`FileFormatError`, touching neither
+    file. A write that fails undoes the append: the CSV is cut back to its
+    earlier length, or removed if this call made it, so both files stay as
+    they were."""
     import csv
     csv_path, json_path = _manifest_paths(path)
     sidecar = _read_sidecar(path)
     new_file = not csv_path.exists()
-    with open(csv_path, "a", newline="") as fh:
-        writer = csv.writer(fh)
+    size = 0 if new_file else csv_path.stat().st_size
+    fh = open(csv_path, "a", newline="")
+    try:
+        with fh:
+            writer = csv.writer(fh)
+            if new_file:
+                writer.writerow(MANIFEST_COLUMNS)
+            writer.writerow(row.csv_values())
+        sidecar.append(_sidecar_entry(row))
+        _write_sidecar(json_path, sidecar)
+    except BaseException:
         if new_file:
-            writer.writerow(MANIFEST_COLUMNS)
-        writer.writerow(row.csv_values())
-    sidecar.append(_sidecar_entry(row))
-    _write_sidecar(json_path, sidecar)
+            csv_path.unlink(missing_ok=True)
+        else:
+            os.truncate(csv_path, size)
+        raise
     return csv_path, json_path

@@ -265,7 +265,7 @@ def test_hostile_last_record_writes_nothing(tmp_path, scene_pgm, small_blocks, c
     argv = [arg.format(dir=tmp_path) for arg in HOSTILE_RUNS[command]]
     threads = threading.enumerate()
     assert main(argv[:1] + ["--in", str(hostile)] + argv[1:]) == 1
-    assert threading.enumerate() == threads  # the reader's worker ended with the pass
+    assert threading.enumerate() == threads  # the pass started no thread
     assert "error:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
@@ -309,6 +309,7 @@ def test_no_thread_outlives_a_consumer_that_raises(tmp_path, scene_pgm, small_bl
 
 
 def test_a_pass_closed_early_ends_its_worker_before_its_file(tmp_path, scene_pgm, small_blocks, monkeypatch):
+    # A pass starts no thread, and closing it early closes its file.
     container = open_container(_simulate(tmp_path, scene_pgm, 17))
     threads, at_close = threading.enumerate(), []
 
@@ -320,7 +321,7 @@ def test_a_pass_closed_early_ends_its_worker_before_its_file(tmp_path, scene_pgm
     monkeypatch.setattr(gikit.fileio, "open", lambda path, mode: WatchedFile(io.FileIO(path, mode)), raising=False)
     blocks = container.blocks()
     next(blocks)
-    assert len(threading.enumerate()) == len(threads) + (gikit.fileio._cpus() > 1)
+    assert threading.enumerate() == threads and not at_close
     blocks.close()
     assert at_close == [threads]
     assert threading.enumerate() == threads
@@ -342,8 +343,8 @@ class _FailingRead(io.BytesIO):
 
 @pytest.mark.parametrize("reads", [1, 2, 3])
 def test_a_read_error_reaches_the_block_it_falls_in(tmp_path, scene_pgm, small_blocks, reads):
-    # Each block is one read. On more than one CPU the worker reads ahead,
-    # and its error reaches this thread as the block that needs it is taken.
+    # Each block is one read, so a read that fails ends the pass at the
+    # block it would have filled, after every block before it.
     gid = _simulate(tmp_path, scene_pgm, 17)
     fh = _FailingRead(gid.read_bytes(), reads)
     header, offset = gikit.fileio._read_header(fh)
@@ -358,10 +359,9 @@ def test_a_read_error_reaches_the_block_it_falls_in(tmp_path, scene_pgm, small_b
 @SIZES
 def test_the_reader_holds_one_record_slot_per_thread(tmp_path, scene_pgm, monkeypatch, n, rows):
     # NumPy's buffers of a record or more that gikit.fileio holds at the
-    # first block: a slot of one block of stored records for the calling
-    # thread, and one more for the worker on more than one CPU. No float64
-    # frame buffer: the frames are handed out as stored. (A scan that the
-    # worker runs meanwhile makes only smaller temporaries.)
+    # first block: one slot of one block of stored records, on the calling
+    # thread, the only one that reads. No float64 frame buffer: the frames
+    # are handed out as stored.
     _use_blocks(monkeypatch, rows)
     container = open_container(_simulate(tmp_path, scene_pgm, n))
     tracemalloc.start()
@@ -375,15 +375,12 @@ def test_the_reader_holds_one_record_slot_per_thread(tmp_path, scene_pgm, monkey
     held = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
     held = held.filter_traces([tracemalloc.Filter(True, gikit.fileio.__file__)])
     records = sum(trace.size for trace in held.traces if trace.size >= RECORD_BYTES)
-    slots = 2 if gikit.fileio._cpus() > 1 else 1
-    assert records == slots * rows * RECORD_BYTES
+    assert records == rows * RECORD_BYTES
 
 
 SRC = str(Path(gikit.__file__).resolve().parents[1])
-CPU_PROBE = """
-import os, sys, threading
-if sys.argv[1] == "pinned":
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+THREAD_PROBE = """
+import sys, threading
 started, start = [], threading.Thread.start
 
 def counted(thread):
@@ -393,36 +390,35 @@ def counted(thread):
 threading.Thread.start = counted
 import gikit.fileio
 from gikit.cli import main
-gikit.fileio._BLOCK_BYTES = int(sys.argv[2])
-code = main(sys.argv[3:])
+gikit.fileio._BLOCK_BYTES = int(sys.argv[1])
+code = main(sys.argv[2:])
 print(len(started), code, len(threading.enumerate()))
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity (Linux)")
 @pytest.mark.parametrize("command", ["progressive", "diagnose"])
-def test_one_cpu_starts_no_thread_and_writes_the_same_bytes(tmp_path, scene_pgm, command):
+def test_one_cpu_starts_no_thread_and_writes_the_same_bytes(tmp_path, scene_pgm, small_blocks, command):
+    # A reading command starts no thread on any number of CPUs: a child on
+    # every CPU this process may use writes the bytes of the same run here.
     gid = _simulate(tmp_path, scene_pgm, 17)
     argv = {"progressive": ["reconstruct", "--method", "sgi3", "--shift", "2", "--progressive", "4", "--raw",
                             "--out", "{dir}/live"],
             "diagnose": ["diagnose", "--shift", "3", "--out", "{dir}/sr.csv"]}[command]
-    outputs, started = {}, {}
-    for cpus in ("pinned", "free"):
-        out = tmp_path / cpus
+    outputs = {}
+    for where in ("child", "here"):
+        out = tmp_path / where
         out.mkdir()
         run = [arg.format(dir=out) for arg in argv]
-        done = subprocess.run([sys.executable, "-c", CPU_PROBE, cpus, str(BLOCK_ROWS * RECORD_BYTES),
-                               *run[:1], "--in", str(gid), *run[1:]],
-                              env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        count, code, alive = map(int, done.stdout.split()[-3:])
-        assert code == 0 and alive == 1
-        started[cpus] = count
-        outputs[cpus] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-    assert started["pinned"] == 0
-    assert outputs["pinned"] == outputs["free"] and outputs["free"]
-    if len(os.sched_getaffinity(0)) > 1:
-        assert started["free"] == 1
+        run = run[:1] + ["--in", str(gid)] + run[1:]
+        if where == "here":
+            assert main(run) == 0
+        else:
+            done = subprocess.run([sys.executable, "-c", THREAD_PROBE, str(BLOCK_ROWS * RECORD_BYTES), *run],
+                                  env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            assert list(map(int, done.stdout.split()[-3:])) == [0, 0, 1]  # no thread started, exit 0, one alive
+        outputs[where] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert outputs["child"] == outputs["here"] and outputs["here"]
 
 
 NON_FINITE = "payload contains non-finite values"
@@ -492,9 +488,9 @@ def test_every_reader_names_the_defect_alike(tmp_path, scene_pgm, small_blocks, 
 
 @pytest.mark.parametrize("defect", ["negative-pixel", "nan-bucket", "negative-then-nan-pixel"])
 def test_a_defect_is_named_while_the_worker_could_read_on(tmp_path, scene_pgm, small_blocks, monkeypatch, defect):
-    # A slow check gives the worker time to read on: the slot that holds
-    # the defect (records 5..9) must not be handed back, though the block
-    # after it is clean, before the block's error is named.
+    # A slow check: the block that holds the defect (records 5..9) must
+    # raise its own error, though the block after it is clean, before the
+    # pass reads on.
     edits, message = DEFECTS[defect]
     gid = _simulate(tmp_path, scene_pgm, 17)
     gid.write_bytes(_poke(gid.read_bytes(), 17, edits))

@@ -114,6 +114,31 @@ def test_bad_sidecar_fails_before_any_record_is_read(tmp_path, scene_pgm, monkey
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("rows", [0, 1], ids=["new", "appended"])
+def test_a_failed_sidecar_write_leaves_both_manifest_files(tmp_path, scene_pgm, monkeypatch, capsys, rows):
+    # The CSV row is written before the sidecar; a sidecar write that fails,
+    # as on a full disk, takes the row back out, or the CSV it made.
+    gid = _simulate(tmp_path, scene_pgm)
+    argv = ["reconstruct", "--in", str(gid), "--method", "g2", "--out", str(tmp_path / "r"),
+            "--manifest", str(tmp_path / "log")]
+    for _ in range(rows):
+        assert main(argv) == 0
+
+    def manifest():
+        return {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "r.pgm"}
+
+    before = manifest()
+
+    def full_disk(json_path, sidecar):
+        raise OSError(28, "No space left on device", str(json_path))
+
+    monkeypatch.setattr(gikit.fileio, "_write_sidecar", full_disk)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert manifest() == before
+
+
 def test_reconstruct_limit_and_pair_count(tmp_path, scene_pgm):
     gid = _simulate(tmp_path, scene_pgm)
     manifest = tmp_path / "log"

@@ -19,8 +19,9 @@ ENV = {**os.environ, "PYTHONPATH": SRC}
 # The real `secrets` and what it loads: hmac, hashlib and OpenSSL's libcrypto.
 OPENSSL = {"secrets", "hmac", "hashlib", "_hashlib", "ssl"}
 # Modules that a command reading a container has no use for: the simulator,
-# the sweep, NumPy's random generators, and the OpenSSL bindings.
-NOT_FOR_READING = {"gikit.simulate", "gikit.sweep", "numpy.random"} | OPENSSL
+# the sweep, NumPy's random generators, the OpenSSL bindings, and the queues
+# of a reader thread (the reader reads on the calling thread).
+NOT_FOR_READING = {"gikit.simulate", "gikit.sweep", "numpy.random", "_queue", "queue"} | OPENSSL
 
 
 def _cli_imports(*argv) -> set:

@@ -1,5 +1,5 @@
 """Memory of the streamed commands: a `reconstruct`, `--progressive` or
-`diagnose` run holds the reader's reused record slots, one float64 scratch
+`diagnose` run holds the reader's one reused record slot, one float64 scratch
 to widen rows in, the sgi accumulator's carried rows and O(images x pixels)
 state, whatever the number of records, and a
 `sweep` holds O(records) vectors but never a run's frames."""
@@ -42,12 +42,10 @@ def container(tmp_path_factory):
 
 
 def _reader_bytes(n: int) -> int:
-    """The reader's record slots, one per thread, and the float64 scratch
-    that the engine or the frame totals widen rows in, for n records."""
-    record_bytes = 8 + 4 * PIXELS
+    """The reader's one record slot and the float64 scratch that the
+    engine or the frame totals widen rows in, for n records."""
     rows = min(n, gikit.fileio._block_rows(PIXELS))
-    slots = 2 if gikit.fileio._cpus() > 1 else 1
-    return slots * rows * record_bytes + _WIDE_BYTES
+    return rows * (8 + 4 * PIXELS) + _WIDE_BYTES
 
 
 def _traced(call, *args) -> tuple:
@@ -66,7 +64,7 @@ def test_streamed_command_holds_one_block(container, tmp_path, run):
     code, peak = _traced(main, argv)
     assert code == 0
 
-    # The reader's record slots and the one float64 scratch, the sgi
+    # The reader's record slot and the one float64 scratch, the sgi
     # accumulator's carried rows, then the O(images x pixels) totals, terms
     # and exports and the O(n) bucket and frame-total vectors. No pass stages
     # a row: the reader's blocks are chunks of the grid, the run's last chunk
@@ -121,7 +119,7 @@ def test_progressive_holds_one_staged_chunk_and_the_carried_rows(container):
                     acc.snapshot()
     finally:
         tracemalloc.stop()
-    # The reader's slots and the engine's scratch, the carried rows and
+    # The reader's slot and the engine's scratch, the carried rows and
     # buckets, and the term and compensated-sum buffers.
     state = _reader_bytes(N) + SHIFT * (PIXELS + 1) * 8 + 6 * 2 * PIXELS * 8
     row_bytes = PIXELS * 8
